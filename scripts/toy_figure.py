@@ -18,23 +18,24 @@ import os
 import numpy as np
 
 from ipiag import (
-    RateInputs,
     SolverParams,
     ToySpec,
-    certificate_for,
     make_toy,
     run,
     schedule_uniform_single,
     verify_linear_bound,
 )
+from ipiag.cli import resolve_parameters
 from ipiag.plotting import log_line_plot
 
-VARIANTS = (
-    ("plain", "t1", 0.0),
-    ("pre-inertia", "cor1", 0.25),
-    ("post-inertia", "cor2", 0.0),
-    ("double-inertia", "t1", 0.25),
-)
+# figure label of each run tag, at momentum fraction C1 = 0.25
+LABELS = {
+    "piag": "plain",
+    "piag-m": "pre-inertia",
+    "piag-nel": "post-inertia",
+    "ipiag": "double-inertia",
+}
+C1 = 0.25
 
 
 def write_trace_csv(path, trace):
@@ -50,15 +51,11 @@ def variant_comparison(args, out_dir):
     schedule = schedule_uniform_single(args.workers, args.tau, args.iters, args.seed)
     curves = []
     envelope = None
-    for label, cert_variant, c1 in VARIANTS:
-        inputs = RateInputs(prob.total_lipschitz, prob.growth_constant, args.tau, c1)
-        if label == "plain":
-            cert = certificate_for(cert_variant, inputs, eta2=0.0)
-        else:
-            cert = certificate_for(cert_variant, inputs)
-        params = SolverParams(
-            alpha=cert.alpha, eta1=cert.eta1, eta2=cert.eta2, max_iters=args.iters
+    for tag, label in LABELS.items():
+        alpha, eta1, eta2, cert = resolve_parameters(
+            prob, tag, "auto", "auto", "auto", args.tau, C1
         )
+        params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=args.iters)
         trace = run(prob, params, schedule, np.zeros(args.components), store_iterates=False)
         write_trace_csv(os.path.join(out_dir, f"toy_{label.replace('-', '_')}.csv"), trace)
         curves.append({"label": label, "x": trace.k, "y": trace.dist2})
@@ -72,8 +69,8 @@ def variant_comparison(args, out_dir):
                 "dashed": True,
             }
         print(
-            f"{label:15s} alpha={cert.alpha:.4e} eta1={cert.eta1:.4e} "
-            f"eta2={cert.eta2:.4e} final dist2={trace.dist2[-1]:.3e}"
+            f"{label:15s} alpha={alpha:.4e} eta1={eta1:.4e} "
+            f"eta2={eta2:.4e} final dist2={trace.dist2[-1]:.3e}"
         )
     if envelope is not None:
         curves.append(envelope)
@@ -87,8 +84,7 @@ def variant_comparison(args, out_dir):
 
 def step_size_sweep(args, out_dir):
     prob = make_toy(ToySpec(num_components=args.components))
-    inputs = RateInputs(prob.total_lipschitz, prob.growth_constant, args.tau, 0.0)
-    base = certificate_for("t1", inputs, eta2=0.0).alpha
+    base = resolve_parameters(prob, "piag", "auto", "auto", "auto", args.tau, C1)[0]
     schedule = schedule_uniform_single(args.workers, args.tau, args.iters, args.seed)
     curves = []
     for mult in (1.0, 4.0, 16.0):

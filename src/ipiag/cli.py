@@ -45,19 +45,16 @@ import time
 
 import numpy as np
 
-from . import problems
+from . import problems, rates
 from .core import CompositeProblem, DivergenceError, load_problem, problem_from_document
 from .rates import RateInputs, certificate_for, ipiag_certificate, verify_linear_bound
 from .schedules import DelaySchedule, schedule_synchronous, schedule_uniform_single
-from .solver import SolverParams, iterations_to_threshold, run
+from .solver import SolverParams, float_format, iterations_to_threshold, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_BOUND = 4
-
-RUN_VARIANTS = ("piag", "piag-m", "piag-nel", "ipiag")
-_CERT_VARIANT = {"piag": "t1", "piag-m": "cor1", "piag-nel": "cor2", "ipiag": "t1"}
 
 
 class ConfigError(ValueError):
@@ -85,41 +82,37 @@ def resolve_parameters(
 ):
     """Turn flag values into concrete (alpha, eta1, eta2, certificate).
 
-    The certificate is rebuilt at the resolved values so its contraction
+    The certificate is built at the resolved values so its contraction
     factor describes the run that will actually execute; it is None when
     the problem has no growth modulus (then bound checks are skipped).
     """
-    if variant not in RUN_VARIANTS:
+    if variant not in rates.RUN_VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     alpha_arg = _parse_value(alpha_arg, "alpha")
     eta1_arg = _parse_value(eta1_arg, "eta1")
     eta2_arg = _parse_value(eta2_arg, "eta2")
 
-    uses_eta1 = variant in ("piag-m", "ipiag")
-    uses_eta2 = variant in ("piag-nel", "ipiag")
+    cert_variant, uses_eta1, uses_eta2 = rates.RUN_VARIANTS[variant]
     beta = problem.growth_constant
     L = problem.total_lipschitz
     needs_auto = alpha_arg == "auto" or (uses_eta1 and eta1_arg == "auto") or (
         uses_eta2 and eta2_arg == "auto"
     )
-    if needs_auto and beta is None:
-        raise ConfigError(
-            "auto parameters need the growth modulus; the problem metadata has none"
-        )
-
-    cert_variant = _CERT_VARIANT[variant]
-    c1_eff = c1 if uses_eta1 else 0.0
     auto_cert = None
     if needs_auto:
-        inputs = RateInputs(L, beta, tau, c1_eff)
-        auto_cert = certificate_for(cert_variant, inputs)
+        if beta is None:
+            raise ConfigError(
+                "auto parameters need the growth modulus; the problem metadata has none"
+            )
+        # eta defaults are computed at the alpha that will run; a nonpositive
+        # alpha is rejected below, so the certificate never sees it
+        given = alpha_arg if alpha_arg != "auto" and alpha_arg > 0 else None
+        inputs = RateInputs(L, beta, tau, c1 if uses_eta1 else 0.0)
+        auto_cert = certificate_for(cert_variant, inputs, alpha=given)
 
     alpha = auto_cert.alpha if alpha_arg == "auto" else alpha_arg
     if not alpha > 0:
         raise ConfigError("alpha must be positive")
-    if alpha_arg != "auto" and auto_cert is not None:
-        # eta defaults must be computed at the alpha that will run
-        auto_cert = certificate_for(cert_variant, auto_cert.inputs, alpha=alpha)
 
     if uses_eta1:
         eta1 = auto_cert.eta1 if eta1_arg == "auto" else eta1_arg
@@ -141,13 +134,7 @@ def resolve_parameters(
         implied_c1 = eta1 / (alpha * beta) if uses_eta1 and alpha * beta > 0 else 0.0
         try:
             inputs = RateInputs(L, beta, tau, implied_c1)
-            cert = certificate_for(cert_variant, inputs, alpha=alpha, eta2=eta2)
-            # pin the exact run values; the universal contraction formula
-            # (1 + eta2) / (1 + alpha beta - eta1) covers every variant
-            cert.eta1 = eta1
-            cert.eta2 = eta2
-            cert.rho = (1.0 + eta2) / (1.0 + alpha * beta - eta1)
-            cert.admissible = bool(cert.admissible and eta1 + eta2 < alpha * beta)
+            cert = certificate_for(cert_variant, inputs, alpha=alpha, eta1=eta1, eta2=eta2)
         except ValueError:
             cert = None
     return alpha, eta1, eta2, cert
@@ -173,8 +160,9 @@ def _load_problem_arg(source) -> CompositeProblem:
 
 
 def cmd_run(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
+        float_format()  # reject a bad IPIAG_FLOAT_DIGITS before any work
         problem = _load_problem_arg(args.problem)
         if not 1 <= args.workers <= problem.num_components:
             raise ConfigError("workers must lie in [1, num_components]")
@@ -194,7 +182,7 @@ def cmd_run(args) -> int:
     trace = None
     exit_code = EXIT_OK
     try:
-        trace = run(problem, params, schedule, np.zeros(problem.dimension))
+        trace = run(problem, params, schedule, np.zeros(problem.dimension), store_iterates=False)
     except DivergenceError as exc:
         print(f"error: diverged: {exc}", file=sys.stderr)
         status = "diverged"
@@ -234,7 +222,7 @@ def cmd_run(args) -> int:
         "iterations_to_1e-6": None,
         "certificate": None if cert is None else cert.to_json_dict(),
         "bound_checks": verdicts,
-        "wall_clock_sec": time.time() - t0,
+        "wall_clock_sec": time.perf_counter() - t0,
     }
     if trace is not None:
         if trace.phi_star is not None:
@@ -294,6 +282,7 @@ def cmd_compare(args) -> int:
         return EXIT_CONFIG
 
     try:
+        fmt = float_format()
         configs = spec.get("configs", [])
         if len(configs) < 2:
             raise ConfigError("compare needs at least two configs")
@@ -395,13 +384,12 @@ def cmd_compare(args) -> int:
         "iters_to_1e-6",
         "final_gap",
     ]
-    digits = int(os.environ.get("IPIAG_FLOAT_DIGITS", "17"))
 
     def cell(v):
         if v is None:
             return ""
         if isinstance(v, float):
-            return f"%.{digits}g" % v
+            return fmt % v
         return str(v)
 
     lines = [",".join(header)]
@@ -445,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one configuration and write artifacts")
     p_run.add_argument("--problem", required=True, help="problem document (JSON file)")
-    p_run.add_argument("--variant", choices=RUN_VARIANTS, default="piag")
+    p_run.add_argument("--variant", choices=tuple(rates.RUN_VARIANTS), default="piag")
     p_run.add_argument("--alpha", default="auto", help="step size, or 'auto'")
     p_run.add_argument("--eta1", default="auto", help="pre-prox inertia, or 'auto'")
     p_run.add_argument("--eta2", default="auto", help="post-prox inertia, or 'auto'")
@@ -474,9 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--beta", type=float, required=True, help="growth modulus")
     p_cert.add_argument("--tau", type=int, required=True, help="staleness bound")
     p_cert.add_argument("--c1", type=float, default=0.0, help="momentum fraction")
-    p_cert.add_argument(
-        "--variant", choices=("t1", "t1tight", "cor1", "cor2"), default="t1"
-    )
+    p_cert.add_argument("--variant", choices=rates.VARIANTS, default="t1")
     p_cert.set_defaults(func=cmd_certify)
     return parser
 

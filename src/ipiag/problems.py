@@ -271,11 +271,8 @@ def reference_solution(
     return trace.z_final, float(trace.phi[-1])
 
 
-_GENERATORS = {}
-
-
 def build_from_generator(name: str, params: dict, seed=None) -> CompositeProblem:
-    """Registry dispatch used when rebuilding problems from documents."""
+    """Rebuild a problem from the generator name and parameters of a document."""
     if name == "toy":
         return make_toy(ToySpec(**params))
     if name == "lasso":
@@ -283,6 +280,4 @@ def build_from_generator(name: str, params: dict, seed=None) -> CompositeProblem
         if seed is not None:
             merged.setdefault("seed", seed)
         return make_lasso(LassoSpec(**merged))
-    if name in _GENERATORS:
-        return _GENERATORS[name](params, seed)
     raise ValueError(f"unknown problem generator {name!r}")

@@ -31,6 +31,14 @@ from .solver import Trace
 
 VARIANTS = ("t1", "t1tight", "cor1", "cor2")
 
+# run tag -> (certificate tag, uses eta1, uses eta2); plain PIAG is t1 at eta1 = eta2 = 0
+RUN_VARIANTS = {
+    "piag": ("t1", False, False),
+    "piag-m": ("cor1", True, False),
+    "piag-nel": ("cor2", False, True),
+    "ipiag": ("t1", True, True),
+}
+
 
 @dataclass(frozen=True)
 class RateInputs:
@@ -107,13 +115,14 @@ def ipiag_certificate(
     inputs: RateInputs,
     tight: bool = False,
     alpha: Optional[float] = None,
+    eta1: Optional[float] = None,
     eta2: Optional[float] = None,
 ) -> RateCertificate:
     """Certificate for the doubly inertial variant.
 
     ``tight=False`` uses the stated threshold exponent 1/(tau+3); with
     ``tight=True`` the exponent drops to 1/(tau+2) for tau >= 1 (the two
-    agree at tau = 0).  eta1 is pinned to min(C1 alpha beta, 1); eta2
+    agree at tau = 0).  eta1 defaults to min(C1 alpha beta, 1); eta2
     defaults to the largest admissible value.
     """
     L = inputs.total_lipschitz
@@ -133,7 +142,8 @@ def ipiag_certificate(
         alpha = alpha_max
     admissible = 0.0 < alpha <= alpha_max * (1.0 + 1e-15)
 
-    eta1 = min(c1 * alpha * beta, 1.0)
+    if eta1 is None:
+        eta1 = min(c1 * alpha * beta, 1.0)
     eta2_max = max(0.0, min(alpha * beta / 2.0, _eta2_bracket(alpha, L, beta, tau, eta1, c1)))
     if eta2 is None:
         eta2 = eta2_max
@@ -157,12 +167,14 @@ def ipiag_certificate(
 def momentum_certificate(
     inputs: RateInputs,
     alpha: Optional[float] = None,
+    eta1: Optional[float] = None,
 ) -> RateCertificate:
     """Certificate for pre-prox inertia alone (eta2 = 0).
 
     Allows the full weight range C1 in [0, 1) and uses the dedicated
-    threshold, which is larger than the doubly inertial one.  Also reports
-    the closed-form simplified contraction factor valid at alpha_max.
+    threshold, which is larger than the doubly inertial one.  eta1
+    defaults to C1 alpha beta.  Also reports the closed-form simplified
+    contraction factor valid at alpha_max.
     """
     L = inputs.total_lipschitz
     beta = inputs.growth_constant
@@ -175,7 +187,8 @@ def momentum_certificate(
         alpha = alpha_max
     admissible = 0.0 < alpha <= alpha_max * (1.0 + 1e-15)
 
-    eta1 = c1 * alpha * beta
+    if eta1 is None:
+        eta1 = c1 * alpha * beta
     rho = 1.0 / (1.0 + alpha * beta - eta1)
     q = L / beta
     simplified = 1.0 - (1.0 - c1) / ((1.0 + q * (tau + 1)) * (tau + 1))
@@ -241,16 +254,19 @@ def certificate_for(
     variant: str,
     inputs: RateInputs,
     alpha: Optional[float] = None,
+    eta1: Optional[float] = None,
     eta2: Optional[float] = None,
 ) -> RateCertificate:
-    """Dispatch on the variant tag."""
+    """Dispatch on the variant tag; ``cor2`` accepts no nonzero eta1."""
     if variant == "t1":
-        return ipiag_certificate(inputs, tight=False, alpha=alpha, eta2=eta2)
+        return ipiag_certificate(inputs, tight=False, alpha=alpha, eta1=eta1, eta2=eta2)
     if variant == "t1tight":
-        return ipiag_certificate(inputs, tight=True, alpha=alpha, eta2=eta2)
+        return ipiag_certificate(inputs, tight=True, alpha=alpha, eta1=eta1, eta2=eta2)
     if variant == "cor1":
-        return momentum_certificate(inputs, alpha=alpha)
+        return momentum_certificate(inputs, alpha=alpha, eta1=eta1)
     if variant == "cor2":
+        if eta1:
+            raise ValueError("cor2 has no pre-prox inertia; eta1 must be 0")
         return nesterov_certificate(inputs, alpha=alpha, eta2=eta2)
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 

@@ -35,6 +35,18 @@ DIVERGENCE_FACTOR = 1e12
 FLOAT_DIGITS_ENV = "IPIAG_FLOAT_DIGITS"
 
 
+def float_format() -> str:
+    """Printf format for CSV floats: ``IPIAG_FLOAT_DIGITS`` significant digits (default 17)."""
+    text = os.environ.get(FLOAT_DIGITS_ENV, "17")
+    try:
+        digits = int(text)
+    except ValueError:
+        digits = 0
+    if digits < 1:
+        raise ValueError(f"{FLOAT_DIGITS_ENV} must be a positive integer, got {text!r}")
+    return f"%.{digits}g"
+
+
 class StateError(RuntimeError):
     """Gradient table used before it was fully populated."""
 
@@ -153,9 +165,7 @@ class Trace:
     z_final: Array
     phi_star: Optional[float] = None
     x_ref: Optional[Array] = None
-    x: Optional[Array] = None  # (records, d) when stored
-    z: Optional[Array] = None
-    gradients: Optional[Array] = None  # aggregated g_k per iteration, when stored
+    z: Optional[Array] = None  # (records, d) when stored
 
     @property
     def records(self) -> int:
@@ -166,8 +176,7 @@ class Trace:
         return self.staleness.max(axis=1)
 
     def to_csv(self, path: str) -> None:
-        digits = int(os.environ.get(FLOAT_DIGITS_ENV, "17"))
-        fmt = f"%.{digits}g"
+        fmt = float_format()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("k,phi,dist2,psi,step_norm2,max_staleness\n")
             stale = self.max_staleness
@@ -199,7 +208,6 @@ def run(
     x_ref: Optional[Array] = None,
     phi_star: Optional[float] = None,
     store_iterates: bool = True,
-    store_gradients: bool = False,
 ) -> Trace:
     """Replay a delay schedule deterministically and trace the run.
 
@@ -244,9 +252,7 @@ def run(
     psi = np.full(n_rec, np.nan)
     step2 = np.zeros(n_rec)
     stale = np.zeros((n_rec, W), dtype=int)
-    xs = np.zeros((n_rec, problem.dimension)) if store_iterates else None
     zs = np.zeros((n_rec, problem.dimension)) if store_iterates else None
-    grads = np.zeros((K, problem.dimension)) if store_gradients else None
 
     lyap_coef = (1.0 - params.eta1) / (2.0 * params.alpha)
 
@@ -263,7 +269,6 @@ def run(
     phi0 = observe(0, state.z_curr)
     guard = DIVERGENCE_FACTOR * max(1.0, abs(phi0))
     if store_iterates:
-        xs[0] = state.x_curr
         zs[0] = state.z_curr
 
     executed = 0
@@ -275,8 +280,6 @@ def run(
                 )
             table.refresh(w, problem.sum_block_gradient(partition[w], x_hist[s % ring]), s)
         g = aggregate(table)
-        if store_gradients:
-            grads[k] = g
         new_state = ipiag_step(state, params, g, problem.prox)
         j = k + 1
         stale[j] = k - table.sources
@@ -284,7 +287,6 @@ def run(
         step2[j] = dz @ dz
         x_hist[j % ring] = new_state.x_curr
         if store_iterates:
-            xs[j] = new_state.x_curr
             zs[j] = new_state.z_curr
         phi_j = observe(j, new_state.z_curr)
         state = new_state
@@ -314,7 +316,5 @@ def run(
         z_final=state.z_curr.copy(),
         phi_star=None if phi_star is None else float(phi_star),
         x_ref=None if x_ref is None else np.asarray(x_ref, dtype=float).copy(),
-        x=None if xs is None else xs[:n],
         z=None if zs is None else zs[:n],
-        gradients=None if grads is None else grads[:executed],
     )

@@ -130,6 +130,41 @@ class TestRun:
         assert main(args + ["--out", str(out2)]) == EXIT_OK
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "variant, cert_variant, flags",
+        [
+            ("piag", "t1", []),
+            ("piag-m", "cor1", []),
+            ("piag-nel", "cor2", []),
+            ("ipiag", "t1", []),
+            ("piag-m", "cor1", ["--alpha", "0.0011", "--eta1", "0.00037"]),
+            ("ipiag", "t1", ["--alpha", "0.0011", "--eta1", "0.00037"]),
+        ],
+    )
+    def test_certificate_records_the_run_values(
+        self, toy_file, tmp_path, variant, cert_variant, flags
+    ):
+        out = tmp_path / "o"
+        rc = main(
+            ["run", "--problem", toy_file, "--variant", variant, "--tau", "2",
+             "--iters", "200", "--out", str(out)] + flags
+        )
+        assert rc == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        cert = summary["certificate"]
+        alpha, eta1, eta2 = summary["alpha"], summary["eta1"], summary["eta2"]
+        assert (cert["eta1"], cert["eta2"]) == (eta1, eta2)
+        assert cert["rho"] == (1.0 + eta2) / (1.0 + alpha * cert["beta"] - eta1)
+        assert cert["variant"] == cert_variant
+
+    def test_bad_float_digits_is_a_config_error(self, toy_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("IPIAG_FLOAT_DIGITS", "abc")
+        out = tmp_path / "o"
+        rc = main(["run", "--problem", toy_file, "--iters", "20", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "IPIAG_FLOAT_DIGITS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_problem_file(self, tmp_path, capsys):
         rc = main(
             ["run", "--problem", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]
@@ -309,6 +344,16 @@ class TestCompare:
         assert rc == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
+
+    def test_bad_float_digits_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        spec = self._spec(
+            tmp_path,
+            [{"variant": "piag", "alpha": "auto"}, {"variant": "ipiag", "alpha": "auto"}],
+        )
+        monkeypatch.setenv("IPIAG_FLOAT_DIGITS", "abc")
+        rc = main(["compare", "--spec", spec, "--out", str(tmp_path / "cmp")])
+        assert rc == EXIT_CONFIG
+        assert "IPIAG_FLOAT_DIGITS" in capsys.readouterr().err
 
     def test_missing_spec_file(self, tmp_path):
         assert main(["compare", "--spec", str(tmp_path / "none.json")]) == EXIT_CONFIG

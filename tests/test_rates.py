@@ -127,6 +127,20 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             certificate_for("sgd", UNIT)
 
+    @pytest.mark.parametrize("variant", ["t1", "t1tight", "cor1"])
+    def test_explicit_eta1_is_recorded_as_given(self, variant):
+        # C1 alpha beta with C1 = eta1 / (alpha beta) rounds to 0.00037000000000000005
+        alpha, beta, eta1 = 0.0011, 2.0, 0.00037
+        inputs = RateInputs(3.0, beta, 2, eta1 / (alpha * beta))
+        assert inputs.momentum_fraction * alpha * beta != eta1
+        cert = certificate_for(variant, inputs, alpha=alpha, eta1=eta1)
+        assert cert.eta1 == eta1
+        assert cert.rho == (1.0 + cert.eta2) / (1.0 + alpha * beta - eta1)
+
+    def test_post_inertia_variant_rejects_eta1(self):
+        with pytest.raises(ValueError):
+            certificate_for("cor2", UNIT, eta1=0.1)
+
 
 def test_json_document_fields():
     cert = certificate_for("cor1", RateInputs(2.0, 1.0, 1, 0.3))
