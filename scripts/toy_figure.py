@@ -52,7 +52,7 @@ def variant_comparison(args, out_dir):
     curves = []
     envelope = None
     for tag, label in LABELS.items():
-        alpha, eta1, eta2, cert = resolve_parameters(
+        alpha, eta1, eta2, cert, _ = resolve_parameters(
             prob, tag, "auto", "auto", "auto", args.tau, C1
         )
         params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=args.iters)

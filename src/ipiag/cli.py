@@ -12,8 +12,9 @@ Three subcommands:
 ``certify``  print the step-size certificate for given (L, beta, tau, C1)
              without running anything.
 
-Exit codes: 0 success, 2 configuration error, 3 divergence guard fired,
-4 a certificate bound check ran and failed.
+Exit codes: 0 success, 2 configuration error, 3 the run diverged (the
+divergence guard fired or an iterate became non-finite), 4 a certificate
+bound check ran and failed.
 
 The ``compare`` spec file is JSON:
 
@@ -46,7 +47,7 @@ import time
 import numpy as np
 
 from . import problems, rates
-from .core import CompositeProblem, DivergenceError, load_problem, problem_from_document
+from .core import CompositeProblem, NumericError, load_problem, problem_from_document
 from .rates import RateInputs, certificate_for, ipiag_certificate, verify_linear_bound
 from .schedules import DelaySchedule, schedule_synchronous, schedule_uniform_single
 from .solver import SolverParams, float_format, iterations_to_threshold, run
@@ -80,11 +81,13 @@ def resolve_parameters(
     tau: int,
     c1: float,
 ):
-    """Turn flag values into concrete (alpha, eta1, eta2, certificate).
+    """Turn flag values into concrete (alpha, eta1, eta2, certificate, error).
 
     The certificate is built at the resolved values so its contraction
-    factor describes the run that will actually execute; it is None when
-    the problem has no growth modulus (then bound checks are skipped).
+    factor describes the run that will actually execute.  It is None when
+    the problem has no growth modulus (then bound checks are skipped, and
+    error is None) or when no certificate covers the resolved values (then
+    error says why, and the run is uncertified).
     """
     if variant not in rates.RUN_VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
@@ -129,15 +132,18 @@ def resolve_parameters(
     if not 0.0 <= eta1 <= 1.0 or not 0.0 <= eta2 <= 1.0:
         raise ConfigError("inertial weights must lie in [0, 1]")
 
-    cert = None
+    cert = error = None
     if beta is not None:
         implied_c1 = eta1 / (alpha * beta) if uses_eta1 and alpha * beta > 0 else 0.0
         try:
             inputs = RateInputs(L, beta, tau, implied_c1)
             cert = certificate_for(cert_variant, inputs, alpha=alpha, eta1=eta1, eta2=eta2)
-        except ValueError:
-            cert = None
-    return alpha, eta1, eta2, cert
+        except ValueError as exc:
+            error = (
+                f"no {cert_variant} certificate covers alpha={alpha!r}, eta1={eta1!r}, "
+                f"eta2={eta2!r} (C1 = eta1/(alpha beta) = {implied_c1!r}): {exc}"
+            )
+    return alpha, eta1, eta2, cert, error
 
 
 def build_schedule(kind: str, workers: int, tau: int, iters: int, seed: int) -> DelaySchedule:
@@ -168,7 +174,7 @@ def cmd_run(args) -> int:
             raise ConfigError("workers must lie in [1, num_components]")
         if args.tau < 0 or args.iters < 0:
             raise ConfigError("tau and iters must be nonnegative")
-        alpha, eta1, eta2, cert = resolve_parameters(
+        alpha, eta1, eta2, cert, cert_error = resolve_parameters(
             problem, args.variant, args.alpha, args.eta1, args.eta2, args.tau, args.c1
         )
         schedule = build_schedule(args.schedule, args.workers, args.tau, args.iters, args.seed)
@@ -177,18 +183,21 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    if cert_error is not None:
+        print(f"warning: uncertified run: {cert_error}", file=sys.stderr)
     os.makedirs(args.out, exist_ok=True)
     status = "ok"
     trace = None
     exit_code = EXIT_OK
     try:
         trace = run(problem, params, schedule, np.zeros(problem.dimension), store_iterates=False)
-    except DivergenceError as exc:
+    except NumericError as exc:
         print(f"error: diverged: {exc}", file=sys.stderr)
         status = "diverged"
         exit_code = EXIT_DIVERGED
 
-    verdicts = {"psi": "skipped", "phi_gap": "skipped", "dist2": "skipped"}
+    unchecked = "skipped" if cert_error is None else "uncertified"
+    verdicts = {"psi": unchecked, "phi_gap": unchecked, "dist2": unchecked}
     report = None
     if trace is not None:
         if cert is not None and trace.phi_star is not None and trace.records >= 2:
@@ -221,6 +230,7 @@ def cmd_run(args) -> int:
         "final_dist2": None,
         "iterations_to_1e-6": None,
         "certificate": None if cert is None else cert.to_json_dict(),
+        "certificate_error": cert_error,
         "bound_checks": verdicts,
         "wall_clock_sec": time.perf_counter() - t0,
     }
@@ -319,7 +329,7 @@ def cmd_compare(args) -> int:
         resolved = []
         for cfg in configs:
             variant = cfg.get("variant", "piag")
-            alpha, eta1, eta2, cert = resolve_parameters(
+            alpha, eta1, eta2, cert, cert_error = resolve_parameters(
                 problem,
                 variant,
                 cfg.get("alpha", "auto"),
@@ -328,10 +338,16 @@ def cmd_compare(args) -> int:
                 tau,
                 float(cfg.get("c1", 0.25)),
             )
-            resolved.append((cfg.get("label", variant), variant, alpha, eta1, eta2, cert))
+            label = cfg.get("label", variant)
+            if cert_error is not None:
+                print(f"warning: config {label!r} is uncertified: {cert_error}", file=sys.stderr)
+            resolved.append((label, variant, alpha, eta1, eta2, cert))
     except (ConfigError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NumericError as exc:
+        print(f"error: reference solve diverged: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
 
     rows = []
     for label, variant, alpha, eta1, eta2, cert in resolved:
@@ -353,7 +369,7 @@ def cmd_compare(args) -> int:
                     phi_star=phi_star,
                     store_iterates=False,
                 )
-            except DivergenceError as exc:
+            except NumericError as exc:
                 print(f"error: config {label!r} diverged: {exc}", file=sys.stderr)
                 return EXIT_DIVERGED
             hits4.append(iterations_to_threshold(trace.dist2, 1e-4))

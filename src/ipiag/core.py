@@ -99,7 +99,7 @@ class CompositeProblem:
         return g
 
 
-@dataclass
+@dataclass(slots=True)
 class IterateState:
     """One step of solver state: current/previous main and prox iterates."""
 

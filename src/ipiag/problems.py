@@ -65,10 +65,15 @@ def make_toy(spec: ToySpec) -> CompositeProblem:
 
     def smooth_value(x: Array) -> float:
         x = np.asarray(x, dtype=float)
-        self_sq = (x[0] - c) ** 2 + 0.5 * np.sum((x[1:] - c) ** 2)
-        left_sq = 0.5 * np.sum((x[:-1] + c) ** 2)
-        right_sq = 0.5 * np.sum((x[1:] + c) ** 2)
-        return float(self_sq + left_sq + right_sq)
+        # the scalar head keeps numpy's pow, which differs from d * d in the last bit
+        head = float((x[0] - c) ** 2)
+        minus = x[1:] - c
+        plus = x + c
+        plus_sq = plus * plus
+        self_sq = head + 0.5 * float((minus * minus).sum())
+        left_sq = 0.5 * float(plus_sq[:-1].sum())
+        right_sq = 0.5 * float(plus_sq[1:].sum())
+        return self_sq + left_sq + right_sq
 
     def component_gradient(j: int, x: Array) -> Array:
         g = np.zeros(n)

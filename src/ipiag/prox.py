@@ -68,12 +68,12 @@ class ProxSpec:
         if self.kind == "zero":
             return 0.0
         if self.kind == "l1":
-            return float(self.weight * np.sum(np.abs(x)))
-        if np.any(x < 0):
+            return self.weight * float(np.abs(x).sum())
+        if (x < 0).any():
             return float("inf")
         if self.kind == "indicator_nonneg":
             return 0.0
-        return float(self.weight * np.sum(x))  # nonneg_l1 on its domain
+        return self.weight * float(x.sum())  # nonneg_l1 on its domain
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "lambda": float(self.weight)}

@@ -96,6 +96,14 @@ class RateCertificate:
         return doc
 
 
+def _power(base: float, exponent: int) -> float:
+    """``base ** exponent``, or +inf where the float power overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def _eta2_bracket(alpha: float, L: float, beta: float, tau: int, eta1: float, c1: float) -> float:
     """Largest post-prox weight the contraction argument supports at alpha.
 
@@ -105,9 +113,10 @@ def _eta2_bracket(alpha: float, L: float, beta: float, tau: int, eta1: float, c1
     """
     ab = alpha * beta
     if tau >= 1:
-        burden = (L * (tau + 2) + 8.0 * c1 * beta) / (2.0 * beta) * ((ab + 1.0) ** (tau + 2) - 1.0)
+        weight = (L * (tau + 2) + 8.0 * c1 * beta) / (2.0 * beta)
+        burden = weight * (_power(ab + 1.0, tau + 2) - 1.0)
     else:
-        burden = (L + 4.0 * c1 * beta) / beta * ((ab + 1.0) ** 3 - 1.0)
+        burden = (L + 4.0 * c1 * beta) / beta * (_power(ab + 1.0, 3) - 1.0)
     return (0.25 - burden) / (1.0 + ab - eta1)
 
 
@@ -144,7 +153,8 @@ def ipiag_certificate(
 
     if eta1 is None:
         eta1 = min(c1 * alpha * beta, 1.0)
-    eta2_max = max(0.0, min(alpha * beta / 2.0, _eta2_bracket(alpha, L, beta, tau, eta1, c1)))
+    # bracket first: a NaN bracket (alpha beta = inf) then gives eta2_max = 0
+    eta2_max = max(0.0, min(_eta2_bracket(alpha, L, beta, tau, eta1, c1), alpha * beta / 2.0))
     if eta2 is None:
         eta2 = eta2_max
     admissible = admissible and 0.0 <= eta2 <= eta2_max * (1.0 + 1e-15)
@@ -228,9 +238,9 @@ def nesterov_certificate(
     admissible = 0.0 < alpha < alpha_max
 
     ab = alpha * beta
-    burden = L * (tau + 2) / (2.0 * beta) * ((ab + 1.0) ** (tau + 2) - 1.0)
+    burden = L * (tau + 2) / (2.0 * beta) * (_power(ab + 1.0, tau + 2) - 1.0)
     bracket = (0.25 - burden) / (1.0 + ab)
-    eta2_max = max(0.0, min(ab / 2.0, bracket))
+    eta2_max = max(0.0, min(bracket, ab / 2.0))  # NaN bracket -> 0, as in t1
     if eta2 is None:
         eta2 = eta2_max
     admissible = admissible and 0.0 <= eta2 <= eta2_max * (1.0 + 1e-15)

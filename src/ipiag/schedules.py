@@ -129,12 +129,11 @@ def schedule_uniform_single(
     if tau < 0:
         raise ScheduleError("tau must be nonnegative")
     rng = SplitMix64(seed)
-    picks = (rng.u64_array(iters) % np.uint64(num_workers)).astype(int) if iters else []
-    sources = np.zeros(num_workers, dtype=int)
+    picks = (rng.u64_array(iters) % np.uint64(num_workers)).astype(int).tolist() if iters else []
+    sources = [0] * num_workers
     refreshed, source_iter = [], []
     for k in range(iters):
-        forced = np.nonzero(k - sources > tau)[0]
-        chosen = forced.tolist() if forced.size else [int(picks[k])]
+        chosen = [w for w, s in enumerate(sources) if k - s > tau] or [picks[k]]
         for w in chosen:
             sources[w] = k
         refreshed.append(chosen)
@@ -151,13 +150,12 @@ def max_observed_staleness(schedule: DelaySchedule) -> int:
     the aging of entries between refreshes.  Raises ScheduleError if the
     declared ``tau`` is ever exceeded; bounds are enforced, never clamped.
     """
-    sources = np.zeros(schedule.num_workers, dtype=int)
+    sources = [0] * schedule.num_workers
     worst = 0
     for k in range(schedule.iterations):
         for w, s in zip(schedule.refreshed[k], schedule.source_iter[k]):
             sources[w] = s
-        stalest = int(np.max(k - sources)) if schedule.num_workers else 0
-        worst = max(worst, stalest)
+        worst = max(worst, k - min(sources))
     if worst > schedule.tau:
         raise ScheduleError(
             f"observed staleness {worst} exceeds declared tau {schedule.tau}"

@@ -109,7 +109,7 @@ class GradientTable:
 
 def aggregate(table: GradientTable) -> Array:
     """Sum of all block gradients; every block must have been populated."""
-    if not np.all(table.ready):
+    if not table.ready.all():
         missing = np.nonzero(~table.ready)[0].tolist()
         raise StateError(f"gradient table has unpopulated blocks: {missing}")
     return table.blocks.sum(axis=0)
@@ -257,13 +257,13 @@ def run(
     lyap_coef = (1.0 - params.eta1) / (2.0 * params.alpha)
 
     def observe(j: int, z: Array) -> float:
-        phi[j] = evaluate_objective(problem, z)
+        phi[j] = value = evaluate_objective(problem, z)
         if x_ref is not None:
             diff = z - x_ref
-            dist2[j] = diff @ diff
+            dist2[j] = d2 = float(diff @ diff)
             if phi_star is not None:
-                psi[j] = (phi[j] - phi_star) + lyap_coef * dist2[j]
-        return phi[j]
+                psi[j] = (value - phi_star) + lyap_coef * d2
+        return value
 
     state = IterateState.initial(x0)
     phi0 = observe(0, state.z_curr)

@@ -1,10 +1,14 @@
 """Independent reference implementations used only by the tests.
 
-Nothing here imports solver internals beyond problem closures; values are
-recomputed from first principles so that agreement is meaningful.
+Nothing here imports solver internals beyond problem closures, the
+counter-based generator and the schedule error type; values are recomputed
+from first principles so that agreement is meaningful.
 """
 
 import numpy as np
+
+from ipiag.rng import SplitMix64
+from ipiag.schedules import ScheduleError
 
 
 def brute_prox_1d(h, v, alpha, span=None, coarse=1e-2, refine_tol=1e-10):
@@ -82,3 +86,70 @@ def central_difference_gradient(f, x, step=1e-6):
         e[i] = step
         g[i] = (f(x + e) - f(x - e)) / (2.0 * step)
     return g
+
+
+# ---------------------------------------------------------------------------
+# Straightforward numpy forms of hot-path functions.  The package computes
+# the same sums in the same order with fewer interpreter calls; the tests
+# require its results to equal these bit for bit.
+
+
+def same_bits(a, b):
+    """Equal as IEEE doubles down to the sign of zero and NaN payloads."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def toy_smooth_value(x, c):
+    """Smooth part of the chain-coupled quadratic, one np.sum per term."""
+    x = np.asarray(x, dtype=float)
+    self_sq = (x[0] - c) ** 2 + 0.5 * np.sum((x[1:] - c) ** 2)
+    left_sq = 0.5 * np.sum((x[:-1] + c) ** 2)
+    right_sq = 0.5 * np.sum((x[1:] + c) ** 2)
+    return float(self_sq + left_sq + right_sq)
+
+
+def regularizer_value(kind, weight, x):
+    """h(x) for the ProxSpec kinds, +inf off the nonnegative orthant."""
+    x = np.asarray(x, dtype=float)
+    if kind == "zero":
+        return 0.0
+    if kind == "l1":
+        return float(weight * np.sum(np.abs(x)))
+    if np.any(x < 0):
+        return float("inf")
+    if kind == "indicator_nonneg":
+        return 0.0
+    return float(weight * np.sum(x))
+
+
+def uniform_single_lists(num_workers, tau, iters, seed):
+    """(refreshed, source_iter) of the uniform single-refresh schedule.
+
+    One draw per iteration from SplitMix64(seed); every block whose
+    staleness would exceed tau is refreshed instead of the drawn one.
+    """
+    rng = SplitMix64(seed)
+    picks = (rng.u64_array(iters) % np.uint64(num_workers)).astype(int) if iters else []
+    sources = np.zeros(num_workers, dtype=int)
+    refreshed, source_iter = [], []
+    for k in range(iters):
+        forced = np.nonzero(k - sources > tau)[0]
+        chosen = forced.tolist() if forced.size else [int(picks[k])]
+        for w in chosen:
+            sources[w] = k
+        refreshed.append(chosen)
+        source_iter.append([k] * len(chosen))
+    return refreshed, source_iter
+
+
+def max_staleness(schedule):
+    """Largest table-entry staleness over a replay; ScheduleError past tau."""
+    sources = np.zeros(schedule.num_workers, dtype=int)
+    worst = 0
+    for k in range(schedule.iterations):
+        for w, s in zip(schedule.refreshed[k], schedule.source_iter[k]):
+            sources[w] = s
+        worst = max(worst, int(np.max(k - sources)))
+    if worst > schedule.tau:
+        raise ScheduleError(f"observed staleness {worst} exceeds declared tau {schedule.tau}")
+    return worst

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from ipiag import ToySpec, toy_document, lasso_document, LassoSpec
@@ -231,6 +232,64 @@ class TestRun:
         assert summary["status"] == "ok"
         assert summary["bound_checks"]["psi"] == "fail"
 
+    @pytest.mark.parametrize("tau", ["0", "4"])
+    @pytest.mark.parametrize("variant", ["piag", "piag-m", "piag-nel", "ipiag"])
+    def test_huge_step_exits_with_a_documented_code(self, toy_file, tmp_path, capsys, variant, tau):
+        # (alpha beta + 1) ** (tau + 2) overflows a float; the certificate must
+        # treat it as +inf, and the run must end in exit 2 or 3, not a traceback
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(
+                ["run", "--problem", toy_file, "--variant", variant, "--alpha", "1e200",
+                 "--tau", tau, "--iters", "50", "--out", str(out)]
+            )
+        assert rc in (EXIT_CONFIG, EXIT_DIVERGED)
+        assert capsys.readouterr().err.startswith("error:")
+        if rc == EXIT_DIVERGED:
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["status"] == "diverged"
+            assert summary["certificate"]["eta2_max"] == 0.0
+
+    def test_non_finite_iterate_exits_as_diverged(self, toy_file, tmp_path, capsys):
+        # alpha = 1e308 makes the first step non-finite before the guard can fire
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(
+                ["run", "--problem", toy_file, "--alpha", "1e308", "--tau", "0",
+                 "--schedule", "sync", "--workers", "2", "--iters", "50", "--out", str(out)]
+            )
+        assert rc == EXIT_DIVERGED
+        assert "non-finite" in capsys.readouterr().err
+        assert json.loads((out / "summary.json").read_text())["status"] == "diverged"
+
+    @pytest.mark.parametrize(
+        "variant, eta1", [("piag-m", "0.5"), ("ipiag", "0.9"), ("ipiag", "0.0012")]
+    )
+    def test_uncovered_parameters_run_uncertified(self, toy_file, tmp_path, capsys, variant, eta1):
+        out = tmp_path / "o"
+        rc = main(
+            ["run", "--problem", toy_file, "--variant", variant, "--alpha", "0.001",
+             "--eta1", eta1, "--tau", "2", "--iters", "100", "--out", str(out)]
+        )
+        assert rc == EXIT_OK
+        assert capsys.readouterr().err.startswith("warning: uncertified run:")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["certificate"] is None
+        assert "momentum_fraction" in summary["certificate_error"]
+        assert set(summary["bound_checks"].values()) == {"uncertified"}
+
+    def test_problem_without_growth_modulus_skips_the_checks(self, lasso_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(
+            ["run", "--problem", lasso_file, "--alpha", "0.001", "--tau", "0",
+             "--schedule", "sync", "--workers", "2", "--iters", "20", "--out", str(out)]
+        )
+        assert rc == EXIT_OK
+        assert capsys.readouterr().err == ""
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["certificate"] is None and summary["certificate_error"] is None
+        assert set(summary["bound_checks"].values()) == {"skipped"}
+
     def test_unknown_variant_is_an_argparse_error(self, toy_file, tmp_path):
         with pytest.raises(SystemExit):
             main(["run", "--problem", toy_file, "--variant", "sgd", "--out", str(tmp_path / "o")])
@@ -354,6 +413,35 @@ class TestCompare:
         rc = main(["compare", "--spec", spec, "--out", str(tmp_path / "cmp")])
         assert rc == EXIT_CONFIG
         assert "IPIAG_FLOAT_DIGITS" in capsys.readouterr().err
+
+    def test_uncertified_config_warns_and_leaves_rho_empty(self, tmp_path, capsys):
+        spec = self._spec(
+            tmp_path,
+            [
+                {"label": "plain", "variant": "piag", "alpha": "auto"},
+                {"label": "heavy", "variant": "piag-m", "alpha": 0.001, "eta1": 0.5},
+            ],
+        )
+        rc = main(["compare", "--spec", spec])
+        assert rc == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.startswith("warning: config 'heavy' is uncertified:")
+        rows = [line.split(",") for line in captured.out.strip().splitlines()]
+        rho = rows[0].index("rho")
+        assert rows[1][rho] != "" and rows[2][rho] == ""
+
+    def test_non_finite_run_exits_as_diverged(self, tmp_path, capsys):
+        spec = self._spec(
+            tmp_path,
+            [
+                {"label": "plain", "variant": "piag", "alpha": "auto"},
+                {"label": "huge", "variant": "piag", "alpha": 1e308},
+            ],
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["compare", "--spec", spec])
+        assert rc == EXIT_DIVERGED
+        assert capsys.readouterr().err.startswith("error: config 'huge' diverged:")
 
     def test_missing_spec_file(self, tmp_path):
         assert main(["compare", "--spec", str(tmp_path / "none.json")]) == EXIT_CONFIG

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ipiag import (
     CompositeProblem,
@@ -24,7 +26,14 @@ from ipiag import (
 )
 from ipiag.problems import build_from_generator
 
-from .oracles import toy_aggregated_gradient
+from .oracles import same_bits, toy_aggregated_gradient, toy_smooth_value
+
+# wide finite entries (squares stay finite), signed zeros and subnormals included
+entries = st.one_of(
+    st.floats(min_value=-1e150, max_value=1e150, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 3.0, -3.0]),
+)
+offsets = st.floats(min_value=0.01, max_value=100.0)
 
 
 class TestToy:
@@ -34,6 +43,30 @@ class TestToy:
         assert np.all(prob.component_lipschitz[1:] == 1.0)
         assert prob.total_lipschitz == 101.0
         assert prob.growth_constant == 2.0
+
+    @given(st.lists(entries, min_size=2, max_size=40), offsets)
+    def test_smooth_value_equals_the_numpy_form_bit_for_bit(self, xs, c):
+        prob = make_toy(ToySpec(num_components=len(xs), offset=c, num_workers=1))
+        value = prob.smooth_value(np.array(xs))
+        assert type(value) is float
+        assert same_bits(value, toy_smooth_value(xs, c))
+
+    @given(st.integers(min_value=2, max_value=1500), st.integers(0, 2**32 - 1), offsets)
+    def test_smooth_value_bits_on_long_vectors(self, n, seed, c):
+        # lengths past numpy's 128-element pairwise block, mixed signs and -0.0
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+        x[rng.random(n) < 0.1] = -0.0
+        prob = make_toy(ToySpec(num_components=n, offset=c, num_workers=1))
+        assert same_bits(prob.smooth_value(x), toy_smooth_value(x, c))
+
+    def test_smooth_value_bits_on_many_points(self):
+        # pow(d, 2) and d * d differ in the last bit about once in a thousand
+        # draws, so the squared head term needs many points to be pinned
+        prob = make_toy(ToySpec(num_components=3, num_workers=1))
+        rng = np.random.default_rng(11)
+        for x in rng.standard_normal((5000, 3)) * 100.0:
+            assert same_bits(prob.smooth_value(x), toy_smooth_value(x, 3.0))
 
     def test_objective_at_zero(self):
         prob = make_toy(ToySpec(num_components=100))

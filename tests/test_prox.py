@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ipiag import ProxSpec, prox_l1, prox_nonneg_l1, prox_zero
 
-from .oracles import brute_prox_1d, l1_scalar, nonneg_l1_scalar
+from .oracles import brute_prox_1d, l1_scalar, nonneg_l1_scalar, regularizer_value, same_bits
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 alphas = st.floats(min_value=0.05, max_value=2.0)
@@ -127,3 +127,29 @@ def test_prox_point_beats_random_competitors(vs, ws, alpha, weight, kind):
         return spec.value(p) + float(np.sum((p - v) ** 2)) / (2.0 * alpha)
 
     assert objective(z) <= objective(w) + 1e-9
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+        ),
+        min_size=0,
+        max_size=300,
+    ),
+    weights,
+    st.sampled_from(["zero", "l1", "nonneg_l1", "indicator_nonneg"]),
+)
+def test_value_equals_the_numpy_form_bit_for_bit(xs, weight, kind):
+    x = np.array(xs, dtype=float)
+    value = ProxSpec(kind, weight).value(x)
+    assert isinstance(value, float)
+    assert same_bits(value, regularizer_value(kind, weight, x))
+
+
+def test_value_treats_negative_zero_as_inside_the_orthant():
+    x = np.array([-0.0, 1.5, -0.0])
+    assert ProxSpec("nonneg_l1", 2.0).value(x) == 3.0
+    assert ProxSpec("indicator_nonneg").value(x) == 0.0
+    assert ProxSpec("nonneg_l1", 2.0).value(np.array([1.0, -1e-300])) == float("inf")

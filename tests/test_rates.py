@@ -123,6 +123,16 @@ class TestAdmissibility:
             assert cert.rho < 1.0
             assert cert.eta1 + cert.eta2 < cert.alpha * beta + 1e-15
 
+    @pytest.mark.parametrize("tau", [0, 4])
+    @pytest.mark.parametrize("variant", ["t1", "t1tight", "cor2"])
+    @pytest.mark.parametrize("alpha", [1e200, 1e308, float("inf")])
+    def test_overflowing_power_leaves_no_room_for_eta2(self, variant, tau, alpha):
+        # (alpha beta + 1) ** (tau + 2) overflows (1e200) or the bracket is
+        # inf / inf (alpha beta = inf); both must give eta2_max = 0
+        cert = certificate_for(variant, RateInputs(11.0, 2.0, tau, 0.0), alpha=alpha)
+        assert cert.eta2_max == 0.0
+        assert not cert.admissible
+
     def test_dispatch_rejects_unknown_tag(self):
         with pytest.raises(ValueError):
             certificate_for("sgd", UNIT)

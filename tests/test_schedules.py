@@ -11,6 +11,8 @@ from ipiag import (
     schedule_uniform_single,
 )
 
+from .oracles import max_staleness, uniform_single_lists
+
 
 def test_synchronous_refreshes_everyone_at_the_current_iterate():
     s = schedule_synchronous(3, 5)
@@ -128,3 +130,36 @@ def test_jsonl_rejects_out_of_order_records(tmp_path):
     )
     with pytest.raises(ScheduleError):
         DelaySchedule.from_jsonl(str(path), num_workers=1, tau=5)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4, 7])
+@pytest.mark.parametrize("tau", [0, 1, 4, 9])
+@pytest.mark.parametrize("iters", [0, 1, 13, 400])
+def test_uniform_single_equals_the_numpy_form(workers, tau, iters):
+    for seed in (0, 1, 2**63 + 5):
+        s = schedule_uniform_single(workers, tau, iters, seed)
+        refreshed, source_iter = uniform_single_lists(workers, tau, iters, seed)
+        assert s.refreshed == refreshed and s.source_iter == source_iter
+        assert all(type(v) is int for ws in s.refreshed + s.source_iter for v in ws)
+        worst = max_observed_staleness(s)
+        assert type(worst) is int
+        assert worst == max_staleness(s)
+
+
+@given(st.integers(1, 5), st.integers(0, 4), st.integers(0, 60), st.integers(0, 2**32))
+def test_max_staleness_of_hand_built_schedules_equals_the_numpy_form(workers, tau, iters, seed):
+    # random workers reading random past iterates: transit delay and tau violations
+    rng = np.random.default_rng(seed)
+    refreshed, sources = [], []
+    for k in range(iters):
+        ws = rng.choice(workers, size=rng.integers(0, workers + 1), replace=False).tolist()
+        refreshed.append(ws)
+        sources.append([int(rng.integers(max(0, k - tau - 1), k + 1)) for _ in ws])
+    s = DelaySchedule(workers, tau, refreshed, sources)
+    try:
+        expected = max_staleness(s)
+    except ScheduleError as exc:
+        with pytest.raises(ScheduleError, match=str(exc)):
+            max_observed_staleness(s)
+    else:
+        assert max_observed_staleness(s) == expected
