@@ -9,7 +9,6 @@ that replay those guarantees against recorded runs.
 from .core import (
     CompositeProblem,
     DivergenceError,
-    IterateState,
     NumericError,
     evaluate_objective,
     full_gradient,
@@ -28,7 +27,6 @@ from .rates import (
     TwoTermRecurrence,
     certificate_for,
     ipiag_certificate,
-    lyapunov_value,
     momentum_certificate,
     nesterov_certificate,
     one_term_condition,
@@ -46,14 +44,11 @@ from .schedules import (
     schedule_uniform_single,
 )
 from .solver import (
-    GradientTable,
     SolverParams,
-    StateError,
     Trace,
-    aggregate,
     contiguous_partition,
-    ipiag_step,
     iterations_to_threshold,
+    lyapunov_value,
     run,
 )
 from .problems import (
@@ -76,8 +71,6 @@ __all__ = [
     "DelaySchedule",
     "DescentReport",
     "DivergenceError",
-    "GradientTable",
-    "IterateState",
     "LassoSpec",
     "NumericError",
     "ProxSpec",
@@ -87,18 +80,15 @@ __all__ = [
     "ScheduleError",
     "SolverParams",
     "SplitMix64",
-    "StateError",
     "ToySpec",
     "Trace",
     "TwoTermRecurrence",
-    "aggregate",
     "certificate_for",
     "contiguous_partition",
     "evaluate_objective",
     "full_gradient",
     "gradient_consistency_check",
     "ipiag_certificate",
-    "ipiag_step",
     "iterations_to_threshold",
     "lasso_arrays",
     "lasso_document",

@@ -33,7 +33,8 @@ The ``compare`` spec file is JSON:
 
 ``reference`` is only needed when the problem document carries no known
 optimum; it is solved once with the synchronous method and shared by all
-rows.  Repetitions collapse to 1 for the deterministic sync schedule.
+rows.  ``repetitions`` must be at least 1; they collapse to 1 for the
+deterministic sync schedule.
 """
 
 from __future__ import annotations
@@ -129,6 +130,11 @@ def resolve_parameters(
         if eta2_arg not in ("auto", 0.0):
             raise ConfigError(f"variant {variant} has no post-prox inertia; leave eta2 at 0")
         eta2 = 0.0
+    # an auto eta2 is at most 0.25 (the bracket's numerator), so only an auto eta1 can leave [0, 1]
+    if uses_eta1 and eta1_arg == "auto" and not 0.0 <= eta1 <= 1.0:
+        raise ConfigError(
+            f"auto eta1 = C1*alpha*beta = {eta1!r} leaves [0, 1]; lower --c1 or --alpha"
+        )
     if not 0.0 <= eta1 <= 1.0 or not 0.0 <= eta2 <= 1.0:
         raise ConfigError("inertial weights must lie in [0, 1]")
 
@@ -305,11 +311,15 @@ def cmd_compare(args) -> int:
         reps = int(spec.get("repetitions", 10))
         if args.repetitions is not None:
             reps = args.repetitions
-        if kind == "sync" or reps < 1:
+        if reps < 1:
+            raise ConfigError("repetitions must be at least 1")
+        if kind == "sync":
             reps = 1
         base_seed = int(spec.get("base_seed", 0))
         if not 1 <= workers <= problem.num_components:
             raise ConfigError("workers must lie in [1, num_components]")
+        if tau < 0 or iters < 0:
+            raise ConfigError("tau and iters must be nonnegative")
 
         if problem.known_optimum is not None:
             x_ref, phi_star = problem.known_optimum
@@ -341,7 +351,8 @@ def cmd_compare(args) -> int:
             label = cfg.get("label", variant)
             if cert_error is not None:
                 print(f"warning: config {label!r} is uncertified: {cert_error}", file=sys.stderr)
-            resolved.append((label, variant, alpha, eta1, eta2, cert))
+            params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=iters)
+            resolved.append((label, variant, params, cert))
     except (ConfigError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -350,9 +361,8 @@ def cmd_compare(args) -> int:
         return EXIT_DIVERGED
 
     rows = []
-    for label, variant, alpha, eta1, eta2, cert in resolved:
+    for label, variant, params, cert in resolved:
         hits4, hits6, gaps = [], [], []
-        params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=iters)
         for r in range(reps):
             try:
                 schedule = build_schedule(kind, workers, tau, iters, base_seed + r)
@@ -379,9 +389,9 @@ def cmd_compare(args) -> int:
             {
                 "label": label,
                 "variant": variant,
-                "alpha": alpha,
-                "eta1": eta1,
-                "eta2": eta2,
+                "alpha": params.alpha,
+                "eta1": params.eta1,
+                "eta2": params.eta2,
                 "rho": None if cert is None else cert.rho,
                 "iters_to_1e-4": _mean_or_none(hits4),
                 "iters_to_1e-6": _mean_or_none(hits6),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -97,30 +97,6 @@ class CompositeProblem:
         for n in indices:
             g += self.component_gradient(int(n), x)
         return g
-
-
-@dataclass(slots=True)
-class IterateState:
-    """One step of solver state: current/previous main and prox iterates."""
-
-    k: int
-    x_curr: Array
-    x_prev: Array
-    z_curr: Array
-    z_prev: Array
-    y_curr: Array
-
-    @classmethod
-    def initial(cls, x0: Array) -> "IterateState":
-        x0 = np.asarray(x0, dtype=float)
-        return cls(
-            k=0,
-            x_curr=x0.copy(),
-            x_prev=x0.copy(),
-            z_curr=x0.copy(),
-            z_prev=x0.copy(),
-            y_curr=x0.copy(),
-        )
 
 
 def _check_point(problem: CompositeProblem, x: Array) -> Array:

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Array, CompositeProblem, evaluate_objective
-from .solver import Trace
+from .solver import Trace, lyapunov_value
 
 VARIANTS = ("t1", "t1tight", "cor1", "cor2")
 
@@ -470,17 +470,6 @@ def verify_two_term(
 
 # ---------------------------------------------------------------------------
 # trace-level checks
-
-
-def lyapunov_value(
-    phi: Array,
-    dist2: Array,
-    phi_star: float,
-    alpha: float,
-    eta1: float,
-) -> Array:
-    """Psi = Phi - Phi* + (1 - eta1) / (2 alpha) * dist^2, elementwise."""
-    return (np.asarray(phi) - phi_star) + (1.0 - eta1) / (2.0 * alpha) * np.asarray(dist2)
 
 
 @dataclass

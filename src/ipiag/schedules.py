@@ -17,12 +17,6 @@ Conventions
 
 Wire format: one JSON object per line, ``{"k": k, "refreshed": [...],
 "source_iter": [...]}``.
-
-A threaded execution mode is intentionally left as a contract: worker tasks
-would communicate with the master over ordered queues, the master would
-serialize table updates, and observed staleness would still be recorded and
-bounded.  Such a mode is not deterministic and nothing here depends on it;
-all provided execution is the deterministic replay in ``solver.run``.
 """
 
 from __future__ import annotations

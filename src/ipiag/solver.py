@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,7 +25,6 @@ from .core import (
     Array,
     CompositeProblem,
     DivergenceError,
-    IterateState,
     NumericError,
     evaluate_objective,
 )
@@ -45,10 +44,6 @@ def float_format() -> str:
     if digits < 1:
         raise ValueError(f"{FLOAT_DIGITS_ENV} must be a positive integer, got {text!r}")
     return f"%.{digits}g"
-
-
-class StateError(RuntimeError):
-    """Gradient table used before it was fully populated."""
 
 
 @dataclass
@@ -83,61 +78,15 @@ def contiguous_partition(num_components: int, num_workers: int) -> list:
     return [np.asarray(b) for b in np.array_split(np.arange(num_components), num_workers)]
 
 
-@dataclass
-class GradientTable:
-    """Per-worker block gradients with the iterate index each was read at."""
-
-    blocks: Array  # (num_workers, dimension)
-    sources: Array  # (num_workers,) int
-    ready: Array  # (num_workers,) bool
-    partition: list = field(default_factory=list)
-
-    @classmethod
-    def empty(cls, num_workers: int, dimension: int, partition: list) -> "GradientTable":
-        return cls(
-            blocks=np.zeros((num_workers, dimension)),
-            sources=np.zeros(num_workers, dtype=int),
-            ready=np.zeros(num_workers, dtype=bool),
-            partition=partition,
-        )
-
-    def refresh(self, worker: int, gradient: Array, source: int) -> None:
-        self.blocks[worker] = gradient
-        self.sources[worker] = source
-        self.ready[worker] = True
-
-
-def aggregate(table: GradientTable) -> Array:
-    """Sum of all block gradients; every block must have been populated."""
-    if not table.ready.all():
-        missing = np.nonzero(~table.ready)[0].tolist()
-        raise StateError(f"gradient table has unpopulated blocks: {missing}")
-    return table.blocks.sum(axis=0)
-
-
-def ipiag_step(
-    state: IterateState,
-    params: SolverParams,
-    g: Array,
-    prox_fn,
-) -> IterateState:
-    """Advance the three-map update by one iteration."""
-    # a finite sum implies finite entries; one reduction beats isfinite(arr).all()
-    if not math.isfinite(float(g.sum())):
-        raise NumericError("aggregated gradient is not finite", iteration=state.k)
-    y_next = state.x_curr + params.eta1 * (state.x_curr - state.x_prev)
-    z_next = prox_fn(y_next - params.alpha * g, params.alpha)
-    x_next = z_next + params.eta2 * (z_next - state.z_curr)
-    if not math.isfinite(float(z_next.sum()) + float(x_next.sum())):
-        raise NumericError("iterate became non-finite", iteration=state.k)
-    return IterateState(
-        k=state.k + 1,
-        x_curr=x_next,
-        x_prev=state.x_curr,
-        z_curr=z_next,
-        z_prev=state.z_curr,
-        y_curr=y_next,
-    )
+def lyapunov_value(
+    phi: Array,
+    dist2: Array,
+    phi_star: float,
+    alpha: float,
+    eta1: float,
+) -> Array:
+    """Psi = Phi - Phi* + (1 - eta1) / (2 alpha) * dist^2, elementwise."""
+    return (np.asarray(phi) - phi_star) + (1.0 - eta1) / (2.0 * alpha) * np.asarray(dist2)
 
 
 @dataclass
@@ -145,7 +94,7 @@ class Trace:
     """Per-iteration record of a run.
 
     Record j describes iterate j: objective, squared distance to the
-    reference point, the Lyapunov value phi gap + (1-eta1)/(2 alpha) * dist2,
+    reference point, the Lyapunov value psi (``lyapunov_value``),
     the squared step ||z_j - z_{j-1}||^2 (0 at j=0), and the staleness of
     the gradient table entries used to produce z_j (zeros at j=0).  dist2
     and psi are NaN when no reference point / optimal value is available.
@@ -161,7 +110,6 @@ class Trace:
     eta1: float
     eta2: float
     x_final: Array
-    y_final: Array
     z_final: Array
     phi_star: Optional[float] = None
     x_ref: Optional[Array] = None
@@ -200,6 +148,8 @@ def iterations_to_threshold(values: Array, threshold: float) -> Optional[int]:
     return int(hit[0]) if hit.size else None
 
 
+# every non-finite value is turned into a NumericError, so numpy's own warnings are noise
+@np.errstate(over="ignore", invalid="ignore")
 def run(
     problem: CompositeProblem,
     params: SolverParams,
@@ -237,9 +187,11 @@ def run(
     W = schedule.num_workers
     tau = schedule.tau
     partition = contiguous_partition(problem.num_components, W)
-    table = GradientTable.empty(W, problem.dimension, partition)
+    # gradient table: one block gradient per worker and the iterate it read
+    blocks = np.zeros((W, problem.dimension))
+    sources = np.zeros(W, dtype=int)
     for w in range(W):
-        table.refresh(w, problem.sum_block_gradient(partition[w], x0), 0)
+        blocks[w] = problem.sum_block_gradient(partition[w], x0)
 
     # ring buffer of recent x iterates for stale reads
     ring = max(tau + 2, 2)
@@ -249,28 +201,25 @@ def run(
     n_rec = K + 1
     phi = np.full(n_rec, np.nan)
     dist2 = np.full(n_rec, np.nan)
-    psi = np.full(n_rec, np.nan)
     step2 = np.zeros(n_rec)
     stale = np.zeros((n_rec, W), dtype=int)
     zs = np.zeros((n_rec, problem.dimension)) if store_iterates else None
-
-    lyap_coef = (1.0 - params.eta1) / (2.0 * params.alpha)
 
     def observe(j: int, z: Array) -> float:
         phi[j] = value = evaluate_objective(problem, z)
         if x_ref is not None:
             diff = z - x_ref
-            dist2[j] = d2 = float(diff @ diff)
-            if phi_star is not None:
-                psi[j] = (value - phi_star) + lyap_coef * d2
+            dist2[j] = diff @ diff
         return value
 
-    state = IterateState.initial(x0)
-    phi0 = observe(0, state.z_curr)
+    # nothing below writes into these arrays, so they may all alias x0
+    x = x_prev = z = x0
+    phi0 = observe(0, z)
     guard = DIVERGENCE_FACTOR * max(1.0, abs(phi0))
     if store_iterates:
-        zs[0] = state.z_curr
+        zs[0] = z
 
+    alpha, eta1, eta2 = params.alpha, params.eta1, params.eta2
     executed = 0
     for k in range(K):
         for w, s in zip(schedule.refreshed[k], schedule.source_iter[k]):
@@ -278,18 +227,26 @@ def run(
                 raise ScheduleError(
                     f"iteration {k}: source {s} outside the allowed window"
                 )
-            table.refresh(w, problem.sum_block_gradient(partition[w], x_hist[s % ring]), s)
-        g = aggregate(table)
-        new_state = ipiag_step(state, params, g, problem.prox)
+            blocks[w] = problem.sum_block_gradient(partition[w], x_hist[s % ring])
+            sources[w] = s
+        g = blocks.sum(axis=0)
+        # a finite sum implies finite entries; one reduction beats isfinite(arr).all()
+        if not math.isfinite(float(g.sum())):
+            raise NumericError("aggregated gradient is not finite", iteration=k)
+        y = x + eta1 * (x - x_prev)
+        z_next = problem.prox(y - alpha * g, alpha)
+        x_prev, x = x, z_next + eta2 * (z_next - z)
+        if not math.isfinite(float(z_next.sum()) + float(x.sum())):
+            raise NumericError("iterate became non-finite", iteration=k)
         j = k + 1
-        stale[j] = k - table.sources
-        dz = new_state.z_curr - state.z_curr
+        stale[j] = k - sources
+        dz = z_next - z
         step2[j] = dz @ dz
-        x_hist[j % ring] = new_state.x_curr
+        z = z_next
+        x_hist[j % ring] = x
         if store_iterates:
-            zs[j] = new_state.z_curr
-        phi_j = observe(j, new_state.z_curr)
-        state = new_state
+            zs[j] = z
+        phi_j = observe(j, z)
         executed = j
         if phi_j > guard:
             raise DivergenceError(
@@ -301,19 +258,21 @@ def run(
             break
 
     n = executed + 1
+    psi = np.full(n, np.nan)
+    if x_ref is not None:
+        psi = lyapunov_value(phi[:n], dist2[:n], phi_star, alpha, eta1)
     return Trace(
         k=np.arange(n),
         phi=phi[:n],
         dist2=dist2[:n],
-        psi=psi[:n],
+        psi=psi,
         step_norm2=step2[:n],
         staleness=stale[:n],
-        alpha=params.alpha,
-        eta1=params.eta1,
-        eta2=params.eta2,
-        x_final=state.x_curr.copy(),
-        y_final=state.y_curr.copy(),
-        z_final=state.z_curr.copy(),
+        alpha=alpha,
+        eta1=eta1,
+        eta2=eta2,
+        x_final=x.copy(),
+        z_final=z.copy(),
         phi_star=None if phi_star is None else float(phi_star),
         x_ref=None if x_ref is None else np.asarray(x_ref, dtype=float).copy(),
         z=None if zs is None else zs[:n],

@@ -78,6 +78,44 @@ def toy_prox_grad_reference(x0, c, l1_weight, alpha, iters):
     return np.array(out)
 
 
+def inertial_replay(problem, alpha, eta1, eta2, schedule, x0, iters, x_ref, phi_star=None):
+    """Plain replay of the three-map update over a delay schedule.
+
+        y_{k+1} = x_k + eta1 (x_k - x_{k-1})
+        z_{k+1} = prox(y_{k+1} - alpha g_k, alpha)
+        x_{k+1} = z_{k+1} + eta2 (z_{k+1} - z_k)
+
+    g_k sums a table of worker block gradients (contiguous component
+    blocks, all read at x_0 first); each refresh rereads its block at the x
+    iterate the schedule names.  Every x iterate is kept, so stale reads
+    need no ring buffer.  Returns per-record phi, dist2 and psi (NaN
+    without ``phi_star``), the z rows, and the final x and z.
+    """
+    blocks = np.array_split(np.arange(problem.num_components), schedule.num_workers)
+    x = np.asarray(x0, dtype=float).copy()
+    table = np.array([problem.sum_block_gradient(b, x) for b in blocks])
+    x_prev, z = x, x
+    xs, zs = [x], [z]
+    for k in range(iters):
+        for w, s in zip(schedule.refreshed[k], schedule.source_iter[k]):
+            table[w] = problem.sum_block_gradient(blocks[w], xs[s])
+        g = table.sum(axis=0)
+        y = x + eta1 * (x - x_prev)
+        z_next = problem.prox(y - alpha * g, alpha)
+        x_prev, x = x, z_next + eta2 * (z_next - z)
+        z = z_next
+        xs.append(x)
+        zs.append(z)
+    zs = np.array(zs)
+    phi = np.array([float(problem.smooth_value(v)) + float(problem.regularizer_value(v))
+                    for v in zs])
+    dist2 = np.array([(v - x_ref) @ (v - x_ref) for v in zs])
+    psi = np.full(len(zs), np.nan)
+    if phi_star is not None:
+        psi = (phi - phi_star) + (1.0 - eta1) / (2.0 * alpha) * dist2
+    return {"phi": phi, "dist2": dist2, "psi": psi, "z": zs, "x_final": x, "z_final": z}
+
+
 def central_difference_gradient(f, x, step=1e-6):
     x = np.asarray(x, dtype=float)
     g = np.empty_like(x)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -237,14 +238,21 @@ class TestRun:
     def test_huge_step_exits_with_a_documented_code(self, toy_file, tmp_path, capsys, variant, tau):
         # (alpha beta + 1) ** (tau + 2) overflows a float; the certificate must
         # treat it as +inf, and the run must end in exit 2 or 3, not a traceback
+        # and not numpy warnings (on a console they land on stderr)
         out = tmp_path / "o"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main(
                 ["run", "--problem", toy_file, "--variant", variant, "--alpha", "1e200",
                  "--tau", tau, "--iters", "50", "--out", str(out)]
             )
-        assert rc in (EXIT_CONFIG, EXIT_DIVERGED)
-        assert capsys.readouterr().err.startswith("error:")
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err and all(line.startswith("error:") for line in err.splitlines()), err
+        if rc == EXIT_CONFIG:
+            # piag-m's auto eta1 = C1 * alpha * beta = 0.25 * 1e200 * 2
+            assert variant == "piag-m"
+            assert "auto eta1 = C1*alpha*beta = 5e+199" in err and "--c1 or --alpha" in err
         if rc == EXIT_DIVERGED:
             summary = json.loads((out / "summary.json").read_text())
             assert summary["status"] == "diverged"
@@ -442,6 +450,39 @@ class TestCompare:
             rc = main(["compare", "--spec", spec])
         assert rc == EXIT_DIVERGED
         assert capsys.readouterr().err.startswith("error: config 'huge' diverged:")
+
+    @pytest.mark.parametrize("overrides", [
+        {"iters": -1},
+        # a lasso problem has no growth modulus, so no certificate rejects tau = -1 first
+        {
+            "schedule": {"type": "uniform1", "tau": -1, "workers": 2},
+            "problem": lasso_document(
+                LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1)
+            ),
+            "reference": {"alpha": 2e-3, "iters": 100},
+        },
+    ], ids=["iters", "tau"])
+    def test_negative_tau_or_iters_is_a_config_error(self, tmp_path, capsys, overrides):
+        spec = self._spec(
+            tmp_path,
+            [{"label": "a", "variant": "piag", "alpha": 1e-3},
+             {"label": "b", "variant": "piag", "alpha": 2e-3}],
+            **overrides,
+        )
+        assert main(["compare", "--spec", spec]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: tau and iters must be nonnegative\n"
+
+    @pytest.mark.parametrize(
+        "spec_reps, flag", [(0, []), (2, ["--repetitions", "-1"])], ids=["spec", "flag"]
+    )
+    def test_nonpositive_repetitions_is_a_config_error(self, tmp_path, capsys, spec_reps, flag):
+        spec = self._spec(
+            tmp_path,
+            [{"variant": "piag", "alpha": "auto"}, {"variant": "ipiag", "alpha": "auto"}],
+            repetitions=spec_reps,
+        )
+        assert main(["compare", "--spec", spec, *flag]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: repetitions must be at least 1\n"
 
     def test_missing_spec_file(self, tmp_path):
         assert main(["compare", "--spec", str(tmp_path / "none.json")]) == EXIT_CONFIG

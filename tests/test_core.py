@@ -5,7 +5,6 @@ import pytest
 
 from ipiag import (
     CompositeProblem,
-    IterateState,
     ToySpec,
     evaluate_objective,
     full_gradient,
@@ -114,14 +113,6 @@ def test_sum_block_gradient_matches_component_loop():
     idx = np.array([0, 3, 4, 5, 11])
     manual = sum(p.component_gradient(int(n), x) for n in idx)
     assert np.allclose(p.sum_block_gradient(idx, x), manual, atol=1e-12)
-
-
-def test_iterate_state_initial_copies_the_start_point():
-    x0 = np.ones(3)
-    st = IterateState.initial(x0)
-    x0[0] = 99.0
-    assert st.x_curr[0] == 1.0
-    assert st.k == 0
 
 
 class TestDocuments:

@@ -1,28 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ipiag import (
     CompositeProblem,
     DivergenceError,
-    IterateState,
+    LassoSpec,
     NumericError,
-    ProxSpec,
     SolverParams,
-    StateError,
     ToySpec,
-    aggregate,
     contiguous_partition,
-    full_gradient,
-    ipiag_step,
     iterations_to_threshold,
+    make_lasso,
     make_toy,
     run,
     schedule_synchronous,
     schedule_uniform_single,
 )
-from ipiag.solver import GradientTable
 
-from .oracles import toy_prox_grad_reference
+from .oracles import inertial_replay, same_bits, toy_prox_grad_reference
 
 
 def quadratic_1d(l=4.0):
@@ -71,49 +68,70 @@ def test_partition_worker_count_bounds():
         contiguous_partition(3, 4)
 
 
-def test_aggregate_requires_a_fully_populated_table():
-    table = GradientTable.empty(2, 3, [np.array([0]), np.array([1])])
-    table.refresh(0, np.ones(3), 0)
-    with pytest.raises(StateError):
-        aggregate(table)
-    table.refresh(1, 2.0 * np.ones(3), 0)
-    assert np.allclose(aggregate(table), 3.0 * np.ones(3))
+REPLAY_PROBLEMS = {
+    "toy20": lambda: make_toy(ToySpec(num_components=20)),
+    "lasso8x12": lambda: make_lasso(
+        LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1)
+    ),
+}
 
 
-class TestStep:
-    def setup_method(self):
-        self.state = IterateState(
-            k=0,
-            x_curr=np.array([1.0, -2.0]),
-            x_prev=np.array([0.5, -1.0]),
-            z_curr=np.array([0.8, -1.5]),
-            z_prev=np.array([0.8, -1.5]),
-            y_curr=np.array([1.0, -2.0]),
-        )
-        self.g = np.array([0.3, 0.6])
-        self.prox = ProxSpec("l1", 2.0).prox
+@pytest.mark.parametrize("schedule_kind", ["sync", "uniform1"])
+@pytest.mark.parametrize("eta1, eta2", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.2), (0.3, 0.2)])
+@pytest.mark.parametrize("name", sorted(REPLAY_PROBLEMS))
+def test_run_equals_the_plain_replay_bit_for_bit(name, eta1, eta2, schedule_kind):
+    prob = REPLAY_PROBLEMS[name]()
+    K, W = 60, 4
+    alpha = 0.5 / prob.total_lipschitz
+    schedule = (
+        schedule_synchronous(W, K) if schedule_kind == "sync"
+        else schedule_uniform_single(W, 3, K, seed=5)
+    )
+    rng = np.random.default_rng(11)
+    x0 = rng.standard_normal(prob.dimension)  # mixed signs: the first prox moves every entry
+    x_ref = rng.standard_normal(prob.dimension)
+    phi_star = -1.5
+    trace = run(
+        prob,
+        SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=K),
+        schedule,
+        x0,
+        x_ref=x_ref,
+        phi_star=phi_star,
+    )
+    want = inertial_replay(prob, alpha, eta1, eta2, schedule, x0, K, x_ref, phi_star)
+    assert trace.records == K + 1
+    for field in ("phi", "dist2", "psi", "z", "x_final", "z_final"):
+        assert same_bits(getattr(trace, field), want[field]), field
 
-    def test_hand_computed_update_without_post_inertia(self):
-        params = SolverParams(alpha=0.1, eta1=0.5, eta2=0.0)
-        out = ipiag_step(self.state, params, self.g, self.prox)
-        assert np.allclose(out.y_curr, [1.25, -2.5])
-        assert np.allclose(out.z_curr, [1.02, -2.36])
-        assert np.allclose(out.x_curr, [1.02, -2.36])
-        assert np.array_equal(out.x_prev, self.state.x_curr)
-        assert np.array_equal(out.z_prev, self.state.z_curr)
-        assert out.k == 1
 
-    def test_hand_computed_update_with_post_inertia(self):
-        params = SolverParams(alpha=0.1, eta1=0.5, eta2=0.25)
-        out = ipiag_step(self.state, params, self.g, self.prox)
-        assert np.allclose(out.z_curr, [1.02, -2.36])
-        assert np.allclose(out.x_curr, [1.075, -2.575])
+def test_psi_is_nan_exactly_without_a_reference_point():
+    prob = REPLAY_PROBLEMS["lasso8x12"]()  # no known optimum
+    params = SolverParams(alpha=0.5 / prob.total_lipschitz, eta1=0.3, max_iters=20)
+    schedule = schedule_synchronous(4, 20)
+    bare = run(prob, params, schedule, np.zeros(12), phi_star=-1.5)
+    assert np.isfinite(bare.phi).all()
+    assert np.isnan(bare.dist2).all() and np.isnan(bare.psi).all()
+    # a reference point without phi_star takes the objective there as phi_star
+    ref = run(prob, params, schedule, np.zeros(12), x_ref=np.ones(12))
+    assert np.isfinite(ref.psi).all()
+    coef = (1.0 - 0.3) / (2.0 * params.alpha)
+    assert ref.psi[-1] == (ref.phi[-1] - ref.phi_star) + coef * ref.dist2[-1]
 
-    def test_nonfinite_gradient_raises_with_the_iteration(self):
-        params = SolverParams(alpha=0.1)
-        with pytest.raises(NumericError) as info:
-            ipiag_step(self.state, params, np.array([np.inf, 0.0]), self.prox)
-        assert info.value.iteration == 0
+
+def test_nonfinite_gradient_raises_with_the_iteration():
+    k_bad = 7
+    calls = []
+
+    def grad(n, x):
+        # call 1 fills the table at x0; call k + 2 is the refresh of iteration k
+        calls.append(n)
+        return np.full(1, np.inf) if len(calls) == k_bad + 2 else 4.0 * x
+
+    prob = dataclasses.replace(quadratic_1d(), component_gradient=grad)
+    with pytest.raises(NumericError, match="aggregated gradient is not finite") as info:
+        run(prob, SolverParams(alpha=0.1, max_iters=20), schedule_synchronous(1, 20), np.ones(1))
+    assert info.value.iteration == k_bad
 
 
 def test_sync_run_matches_the_reference_iteration():
@@ -178,14 +196,17 @@ def test_divergence_guard_raises_with_iteration():
 
 def test_zero_iteration_budget_gives_a_single_record():
     prob = quadratic_1d()
+    x0 = np.ones(1)
     trace = run(
         prob,
         SolverParams(alpha=0.1, max_iters=0),
         schedule_synchronous(1, 0),
-        np.ones(1),
+        x0,
     )
     assert trace.records == 1
     assert trace.phi[0] == pytest.approx(2.0)
+    assert not np.shares_memory(trace.x_final, x0)
+    assert not np.shares_memory(trace.z_final, x0)
 
 
 def test_schedule_shorter_than_budget_is_rejected():
