@@ -5,6 +5,7 @@ import pytest
 
 from ipiag import (
     CompositeProblem,
+    SolverParams,
     ToySpec,
     evaluate_objective,
     full_gradient,
@@ -12,6 +13,8 @@ from ipiag import (
     load_problem,
     make_toy,
     problem_from_document,
+    run,
+    schedule_synchronous,
 )
 from ipiag.problems import toy_document
 
@@ -113,6 +116,15 @@ def test_sum_block_gradient_matches_component_loop():
     idx = np.array([0, 3, 4, 5, 11])
     manual = sum(p.component_gradient(int(n), x) for n in idx)
     assert np.allclose(p.sum_block_gradient(idx, x), manual, atol=1e-12)
+
+
+def test_iterate_state_initial_copies_the_start_point():
+    x0 = np.ones(2)
+    trace = run(tiny_problem(), SolverParams(alpha=0.1, max_iters=0), schedule_synchronous(2, 0), x0)
+    x0[0] = 99.0
+    assert trace.x_final[0] == 1.0
+    assert trace.z_final[0] == 1.0
+    assert trace.records == 1
 
 
 class TestDocuments:
