@@ -13,9 +13,6 @@ from .core import (
     evaluate_objective,
     full_gradient,
     gradient_consistency_check,
-    load_problem,
-    problem_from_document,
-    problem_to_document,
 )
 from .prox import ProxSpec, prox_l1, prox_nonneg_l1, prox_zero
 from .rates import (
@@ -56,8 +53,11 @@ from .problems import (
     ToySpec,
     lasso_arrays,
     lasso_document,
+    load_problem,
     make_lasso,
     make_toy,
+    problem_from_document,
+    problem_to_document,
     reference_solution,
     spectral_norm_sq,
     toy_document,

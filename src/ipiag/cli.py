@@ -48,7 +48,8 @@ import time
 import numpy as np
 
 from . import problems, rates
-from .core import CompositeProblem, NumericError, load_problem, problem_from_document
+from .core import CompositeProblem, NumericError
+from .problems import load_problem, problem_from_document
 from .rates import RateInputs, certificate_for, ipiag_certificate, verify_linear_bound
 from .schedules import DelaySchedule, schedule_synchronous, schedule_uniform_single
 from .solver import SolverParams, float_format, iterations_to_threshold, run
@@ -155,7 +156,7 @@ def resolve_parameters(
 def build_schedule(kind: str, workers: int, tau: int, iters: int, seed: int) -> DelaySchedule:
     if kind == "sync":
         if tau != 0:
-            raise ConfigError("the sync schedule has no staleness; use --tau 0")
+            raise ConfigError("the sync schedule has no staleness; tau must be 0")
         return schedule_synchronous(workers, iters)
     if kind == "uniform1":
         return schedule_uniform_single(workers, tau, iters, seed)
@@ -208,7 +209,6 @@ def cmd_run(args) -> int:
     if trace is not None:
         if cert is not None and trace.phi_star is not None and trace.records >= 2:
             report = verify_linear_bound(trace, cert)
-            cert.lyapunov_constant = report.constant
             verdicts = {
                 "psi": "pass" if report.psi_ok else "fail",
                 "phi_gap": "pass" if report.phi_ok else "fail",
@@ -240,6 +240,8 @@ def cmd_run(args) -> int:
         "bound_checks": verdicts,
         "wall_clock_sec": time.perf_counter() - t0,
     }
+    if report is not None:
+        summary["certificate"]["C"] = report.constant
     if trace is not None:
         if trace.phi_star is not None:
             summary["final_phi_gap"] = float(trace.phi[-1] - trace.phi_star)
@@ -320,6 +322,7 @@ def cmd_compare(args) -> int:
             raise ConfigError("workers must lie in [1, num_components]")
         if tau < 0 or iters < 0:
             raise ConfigError("tau and iters must be nonnegative")
+        build_schedule(kind, workers, tau, 0, base_seed)  # a bad spec fails before any solve
 
         if problem.known_optimum is not None:
             x_ref, phi_star = problem.known_optimum
@@ -364,11 +367,7 @@ def cmd_compare(args) -> int:
     for label, variant, params, cert in resolved:
         hits4, hits6, gaps = [], [], []
         for r in range(reps):
-            try:
-                schedule = build_schedule(kind, workers, tau, iters, base_seed + r)
-            except ConfigError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
+            schedule = build_schedule(kind, workers, tau, iters, base_seed + r)
             try:
                 trace = run(
                     problem,

@@ -10,7 +10,6 @@ when known, the quadratic-growth modulus and the optimum).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -145,78 +144,3 @@ def gradient_consistency_check(
         fd[i] = (problem.smooth_value(x + e) - problem.smooth_value(x - e)) / (2 * step)
     denom = 1.0 + float(np.max(np.abs(g))) if g.size else 1.0
     return float(np.max(np.abs(fd - g))) / denom
-
-
-# ---------------------------------------------------------------------------
-# JSON problem documents
-#
-# Schema (all floats plain JSON numbers):
-#   {
-#     "dimension": int,
-#     "num_components": int,
-#     "generator": {"name": str, "params": {...}, "seed": int | null},
-#     "L_n": [float, ...],
-#     "beta": float | null,
-#     "prox": {"kind": str, "lambda": float},
-#     "known_optimum": {"x": [...], "phi": float} | null
-#   }
-# ---------------------------------------------------------------------------
-
-def problem_to_document(
-    problem: CompositeProblem,
-    generator: dict,
-    prox_spec: dict,
-) -> dict:
-    """Serializable metadata document for a generated problem."""
-    opt = None
-    if problem.known_optimum is not None:
-        x_star, phi_star = problem.known_optimum
-        opt = {"x": [float(v) for v in x_star], "phi": float(phi_star)}
-    return {
-        "dimension": problem.dimension,
-        "num_components": problem.num_components,
-        "generator": generator,
-        "L_n": [float(v) for v in problem.component_lipschitz],
-        "beta": None if problem.growth_constant is None else float(problem.growth_constant),
-        "prox": dict(prox_spec),
-        "known_optimum": opt,
-    }
-
-
-def problem_from_document(doc: dict) -> CompositeProblem:
-    """Rebuild a problem from its document via the generator registry.
-
-    The generator is re-run from its recorded params/seed; serialized
-    metadata, when present, is checked against the rebuilt instance.
-    """
-    from . import problems  # deferred to avoid an import cycle
-
-    gen = doc.get("generator")
-    if not isinstance(gen, dict) or "name" not in gen:
-        raise ValueError("document lacks a generator block")
-    problem = problems.build_from_generator(
-        gen["name"], gen.get("params", {}), gen.get("seed")
-    )
-    if "dimension" in doc and doc["dimension"] != problem.dimension:
-        raise ValueError("document dimension does not match the generator output")
-    if "num_components" in doc and doc["num_components"] != problem.num_components:
-        raise ValueError("document num_components does not match the generator output")
-    if doc.get("L_n") is not None:
-        ln = np.asarray(doc["L_n"], dtype=float)
-        if ln.shape != problem.component_lipschitz.shape or not np.allclose(
-            ln, problem.component_lipschitz, rtol=1e-12, atol=0.0
-        ):
-            raise ValueError("document L_n does not match the generator output")
-    if doc.get("beta") is not None:
-        if problem.growth_constant is None:
-            problem.growth_constant = float(doc["beta"])
-        elif not math.isclose(doc["beta"], problem.growth_constant, rel_tol=1e-12):
-            raise ValueError("document beta does not match the generator output")
-    return problem
-
-
-def load_problem(path: str) -> CompositeProblem:
-    """Read a problem document from a JSON file and rebuild it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return problem_from_document(doc)

@@ -74,7 +74,6 @@ class RateCertificate:
     rho: float
     admissible: bool
     simplified_factor: Optional[float] = None
-    lyapunov_constant: Optional[float] = None
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -89,7 +88,7 @@ class RateCertificate:
             "eta2_max": self.eta2_max,
             "eta2": self.eta2,
             "rho": self.rho,
-            "C": self.lyapunov_constant,
+            "C": None,  # the envelope constant; only a checked run has one
         }
         if self.simplified_factor is not None:
             doc["simplified_factor"] = self.simplified_factor

@@ -3,8 +3,8 @@
 A schedule lists, for each master iteration k, which workers hand in a fresh
 block gradient and which stored iterate each refresh was evaluated at.  The
 solver replays the schedule deterministically, which makes asynchronous runs
-exactly reproducible; staleness of every table entry stays within the
-declared bound ``tau``.
+exactly reproducible; ``staleness_table`` checks that the staleness of every
+table entry stays within the declared bound ``tau``.
 
 Conventions
 -----------
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -137,21 +138,33 @@ def schedule_uniform_single(
     )
 
 
-def max_observed_staleness(schedule: DelaySchedule) -> int:
-    """Largest table-entry staleness over the whole replay.
+def staleness_table(schedule: DelaySchedule, iters: int) -> np.ndarray:
+    """``(iters, num_workers)`` int64 staleness of every gradient-table entry.
 
-    Counts both the refresh-time staleness (k minus the source iterate) and
-    the aging of entries between refreshes.  Raises ScheduleError if the
-    declared ``tau`` is ever exceeded; bounds are enforced, never clamped.
+    Row k holds k minus each entry's source iterate after the refreshes of
+    step k (source 0 until the first refresh; of two refreshes of a worker
+    in one step the last wins), so aging between refreshes counts too.
+    Raises ScheduleError if the declared ``tau`` is ever exceeded; bounds
+    are enforced, never clamped.
     """
-    sources = [0] * schedule.num_workers
-    worst = 0
-    for k in range(schedule.iterations):
-        for w, s in zip(schedule.refreshed[k], schedule.source_iter[k]):
-            sources[w] = s
-        worst = max(worst, k - min(sources))
+    steps = np.repeat(np.arange(iters), [len(ws) for ws in schedule.refreshed[:iters]])
+    workers, sources = (
+        np.fromiter(chain.from_iterable(lists[:iters]), np.int64, len(steps))
+        for lists in (schedule.refreshed, schedule.source_iter)
+    )
+    # a trailing 0 is the source of entries never refreshed (position -1 below)
+    sources = np.append(sources, 0)
+    # flat position of each entry's latest refresh; later positions win within a step
+    last = np.full((iters, schedule.num_workers), -1, dtype=np.int64)
+    np.maximum.at(last, (steps, workers), np.arange(len(steps)))
+    np.maximum.accumulate(last, axis=0, out=last)
+    table = np.arange(iters)[:, None] - sources[last]
+    worst = int(table.max(initial=0))
     if worst > schedule.tau:
-        raise ScheduleError(
-            f"observed staleness {worst} exceeds declared tau {schedule.tau}"
-        )
-    return worst
+        raise ScheduleError(f"observed staleness {worst} exceeds declared tau {schedule.tau}")
+    return table
+
+
+def max_observed_staleness(schedule: DelaySchedule) -> int:
+    """Largest entry of the schedule's whole ``staleness_table``."""
+    return int(staleness_table(schedule, schedule.iterations).max(initial=0))

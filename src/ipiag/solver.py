@@ -28,7 +28,7 @@ from .core import (
     NumericError,
     evaluate_objective,
 )
-from .schedules import DelaySchedule, ScheduleError
+from .schedules import DelaySchedule, staleness_table
 
 DIVERGENCE_FACTOR = 1e12
 FLOAT_DIGITS_ENV = "IPIAG_FLOAT_DIGITS"
@@ -164,8 +164,10 @@ def run(
     The gradient table is initialized with every block evaluated at x0.
     Refreshes for iteration k are applied before aggregation, reading the
     stored iterate named by the schedule (current iterate for generated
-    schedules).  Aborts with DivergenceError if the objective exceeds its
-    initial value by more than DIVERGENCE_FACTOR (relative guard).
+    schedules).  Raises ScheduleError before the first step if any table
+    entry would grow older than the schedule's tau (``staleness_table``).
+    Aborts with DivergenceError if the objective exceeds its initial value
+    by more than DIVERGENCE_FACTOR (relative guard).
 
     When the problem has a known optimum it is used as the reference point
     for dist2/psi unless ``x_ref`` overrides it.  If ``x_ref`` is given
@@ -177,6 +179,9 @@ def run(
     K = params.max_iters
     if schedule.iterations < K:
         raise ValueError("schedule is shorter than max_iters")
+    W = schedule.num_workers
+    stale = np.zeros((K + 1, W), dtype=np.int64)
+    stale[1:] = staleness_table(schedule, K)
     if x_ref is None and problem.known_optimum is not None:
         x_ref, phi_star = problem.known_optimum
     if x_ref is not None:
@@ -184,17 +189,14 @@ def run(
         if phi_star is None:
             phi_star = evaluate_objective(problem, x_ref)
 
-    W = schedule.num_workers
-    tau = schedule.tau
     partition = contiguous_partition(problem.num_components, W)
-    # gradient table: one block gradient per worker and the iterate it read
+    # gradient table: one block gradient per worker
     blocks = np.zeros((W, problem.dimension))
-    sources = np.zeros(W, dtype=int)
     for w in range(W):
         blocks[w] = problem.sum_block_gradient(partition[w], x0)
 
-    # ring buffer of recent x iterates for stale reads
-    ring = max(tau + 2, 2)
+    # ring buffer of recent x iterates; the checked table keeps every read within tau of k
+    ring = max(schedule.tau + 2, 2)
     x_hist = np.zeros((ring, problem.dimension))
     x_hist[0] = x0
 
@@ -202,7 +204,6 @@ def run(
     phi = np.full(n_rec, np.nan)
     dist2 = np.full(n_rec, np.nan)
     step2 = np.zeros(n_rec)
-    stale = np.zeros((n_rec, W), dtype=int)
     zs = np.zeros((n_rec, problem.dimension)) if store_iterates else None
 
     def observe(j: int, z: Array) -> float:
@@ -223,12 +224,7 @@ def run(
     executed = 0
     for k in range(K):
         for w, s in zip(schedule.refreshed[k], schedule.source_iter[k]):
-            if s < k - tau or s < 0 or s > k:
-                raise ScheduleError(
-                    f"iteration {k}: source {s} outside the allowed window"
-                )
             blocks[w] = problem.sum_block_gradient(partition[w], x_hist[s % ring])
-            sources[w] = s
         g = blocks.sum(axis=0)
         # a finite sum implies finite entries; one reduction beats isfinite(arr).all()
         if not math.isfinite(float(g.sum())):
@@ -239,7 +235,6 @@ def run(
         if not math.isfinite(float(z_next.sum()) + float(x.sum())):
             raise NumericError("iterate became non-finite", iteration=k)
         j = k + 1
-        stale[j] = k - sources
         dz = z_next - z
         step2[j] = dz @ dz
         z = z_next

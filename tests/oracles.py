@@ -89,16 +89,21 @@ def inertial_replay(problem, alpha, eta1, eta2, schedule, x0, iters, x_ref, phi_
     blocks, all read at x_0 first); each refresh rereads its block at the x
     iterate the schedule names.  Every x iterate is kept, so stale reads
     need no ring buffer.  Returns per-record phi, dist2 and psi (NaN
-    without ``phi_star``), the z rows, and the final x and z.
+    without ``phi_star``), the z rows, the final x and z, and the staleness
+    of every table entry after each step's refreshes (a zero row first).
     """
     blocks = np.array_split(np.arange(problem.num_components), schedule.num_workers)
     x = np.asarray(x0, dtype=float).copy()
     table = np.array([problem.sum_block_gradient(b, x) for b in blocks])
+    sources = np.zeros(schedule.num_workers, dtype=np.int64)
+    stale = [np.zeros(schedule.num_workers, dtype=np.int64)]
     x_prev, z = x, x
     xs, zs = [x], [z]
     for k in range(iters):
         for w, s in zip(schedule.refreshed[k], schedule.source_iter[k]):
             table[w] = problem.sum_block_gradient(blocks[w], xs[s])
+            sources[w] = s
+        stale.append(k - sources)
         g = table.sum(axis=0)
         y = x + eta1 * (x - x_prev)
         z_next = problem.prox(y - alpha * g, alpha)
@@ -113,7 +118,8 @@ def inertial_replay(problem, alpha, eta1, eta2, schedule, x0, iters, x_ref, phi_
     psi = np.full(len(zs), np.nan)
     if phi_star is not None:
         psi = (phi - phi_star) + (1.0 - eta1) / (2.0 * alpha) * dist2
-    return {"phi": phi, "dist2": dist2, "psi": psi, "z": zs, "x_final": x, "z_final": z}
+    return {"phi": phi, "dist2": dist2, "psi": psi, "z": zs, "x_final": x, "z_final": z,
+            "staleness": np.array(stale)}
 
 
 def central_difference_gradient(f, x, step=1e-6):

@@ -472,6 +472,31 @@ class TestCompare:
         assert main(["compare", "--spec", spec]) == EXIT_CONFIG
         assert capsys.readouterr().err == "error: tau and iters must be nonnegative\n"
 
+    @pytest.mark.parametrize("kind, message", [
+        ("sync", "the sync schedule has no staleness; tau must be 0"),
+        ("cyclic", "unknown schedule kind 'cyclic'"),
+    ])
+    def test_bad_schedule_fails_before_the_reference_solve(
+        self, tmp_path, capsys, monkeypatch, kind, message
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the reference solve ran")
+
+        monkeypatch.setattr("ipiag.problems.reference_solution", no_solve)
+        lasso = lasso_document(LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1))
+        spec = self._spec(
+            tmp_path,
+            [{"label": "a", "variant": "piag", "alpha": 1e-3},
+             {"label": "b", "variant": "piag", "alpha": 2e-3}],
+            problem=lasso,  # no known optimum, so compare needs a reference solve
+            schedule={"type": kind, "tau": 2, "workers": 2},
+            reference={"alpha": 2e-3, "iters": 50000, "tol": 1e-10},
+        )
+        assert main(["compare", "--spec", spec]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert "--tau" not in err
+
     @pytest.mark.parametrize(
         "spec_reps, flag", [(0, []), (2, ["--repetitions", "-1"])], ids=["spec", "flag"]
     )

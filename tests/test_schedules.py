@@ -148,11 +148,12 @@ def test_uniform_single_equals_the_numpy_form(workers, tau, iters):
 
 @given(st.integers(1, 5), st.integers(0, 4), st.integers(0, 60), st.integers(0, 2**32))
 def test_max_staleness_of_hand_built_schedules_equals_the_numpy_form(workers, tau, iters, seed):
-    # random workers reading random past iterates: transit delay and tau violations
+    # random workers reading random past iterates: transit delay and tau violations; workers
+    # are drawn with replacement, so one may refresh twice in a step and the last refresh wins
     rng = np.random.default_rng(seed)
     refreshed, sources = [], []
     for k in range(iters):
-        ws = rng.choice(workers, size=rng.integers(0, workers + 1), replace=False).tolist()
+        ws = rng.choice(workers, size=rng.integers(0, workers + 1), replace=True).tolist()
         refreshed.append(ws)
         sources.append([int(rng.integers(max(0, k - tau - 1), k + 1)) for _ in ws])
     s = DelaySchedule(workers, tau, refreshed, sources)

@@ -5,9 +5,11 @@ import pytest
 
 from ipiag import (
     CompositeProblem,
+    DelaySchedule,
     DivergenceError,
     LassoSpec,
     NumericError,
+    ScheduleError,
     SolverParams,
     ToySpec,
     contiguous_partition,
@@ -76,17 +78,32 @@ REPLAY_PROBLEMS = {
 }
 
 
-@pytest.mark.parametrize("schedule_kind", ["sync", "uniform1"])
+def transit_schedule(workers, tau, iters):
+    """Every worker refreshes every step, reading an iterate 1..tau steps old."""
+    return DelaySchedule(
+        workers,
+        tau,
+        refreshed=[list(range(workers)) for _ in range(iters)],
+        source_iter=[[max(0, k - 1 - (k + w) % tau) for w in range(workers)]
+                     for k in range(iters)],
+    )
+
+
+REPLAY_SCHEDULES = {
+    "sync": lambda W, K: schedule_synchronous(W, K),
+    "uniform1": lambda W, K: schedule_uniform_single(W, 3, K, seed=5),
+    "transit": lambda W, K: transit_schedule(W, 3, K),
+}
+
+
+@pytest.mark.parametrize("schedule_kind", sorted(REPLAY_SCHEDULES))
 @pytest.mark.parametrize("eta1, eta2", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.2), (0.3, 0.2)])
 @pytest.mark.parametrize("name", sorted(REPLAY_PROBLEMS))
 def test_run_equals_the_plain_replay_bit_for_bit(name, eta1, eta2, schedule_kind):
     prob = REPLAY_PROBLEMS[name]()
     K, W = 60, 4
     alpha = 0.5 / prob.total_lipschitz
-    schedule = (
-        schedule_synchronous(W, K) if schedule_kind == "sync"
-        else schedule_uniform_single(W, 3, K, seed=5)
-    )
+    schedule = REPLAY_SCHEDULES[schedule_kind](W, K)
     rng = np.random.default_rng(11)
     x0 = rng.standard_normal(prob.dimension)  # mixed signs: the first prox moves every entry
     x_ref = rng.standard_normal(prob.dimension)
@@ -103,6 +120,30 @@ def test_run_equals_the_plain_replay_bit_for_bit(name, eta1, eta2, schedule_kind
     assert trace.records == K + 1
     for field in ("phi", "dist2", "psi", "z", "x_final", "z_final"):
         assert same_bits(getattr(trace, field), want[field]), field
+    assert trace.staleness.dtype == want["staleness"].dtype
+    assert np.array_equal(trace.staleness, want["staleness"])
+
+
+def test_aging_past_tau_is_rejected_before_the_first_block_gradient():
+    # worker 3 is never refreshed, so its entry is 49 steps old at k = 49 while tau says 2
+    K = 50
+    schedule = DelaySchedule(
+        num_workers=4,
+        tau=2,
+        refreshed=[[k % 3] for k in range(K)],
+        source_iter=[[k] for k in range(K)],
+    )
+    prob = make_toy(ToySpec(num_components=8))
+    calls = []
+
+    def block_gradient(indices, x, inner=prob.block_gradient):
+        calls.append(len(indices))
+        return inner(indices, x)
+
+    prob = dataclasses.replace(prob, block_gradient=block_gradient)
+    with pytest.raises(ScheduleError, match="observed staleness 49 exceeds declared tau 2"):
+        run(prob, SolverParams(alpha=1e-2, max_iters=K), schedule, np.zeros(8))
+    assert calls == []
 
 
 def test_psi_is_nan_exactly_without_a_reference_point():
