@@ -13,8 +13,13 @@ import numpy as np
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+def _escape(text: str) -> str:
+    """``text`` as XML character data: ``&``, ``<`` and ``>`` escaped.
+
+    Same result as ``xml.sax.saxutils.escape``, whose import pulls in
+    ``urllib.request`` and adds about 7 MB to the resident set.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def log_line_plot(
@@ -30,7 +35,8 @@ def log_line_plot(
 
     Each curve is a dict with keys ``label``, ``x``, ``y`` and an optional
     boolean ``dashed``.  Nonpositive or nonfinite y values are dropped
-    pointwise (a log axis cannot show them).
+    pointwise (a log axis cannot show them).  The title, axis labels and
+    curve labels are plain text; ``&``, ``<`` and ``>`` are escaped.
     """
     cleaned = []
     for cv in curves:
@@ -69,7 +75,8 @@ def log_line_plot(
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" font-size="13">{title}</text>'
+            f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" font-size="13">'
+            f"{_escape(title)}</text>"
         )
 
     # decade grid and y tick labels
@@ -99,17 +106,18 @@ def log_line_plot(
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="black"/>'
     )
     parts.append(
-        f'<text x="{ml + pw / 2:.0f}" y="{height - 10}" text-anchor="middle">{xlabel}</text>'
+        f'<text x="{ml + pw / 2:.0f}" y="{height - 10}" text-anchor="middle">'
+        f"{_escape(xlabel)}</text>"
     )
     if ylabel:
         parts.append(
             f'<text x="16" y="{mt + ph / 2:.0f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {mt + ph / 2:.0f})">{ylabel}</text>'
+            f'transform="rotate(-90 16 {mt + ph / 2:.0f})">{_escape(ylabel)}</text>'
         )
 
     for i, (label, x, y, dashed) in enumerate(cleaned):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
+        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(sx(x).tolist(), sy(y).tolist()))
         dash = ' stroke-dasharray="8 3 2 3"' if dashed else ""
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>'
@@ -120,7 +128,7 @@ def log_line_plot(
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="1.5"{dash}/>'
         )
-        parts.append(f'<text x="{lx + 30}" y="{ly}">{label}</text>')
+        parts.append(f'<text x="{lx + 30}" y="{ly}">{_escape(label)}</text>')
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

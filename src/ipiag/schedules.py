@@ -22,7 +22,7 @@ Wire format: one JSON object per line, ``{"k": k, "refreshed": [...],
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -34,48 +34,71 @@ class ScheduleError(ValueError):
     """Malformed schedule or violated staleness bound."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class DelaySchedule:
-    """Per-iteration refresh sets with declared staleness bound."""
+    """Per-iteration refresh sets with declared staleness bound.
+
+    Construction validates the lists once and keeps them flattened as
+    read-only int64 arrays: the refreshes of iteration k are entries
+    ``offsets[k]:offsets[k + 1]`` of ``workers`` and ``sources``.  The
+    schedule is frozen; ``run``, ``staleness_table`` and ``to_jsonl`` read
+    only those arrays, so an edit to ``refreshed`` or ``source_iter`` after
+    construction is never seen.
+    """
 
     num_workers: int
     tau: int
     refreshed: list
     source_iter: list
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    workers: np.ndarray = field(init=False, repr=False, compare=False)
+    sources: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_workers < 1:
             raise ScheduleError("need at least one worker")
         if self.tau < 0:
             raise ScheduleError("tau must be nonnegative")
-        if len(self.refreshed) != len(self.source_iter):
+        K = len(self.refreshed)
+        if len(self.source_iter) != K:
             raise ScheduleError("refreshed and source_iter must align")
-        for k, (ws, ss) in enumerate(zip(self.refreshed, self.source_iter)):
-            if len(ws) != len(ss):
-                raise ScheduleError(f"iteration {k}: refresh lists must align")
-            for w, s in zip(ws, ss):
-                if not 0 <= w < self.num_workers:
-                    raise ScheduleError(f"iteration {k}: worker id {w} out of range")
-                if not 0 <= s <= k:
-                    raise ScheduleError(f"iteration {k}: source {s} out of range")
+        counts = np.fromiter(map(len, self.refreshed), np.int64, K)
+        offsets = np.zeros(K + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        workers, flat_workers = _flatten(self.refreshed)
+        sources, flat_sources = _flatten(self.source_iter)
+        # up to the first iteration whose two lists differ in length, entries pair up
+        misaligned = np.flatnonzero(counts != np.fromiter(map(len, self.source_iter), np.int64, K))
+        end = offsets[misaligned[0]] if misaligned.size else len(workers)
+        steps = np.repeat(np.arange(K), counts)[:end]
+        bad_worker = (workers[:end] < 0) | (workers[:end] >= self.num_workers)
+        bad = np.flatnonzero(bad_worker | (sources[:end] < 0) | (sources[:end] > steps))
+        # the first offending entry in iteration order decides the message
+        if bad.size:
+            i = bad[0]
+            if bad_worker[i]:
+                raise ScheduleError(f"iteration {steps[i]}: worker id {workers[i]} out of range")
+            raise ScheduleError(f"iteration {steps[i]}: source {sources[i]} out of range")
+        if misaligned.size:
+            raise ScheduleError(f"iteration {misaligned[0]}: refresh lists must align")
+        if workers.tolist() != flat_workers or sources.tolist() != flat_sources:
+            raise ScheduleError("worker ids and sources must be 64-bit integers")
+        for name, array in (("offsets", offsets), ("workers", workers), ("sources", sources)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def iterations(self) -> int:
-        return len(self.refreshed)
+        return len(self.offsets) - 1
 
     def to_jsonl(self, path: str) -> None:
+        bounds = self.offsets.tolist()
+        workers, sources = self.workers.tolist(), self.sources.tolist()
         with open(path, "w", encoding="utf-8") as fh:
             for k in range(self.iterations):
-                fh.write(
-                    json.dumps(
-                        {
-                            "k": k,
-                            "refreshed": list(map(int, self.refreshed[k])),
-                            "source_iter": list(map(int, self.source_iter[k])),
-                        }
-                    )
-                    + "\n"
-                )
+                lo, hi = bounds[k], bounds[k + 1]
+                record = {"k": k, "refreshed": workers[lo:hi], "source_iter": sources[lo:hi]}
+                fh.write(json.dumps(record) + "\n")
 
     @classmethod
     def from_jsonl(cls, path: str, num_workers: int, tau: int) -> "DelaySchedule":
@@ -91,6 +114,15 @@ class DelaySchedule:
                 refreshed.append([int(w) for w in rec["refreshed"]])
                 sources.append([int(s) for s in rec["source_iter"]])
         return cls(num_workers=num_workers, tau=tau, refreshed=refreshed, source_iter=sources)
+
+
+def _flatten(lists: list) -> tuple:
+    """(int64 array, plain list) of the concatenated per-iteration lists."""
+    flat = list(chain.from_iterable(lists))
+    try:
+        return np.fromiter(flat, np.int64, len(flat)), flat
+    except (OverflowError, TypeError, ValueError):
+        raise ScheduleError("worker ids and sources must be 64-bit integers") from None
 
 
 def schedule_synchronous(num_workers: int, iters: int) -> DelaySchedule:
@@ -126,15 +158,32 @@ def schedule_uniform_single(
     rng = SplitMix64(seed)
     picks = (rng.u64_array(iters) % np.uint64(num_workers)).astype(int).tolist() if iters else []
     sources = [0] * num_workers
-    refreshed, source_iter = [], []
+    oldest = 0  # min(sources), kept exact
+    refreshed = []
     for k in range(iters):
-        chosen = [w for w, s in enumerate(sources) if k - s > tau] or [picks[k]]
-        for w in chosen:
+        if k - oldest > tau:
+            # every block is at most tau + 1 old here, so the blocks at the cap are exactly
+            # those last refreshed at oldest == k - tau - 1
+            if sources.count(oldest) == 1:
+                chosen = [sources.index(oldest)]
+            else:
+                chosen = [w for w, s in enumerate(sources) if s == oldest]
+            for w in chosen:
+                sources[w] = k
+            oldest = min(sources)
+        else:
+            w = picks[k]
+            chosen = [w]
+            last = sources[w]
             sources[w] = k
+            if last == oldest:
+                oldest = min(sources)
         refreshed.append(chosen)
-        source_iter.append([k] * len(chosen))
     return DelaySchedule(
-        num_workers=num_workers, tau=tau, refreshed=refreshed, source_iter=source_iter
+        num_workers=num_workers,
+        tau=tau,
+        refreshed=refreshed,
+        source_iter=[[k] * len(ws) for k, ws in enumerate(refreshed)],
     )
 
 
@@ -147,13 +196,11 @@ def staleness_table(schedule: DelaySchedule, iters: int) -> np.ndarray:
     Raises ScheduleError if the declared ``tau`` is ever exceeded; bounds
     are enforced, never clamped.
     """
-    steps = np.repeat(np.arange(iters), [len(ws) for ws in schedule.refreshed[:iters]])
-    workers, sources = (
-        np.fromiter(chain.from_iterable(lists[:iters]), np.int64, len(steps))
-        for lists in (schedule.refreshed, schedule.source_iter)
-    )
+    n = schedule.offsets[iters]
+    steps = np.repeat(np.arange(iters), np.diff(schedule.offsets[: iters + 1]))
+    workers = schedule.workers[:n]
     # a trailing 0 is the source of entries never refreshed (position -1 below)
-    sources = np.append(sources, 0)
+    sources = np.append(schedule.sources[:n], 0)
     # flat position of each entry's latest refresh; later positions win within a step
     last = np.full((iters, schedule.num_workers), -1, dtype=np.int64)
     np.maximum.at(last, (steps, workers), np.arange(len(steps)))

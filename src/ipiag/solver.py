@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -125,21 +126,11 @@ class Trace:
 
     def to_csv(self, path: str) -> None:
         fmt = float_format()
+        row = f"%d,{fmt},{fmt},{fmt},{fmt},%d\n"
+        columns = (self.k, self.phi, self.dist2, self.psi, self.step_norm2, self.max_staleness)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("k,phi,dist2,psi,step_norm2,max_staleness\n")
-            stale = self.max_staleness
-            for j in range(self.records):
-                row = ",".join(
-                    [
-                        str(int(self.k[j])),
-                        fmt % self.phi[j],
-                        fmt % self.dist2[j],
-                        fmt % self.psi[j],
-                        fmt % self.step_norm2[j],
-                        str(int(stale[j])),
-                    ]
-                )
-                fh.write(row + "\n")
+            fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
 def iterations_to_threshold(values: Array, threshold: float) -> Optional[int]:
@@ -221,10 +212,14 @@ def run(
         zs[0] = z
 
     alpha, eta1, eta2 = params.alpha, params.eta1, params.eta2
+    # the validated arrays, not the lists, drive the replay; step k takes counts[k] refreshes
+    n = schedule.offsets[K]
+    counts = np.diff(schedule.offsets[: K + 1]).tolist()
+    refreshes = zip(schedule.workers[:n].tolist(), (schedule.sources[:n] % ring).tolist())
     executed = 0
     for k in range(K):
-        for w, s in zip(schedule.refreshed[k], schedule.source_iter[k]):
-            blocks[w] = problem.sum_block_gradient(partition[w], x_hist[s % ring])
+        for w, slot in islice(refreshes, counts[k]):
+            blocks[w] = problem.sum_block_gradient(partition[w], x_hist[slot])
         g = blocks.sum(axis=0)
         # a finite sum implies finite entries; one reduction beats isfinite(arr).all()
         if not math.isfinite(float(g.sum())):

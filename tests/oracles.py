@@ -5,6 +5,8 @@ counter-based generator and the schedule error type; values are recomputed
 from first principles so that agreement is meaningful.
 """
 
+import math
+
 import numpy as np
 
 from ipiag.rng import SplitMix64
@@ -197,3 +199,76 @@ def max_staleness(schedule):
     if worst > schedule.tau:
         raise ScheduleError(f"observed staleness {worst} exceeds declared tau {schedule.tau}")
     return worst
+
+
+def validate_schedule_lists(num_workers, tau, refreshed, source_iter):
+    """Check hand-built schedule lists one entry at a time, in iteration order.
+
+    Raises the ScheduleError that ``DelaySchedule`` must raise for the first
+    offending iteration or entry; returns None for well-formed lists.
+    """
+    if num_workers < 1:
+        raise ScheduleError("need at least one worker")
+    if tau < 0:
+        raise ScheduleError("tau must be nonnegative")
+    if len(refreshed) != len(source_iter):
+        raise ScheduleError("refreshed and source_iter must align")
+    for k, (ws, ss) in enumerate(zip(refreshed, source_iter)):
+        if len(ws) != len(ss):
+            raise ScheduleError(f"iteration {k}: refresh lists must align")
+        for w, s in zip(ws, ss):
+            if not 0 <= w < num_workers:
+                raise ScheduleError(f"iteration {k}: worker id {w} out of range")
+            if not 0 <= s <= k:
+                raise ScheduleError(f"iteration {k}: source {s} out of range")
+
+
+def trace_csv(trace, fmt):
+    """``Trace.to_csv`` text, one field at a time with ``fmt`` for the floats."""
+    lines = ["k,phi,dist2,psi,step_norm2,max_staleness\n"]
+    stale = trace.max_staleness
+    for j in range(trace.records):
+        row = ",".join(
+            [
+                str(int(trace.k[j])),
+                fmt % trace.phi[j],
+                fmt % trace.dist2[j],
+                fmt % trace.psi[j],
+                fmt % trace.step_norm2[j],
+                str(int(stale[j])),
+            ]
+        )
+        lines.append(row + "\n")
+    return "".join(lines)
+
+
+def svg_polyline_points(curves, width=640, height=420):
+    """``points`` attribute of each polyline ``log_line_plot`` draws, point by point.
+
+    Same cleaning, frame and margins as the plot; each coordinate is mapped
+    as a scalar and printed with two decimals.
+    """
+    cleaned = []
+    for cv in curves:
+        x = np.asarray(cv["x"], dtype=float)
+        y = np.asarray(cv["y"], dtype=float)
+        keep = np.isfinite(x) & np.isfinite(y) & (y > 0)
+        if keep.any():
+            cleaned.append((x[keep], np.log10(y[keep])))
+    x_lo = min(float(x.min()) for x, _ in cleaned)
+    x_hi = max(float(x.max()) for x, _ in cleaned)
+    y_lo = math.floor(min(float(y.min()) for _, y in cleaned))
+    y_hi = math.ceil(max(float(y.max()) for _, y in cleaned))
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1
+    ml, mr, mt, mb = 64, 16, 34, 46
+    pw, ph = width - ml - mr, height - mt - mb
+    return [
+        " ".join(
+            f"{ml + (a - x_lo) / (x_hi - x_lo) * pw:.2f},{mt + (y_hi - b) / (y_hi - y_lo) * ph:.2f}"
+            for a, b in zip(x, y)
+        )
+        for x, y in cleaned
+    ]

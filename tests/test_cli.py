@@ -1,12 +1,22 @@
 import json
 import warnings
+import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 import numpy as np
 import pytest
 
 from ipiag import ToySpec, toy_document, lasso_document, LassoSpec
 from ipiag.cli import EXIT_BOUND, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
+from ipiag.plotting import _escape, log_line_plot
 from ipiag.rates import BoundReport
+
+from .oracles import svg_polyline_points
+
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 @pytest.fixture
@@ -22,6 +32,26 @@ def lasso_file(tmp_path):
     path = tmp_path / "lasso.json"
     path.write_text(json.dumps(lasso_document(spec)))
     return str(path)
+
+
+@given(st.text(alphabet=st.sampled_from("&<>;amp'\"x \u00e9")))
+def test_plot_escaping_equals_the_standard_library(text):
+    assert _escape(text) == escape(text)
+
+
+def test_polylines_equal_the_point_by_point_form(tmp_path):
+    k = np.arange(300)
+    curves = [
+        {"label": "psi <x & y>", "x": k, "y": 0.97 ** k * (1.0 + np.sin(k))},  # zeros dropped
+        {"label": "bound", "x": k, "y": np.where(k % 7 == 3, np.nan, 3.0 * 0.99 ** k),
+         "dashed": True},
+        {"label": "flat", "x": np.full(4, 5.0), "y": [np.inf, 1e-3, -1.0, 2e-3]},
+    ]
+    path = tmp_path / "plot.svg"
+    log_line_plot(str(path), curves, title="t & <u>", xlabel="k > 0", ylabel="a & b")
+    root = ET.parse(path).getroot()
+    assert [p.get("points") for p in root.iter(f"{SVG}polyline")] == svg_polyline_points(curves)
+    assert {"psi <x & y>", "t & <u>", "k > 0", "a & b"} <= {t.text for t in root.iter(f"{SVG}text")}
 
 
 class TestCertify:
@@ -108,6 +138,19 @@ class TestRun:
         assert rc == EXIT_OK
         head = (out / "plot.svg").read_text()[:100]
         assert head.startswith("<svg")
+
+    def test_plot_text_is_escaped(self, tmp_path):
+        path = tmp_path / "a&b<1>.json"
+        path.write_text(json.dumps(toy_document(ToySpec(num_components=12))))
+        out = tmp_path / "out"
+        rc = main(
+            ["run", "--problem", str(path), "--variant", "piag", "--tau", "0",
+             "--schedule", "sync", "--workers", "2", "--iters", "50", "--out", str(out), "--plot"]
+        )
+        assert rc == EXIT_OK
+        root = ET.parse(out / "plot.svg").getroot()
+        titles = [t.text for t in root.iter(f"{SVG}text") if t.get("font-size") == "13"]
+        assert titles == ["piag on a&b<1>.json"]
 
     def test_zero_iterations_yields_one_record_and_skipped_checks(self, toy_file, tmp_path):
         out = tmp_path / "out"

@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ipiag import (
@@ -11,7 +13,9 @@ from ipiag import (
     schedule_uniform_single,
 )
 
-from .oracles import max_staleness, uniform_single_lists
+from ipiag.schedules import staleness_table
+
+from .oracles import max_staleness, uniform_single_lists, validate_schedule_lists
 
 
 def test_synchronous_refreshes_everyone_at_the_current_iterate():
@@ -110,6 +114,93 @@ class TestValidation:
     def test_negative_tau(self):
         with pytest.raises(ScheduleError):
             DelaySchedule(2, -1, refreshed=[], source_iter=[])
+
+
+@st.composite
+def schedule_lists(draw):
+    """(num_workers, tau, refreshed, source_iter): valid lists with up to three defects."""
+    workers = draw(st.integers(1, 4))
+    # sampled_from draws evenly; st.integers leans to small values
+    iters = draw(st.sampled_from(range(11)))
+    refreshed, source_iter = [], []
+    for k in range(iters):
+        n = draw(st.integers(0, 3))
+        refreshed.append(draw(st.lists(st.integers(0, workers - 1), min_size=n, max_size=n)))
+        source_iter.append(draw(st.lists(st.integers(0, k), min_size=n, max_size=n)))
+    for _ in range(draw(st.sampled_from(range(4))) if iters else 0):
+        k = draw(st.sampled_from(range(iters)))
+        defect = draw(st.sampled_from(["worker", "source", "inner", "outer"]))
+        if defect == "outer":
+            source_iter.pop()
+            iters -= 1
+            if not iters:
+                break
+        elif defect == "inner":
+            if source_iter[k] and draw(st.booleans()):
+                source_iter[k].pop()
+            else:
+                source_iter[k].append(k)
+        else:
+            entries = (refreshed if defect == "worker" else source_iter)[k]
+            bad = [-2, -1, workers, workers + 1] if defect == "worker" else [-1, k + 1, k + 5]
+            if entries:
+                entries[draw(st.sampled_from(range(len(entries))))] = draw(st.sampled_from(bad))
+    workers = draw(st.sampled_from([workers] * 6 + [0, -1]))
+    tau = draw(st.sampled_from([0, 1, 2, 3, 3, 3, -1]))
+    return workers, tau, refreshed, source_iter
+
+
+@settings(max_examples=500)
+@given(schedule_lists())
+# a bad worker id at iteration 0 comes before the misaligned lists of iteration 1
+@example((2, 1, [[5], [0, 1]], [[0], [1]]))
+@example((2, 1, [[0, 1], [5]], [[0], [1]]))
+@example((3, 2, [[0, 1], [2, 7]], [[0, 0], [4, 1]]))
+@example((2, 3, [[0]] * 6, [[0]] * 5 + [[6]]))
+def test_validation_raises_what_the_entry_by_entry_check_raises(case):
+    try:
+        validate_schedule_lists(*case)
+    except ScheduleError as exc:
+        with pytest.raises(ScheduleError) as got:
+            DelaySchedule(*case)
+        assert str(got.value) == str(exc)
+    else:
+        s = DelaySchedule(*case)
+        _, _, refreshed, source_iter = case
+        assert s.offsets.tolist() == np.cumsum([0] + [len(ws) for ws in refreshed]).tolist()
+        assert s.workers.tolist() == [w for ws in refreshed for w in ws]
+        assert s.sources.tolist() == [v for ss in source_iter for v in ss]
+
+
+@pytest.mark.parametrize("entry", [1.5, "1", 2**63])
+def test_entries_must_be_64_bit_integers(entry):
+    with pytest.raises(ScheduleError, match="must be 64-bit integers"):
+        DelaySchedule(2, 1, refreshed=[[0], [entry]], source_iter=[[0], [1]])
+    with pytest.raises(ScheduleError, match="must be 64-bit integers"):
+        DelaySchedule(2, 1, refreshed=[[0], [1]], source_iter=[[0], [entry]])
+
+
+def test_a_schedule_is_frozen_and_its_arrays_read_only():
+    s = schedule_uniform_single(3, 2, 10, seed=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.tau = 9
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.sources = np.zeros(10, dtype=np.int64)
+    for array in (s.offsets, s.workers, s.sources):
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+def test_edits_to_the_lists_after_construction_are_not_seen(tmp_path):
+    s = schedule_uniform_single(4, 2, 20, seed=0)
+    table = staleness_table(s, 20)
+    s.source_iter[3] = [7]
+    s.refreshed[5].append(9)
+    assert np.array_equal(staleness_table(s, 20), table)
+    path = tmp_path / "schedule.jsonl"
+    s.to_jsonl(str(path))
+    back = DelaySchedule.from_jsonl(str(path), num_workers=4, tau=2)
+    assert (back.refreshed, back.source_iter) == uniform_single_lists(4, 2, 20, seed=0)
 
 
 def test_jsonl_roundtrip(tmp_path):

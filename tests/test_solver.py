@@ -12,6 +12,7 @@ from ipiag import (
     ScheduleError,
     SolverParams,
     ToySpec,
+    Trace,
     contiguous_partition,
     iterations_to_threshold,
     make_lasso,
@@ -21,7 +22,9 @@ from ipiag import (
     schedule_uniform_single,
 )
 
-from .oracles import inertial_replay, same_bits, toy_prox_grad_reference
+from ipiag.solver import float_format
+
+from .oracles import inertial_replay, same_bits, toy_prox_grad_reference, trace_csv
 
 
 def quadratic_1d(l=4.0):
@@ -144,6 +147,18 @@ def test_aging_past_tau_is_rejected_before_the_first_block_gradient():
     with pytest.raises(ScheduleError, match="observed staleness 49 exceeds declared tau 2"):
         run(prob, SolverParams(alpha=1e-2, max_iters=K), schedule, np.zeros(8))
     assert calls == []
+
+
+def test_list_edits_after_construction_do_not_steer_the_run():
+    prob = make_toy(ToySpec(num_components=8))
+    params = SolverParams(alpha=1e-2, max_iters=20)
+    want = run(prob, params, schedule_uniform_single(4, 2, 20, seed=0), np.zeros(8))
+    schedule = schedule_uniform_single(4, 2, 20, seed=0)
+    # iterate 7 is not written until step 6; the validated arrays still say source 3
+    schedule.source_iter[3] = [7]
+    got = run(prob, params, schedule, np.zeros(8))
+    for name in ("k", "phi", "dist2", "psi", "step_norm2", "staleness", "x_final", "z_final", "z"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_psi_is_nan_exactly_without_a_reference_point():
@@ -338,6 +353,34 @@ def test_csv_export_and_float_precision(tmp_path, monkeypatch):
     # four significant digits at most in the printed objective
     mantissa = row[1].replace(".", "").replace("-", "").lstrip("0").rstrip("0")
     assert len(mantissa) <= 4
+
+
+@pytest.mark.parametrize("digits", [None, "6"])
+def test_csv_equals_the_field_by_field_form(tmp_path, monkeypatch, digits):
+    if digits is not None:
+        monkeypatch.setenv("IPIAG_FLOAT_DIGITS", digits)
+    special = np.array([0.1, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1.0 / 3.0, 1e300])
+    n = len(special)
+    handmade = Trace(
+        k=np.arange(n),
+        phi=special,
+        dist2=special[::-1].copy(),
+        psi=np.full(n, np.nan),
+        step_norm2=np.abs(special),
+        staleness=np.arange(2 * n, dtype=np.int64).reshape(n, 2) % 5,
+        alpha=0.1,
+        eta1=0.0,
+        eta2=0.0,
+        x_final=np.zeros(1),
+        z_final=np.zeros(1),
+    )
+    prob = REPLAY_PROBLEMS["lasso8x12"]()  # no known optimum: psi is NaN throughout
+    lasso = run(prob, SolverParams(alpha=0.5 / prob.total_lipschitz, max_iters=30),
+                schedule_uniform_single(3, 2, 30, seed=1), np.zeros(12))
+    for i, trace in enumerate((handmade, lasso)):
+        path = tmp_path / f"trace{i}.csv"
+        trace.to_csv(str(path))
+        assert path.read_bytes() == trace_csv(trace, float_format()).encode()
 
 
 def test_iterations_to_threshold_basics():
