@@ -65,8 +65,9 @@ class DelaySchedule:
         counts = np.fromiter(map(len, self.refreshed), np.int64, K)
         offsets = np.zeros(K + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        workers, flat_workers = _flatten(self.refreshed)
-        sources, flat_sources = _flatten(self.source_iter)
+        # every entry must be an integer before any is checked to be in range
+        workers = _flatten(self.refreshed)
+        sources = _flatten(self.source_iter)
         # up to the first iteration whose two lists differ in length, entries pair up
         misaligned = np.flatnonzero(counts != np.fromiter(map(len, self.source_iter), np.int64, K))
         end = offsets[misaligned[0]] if misaligned.size else len(workers)
@@ -81,8 +82,6 @@ class DelaySchedule:
             raise ScheduleError(f"iteration {steps[i]}: source {sources[i]} out of range")
         if misaligned.size:
             raise ScheduleError(f"iteration {misaligned[0]}: refresh lists must align")
-        if workers.tolist() != flat_workers or sources.tolist() != flat_sources:
-            raise ScheduleError("worker ids and sources must be 64-bit integers")
         for name, array in (("offsets", offsets), ("workers", workers), ("sources", sources)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -116,13 +115,20 @@ class DelaySchedule:
         return cls(num_workers=num_workers, tau=tau, refreshed=refreshed, source_iter=sources)
 
 
-def _flatten(lists: list) -> tuple:
-    """(int64 array, plain list) of the concatenated per-iteration lists."""
+def _flatten(lists: list) -> np.ndarray:
+    """int64 array of the concatenated per-iteration lists.
+
+    Raises ScheduleError unless every entry is an integer that fits in int64;
+    ``np.fromiter`` alone would truncate ``1.9`` to 1.
+    """
     flat = list(chain.from_iterable(lists))
     try:
-        return np.fromiter(flat, np.int64, len(flat)), flat
+        array = np.fromiter(flat, np.int64, len(flat))
     except (OverflowError, TypeError, ValueError):
-        raise ScheduleError("worker ids and sources must be 64-bit integers") from None
+        array = None
+    if array is None or array.tolist() != flat:
+        raise ScheduleError("worker ids and sources must be 64-bit integers")
+    return array
 
 
 def schedule_synchronous(num_workers: int, iters: int) -> DelaySchedule:
@@ -163,7 +169,8 @@ def schedule_uniform_single(
     for k in range(iters):
         if k - oldest > tau:
             # every block is at most tau + 1 old here, so the blocks at the cap are exactly
-            # those last refreshed at oldest == k - tau - 1
+            # those last refreshed at oldest == k - tau - 1; mostly there is one, and
+            # count/index find it without a Python-level scan of the W sources
             if sources.count(oldest) == 1:
                 chosen = [sources.index(oldest)]
             else:

@@ -178,6 +178,12 @@ def test_entries_must_be_64_bit_integers(entry):
         DelaySchedule(2, 1, refreshed=[[0], [entry]], source_iter=[[0], [1]])
     with pytest.raises(ScheduleError, match="must be 64-bit integers"):
         DelaySchedule(2, 1, refreshed=[[0], [1]], source_iter=[[0], [entry]])
+    # every entry is checked to be an integer before any is checked to be in range,
+    # so a truncated 1.5 never reaches a range message and an earlier bad id never wins
+    with pytest.raises(ScheduleError, match="must be 64-bit integers"):
+        DelaySchedule(1, 0, refreshed=[[entry]], source_iter=[[0]])
+    with pytest.raises(ScheduleError, match="must be 64-bit integers"):
+        DelaySchedule(2, 1, refreshed=[[5], [entry]], source_iter=[[0], [1]])
 
 
 def test_a_schedule_is_frozen_and_its_arrays_read_only():
