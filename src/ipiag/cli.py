@@ -153,6 +153,13 @@ def resolve_parameters(
     return alpha, eta1, eta2, cert, error
 
 
+def _spec_int(doc: dict, key: str, default: int, section: str = "") -> int:
+    value = doc.get(key, default)
+    if type(value) is not int:  # a JSON integer: not 1.5, 2.0, "100" or true (a bool)
+        raise ConfigError(f"{section}{key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def build_schedule(kind: str, workers: int, tau: int, iters: int, seed: int) -> DelaySchedule:
     if kind == "sync":
         if tau != 0:
@@ -305,19 +312,19 @@ def cmd_compare(args) -> int:
         if len(configs) < 2:
             raise ConfigError("compare needs at least two configs")
         problem = _load_problem_arg(spec["problem"])
-        iters = int(spec.get("iters", 1000))
+        iters = _spec_int(spec, "iters", 1000)
         sched = spec.get("schedule", {})
         kind = sched.get("type", "uniform1")
-        tau = int(sched.get("tau", 0))
-        workers = int(sched.get("workers", 4))
-        reps = int(spec.get("repetitions", 10))
+        tau = _spec_int(sched, "tau", 0, "schedule.")
+        workers = _spec_int(sched, "workers", 4, "schedule.")
+        reps = _spec_int(spec, "repetitions", 10)
         if args.repetitions is not None:
             reps = args.repetitions
         if reps < 1:
             raise ConfigError("repetitions must be at least 1")
         if kind == "sync":
             reps = 1
-        base_seed = int(spec.get("base_seed", 0))
+        base_seed = _spec_int(spec, "base_seed", 0)
         if not 1 <= workers <= problem.num_components:
             raise ConfigError("workers must lie in [1, num_components]")
         if tau < 0 or iters < 0:
@@ -335,7 +342,7 @@ def cmd_compare(args) -> int:
             x_ref, phi_star = problems.reference_solution(
                 problem,
                 float(ref["alpha"]),
-                max_iters=int(ref.get("iters", 200000)),
+                max_iters=_spec_int(ref, "iters", 200000, "reference."),
                 tol=float(ref.get("tol", 1e-10)),
             )
 

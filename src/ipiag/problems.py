@@ -72,9 +72,9 @@ def make_toy(spec: ToySpec) -> CompositeProblem:
         minus = x[1:] - c
         plus = x + c
         plus_sq = plus * plus
-        self_sq = head + 0.5 * float((minus * minus).sum())
-        left_sq = 0.5 * float(plus_sq[:-1].sum())
-        right_sq = 0.5 * float(plus_sq[1:].sum())
+        self_sq = head + 0.5 * float(np.add.reduce(minus * minus))
+        left_sq = 0.5 * float(np.add.reduce(plus_sq[:-1]))
+        right_sq = 0.5 * float(np.add.reduce(plus_sq[1:]))
         return self_sq + left_sq + right_sq
 
     def component_gradient(j: int, x: Array) -> Array:

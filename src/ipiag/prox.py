@@ -69,11 +69,12 @@ class ProxSpec:
             return 0.0
         if self.kind == "l1":
             return self.weight * float(np.abs(x).sum())
-        if (x < 0).any():
+        # fmin skips NaN: [nan, -1.0] is off the orthant, as with (x < 0).any(), and [] is on it
+        if np.fmin.reduce(x, initial=0.0) < 0:
             return float("inf")
         if self.kind == "indicator_nonneg":
             return 0.0
-        return self.weight * float(x.sum())  # nonneg_l1 on its domain
+        return self.weight * float(np.add.reduce(x))  # nonneg_l1 on its domain
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "lambda": float(self.weight)}

@@ -110,8 +110,9 @@ class DelaySchedule:
                 rec = json.loads(line)
                 if rec["k"] != len(refreshed):
                     raise ScheduleError("iteration records out of order")
-                refreshed.append([int(w) for w in rec["refreshed"]])
-                sources.append([int(s) for s in rec["source_iter"]])
+                # as parsed: the constructor rejects 1.5 rather than truncating it to 1
+                refreshed.append(rec["refreshed"])
+                sources.append(rec["source_iter"])
         return cls(num_workers=num_workers, tau=tau, refreshed=refreshed, source_iter=sources)
 
 

@@ -220,20 +220,20 @@ def run(
     for k in range(K):
         for w, slot in islice(refreshes, counts[k]):
             blocks[w] = problem.sum_block_gradient(partition[w], x_hist[slot])
-        g = blocks.sum(axis=0)
+        g = np.add.reduce(blocks)  # what ndarray.sum calls, without its Python wrapper
         # a finite sum implies finite entries; one reduction beats isfinite(arr).all()
-        if not math.isfinite(float(g.sum())):
+        if not math.isfinite(np.add.reduce(g)):
             raise NumericError("aggregated gradient is not finite", iteration=k)
         y = x + eta1 * (x - x_prev)
         z_next = problem.prox(y - alpha * g, alpha)
-        x_prev, x = x, z_next + eta2 * (z_next - z)
-        if not math.isfinite(float(z_next.sum()) + float(x.sum())):
-            raise NumericError("iterate became non-finite", iteration=k)
         j = k + 1
         dz = z_next - z
+        # ring >= 2, so slot j % ring is not the slot of x, which becomes x_prev
+        x_prev, x = x, np.add(z_next, eta2 * dz, out=x_hist[j % ring])
+        if not math.isfinite(np.add.reduce(z_next) + np.add.reduce(x)):
+            raise NumericError("iterate became non-finite", iteration=k)
         step2[j] = dz @ dz
         z = z_next
-        x_hist[j % ring] = x
         if store_iterates:
             zs[j] = z
         phi_j = observe(j, z)

@@ -515,6 +515,32 @@ class TestCompare:
         assert main(["compare", "--spec", spec]) == EXIT_CONFIG
         assert capsys.readouterr().err == "error: tau and iters must be nonnegative\n"
 
+    @pytest.mark.parametrize("value", [1.5, "100", 2.0, True])
+    @pytest.mark.parametrize("field", [
+        "iters", "schedule.tau", "schedule.workers", "repetitions", "base_seed", "reference.iters",
+    ])
+    def test_spec_counts_must_be_json_integers(self, tmp_path, capsys, field, value):
+        # refused, not truncated to an int; a lasso problem has a reference block to read
+        section, _, key = field.rpartition(".")
+        overrides = {
+            "schedule": {"type": "uniform1", "tau": 2, "workers": 3},
+            "problem": lasso_document(
+                LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1)
+            ),
+            "reference": {"alpha": 2e-3, "iters": 100},
+        }
+        (overrides[section] if section else overrides)[key] = value
+        spec = self._spec(
+            tmp_path,
+            [{"label": "a", "variant": "piag", "alpha": 1e-3},
+             {"label": "b", "variant": "piag", "alpha": 2e-3}],
+            **overrides,
+        )
+        assert main(["compare", "--spec", spec]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {field} must be an integer, got {json.dumps(value)}\n"
+        )
+
     @pytest.mark.parametrize("kind, message", [
         ("sync", "the sync schedule has no staleness; tau must be 0"),
         ("cyclic", "unknown schedule kind 'cyclic'"),

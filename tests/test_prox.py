@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ipiag import ProxSpec, prox_l1, prox_nonneg_l1, prox_zero
@@ -146,6 +146,24 @@ def test_value_equals_the_numpy_form_bit_for_bit(xs, weight, kind):
     value = ProxSpec(kind, weight).value(x)
     assert isinstance(value, float)
     assert same_bits(value, regularizer_value(kind, weight, x))
+
+
+@given(
+    st.lists(st.one_of(finite, st.sampled_from([np.nan, np.inf, -np.inf, -0.0])), max_size=8),
+    weights,
+    st.sampled_from(["zero", "l1", "nonneg_l1", "indicator_nonneg"]),
+)
+@example([], 2.0, "nonneg_l1")
+@example([], 0.0, "indicator_nonneg")
+@example([np.nan], 2.0, "nonneg_l1")
+@example([np.nan, -1.0], 2.0, "nonneg_l1")
+@example([-1.0, np.nan], 0.0, "indicator_nonneg")
+@example([np.inf, -np.inf], 0.5, "nonneg_l1")
+@example([-np.inf], 0.0, "indicator_nonneg")
+def test_value_on_non_finite_and_empty_input_equals_the_numpy_form(xs, weight, kind):
+    # a NaN is neither in nor off the orthant, so a negative entry next to it still gives +inf
+    x = np.array(xs, dtype=float)
+    assert same_bits(ProxSpec(kind, weight).value(x), regularizer_value(kind, weight, x))
 
 
 def test_value_treats_negative_zero_as_inside_the_orthant():

@@ -229,6 +229,21 @@ def test_jsonl_rejects_out_of_order_records(tmp_path):
         DelaySchedule.from_jsonl(str(path), num_workers=1, tau=5)
 
 
+@pytest.mark.parametrize("refreshed, source_iter", [
+    ("[1.5]", "[0.9]"),
+    ("[1.5]", "[0]"),
+    ("[1]", "[0.9]"),
+])
+def test_jsonl_entries_that_are_not_integers_are_rejected_not_truncated(
+    tmp_path, refreshed, source_iter
+):
+    # truncated, [1.5] / [0.9] would read as worker 1 and source 0
+    path = tmp_path / "schedule.jsonl"
+    path.write_text(f'{{"k": 0, "refreshed": {refreshed}, "source_iter": {source_iter}}}\n')
+    with pytest.raises(ScheduleError, match="must be 64-bit integers"):
+        DelaySchedule.from_jsonl(str(path), num_workers=2, tau=0)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4, 7])
 @pytest.mark.parametrize("tau", [0, 1, 4, 9])
 @pytest.mark.parametrize("iters", [0, 1, 13, 400])

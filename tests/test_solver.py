@@ -161,6 +161,32 @@ def test_list_edits_after_construction_do_not_steer_the_run():
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+def test_an_iterate_off_the_domain_diverges_without_a_smooth_value():
+    # h(z_3) = +inf, so phi_3 = +inf trips the guard; the smooth part of z_3 is never asked for
+    prob = make_toy(ToySpec(num_components=8))
+    steps, smooth_points = [], []
+
+    def prox(v, alpha, inner=prob.prox):
+        z = inner(v, alpha)
+        steps.append(z)
+        if len(steps) == 3:  # the step that produces z_3
+            z[5] = -1.0
+        return z
+
+    def smooth_value(x, inner=prob.smooth_value):
+        smooth_points.append(x.copy())
+        return inner(x)
+
+    prob = dataclasses.replace(prob, prox=prox, smooth_value=smooth_value)
+    schedule = schedule_uniform_single(4, 2, 10, seed=0)
+    with pytest.raises(DivergenceError) as info:
+        run(prob, SolverParams(alpha=1e-2, max_iters=10), schedule, np.full(8, 0.5))
+    assert info.value.iteration == 3
+    assert len(steps) == 3
+    assert len(smooth_points) == 3  # records 0, 1 and 2
+    assert all(p.min() >= 0 for p in smooth_points)
+
+
 def test_psi_is_nan_exactly_without_a_reference_point():
     prob = REPLAY_PROBLEMS["lasso8x12"]()  # no known optimum
     params = SolverParams(alpha=0.5 / prob.total_lipschitz, eta1=0.3, max_iters=20)
