@@ -34,7 +34,9 @@ The ``compare`` spec file is JSON:
 ``reference`` is only needed when the problem document carries no known
 optimum; it is solved once with the synchronous method and shared by all
 rows.  ``repetitions`` must be at least 1; they collapse to 1 for the
-deterministic sync schedule.
+deterministic sync schedule.  Counts must be JSON integers and the other
+numeric fields JSON numbers; a config's ``alpha``, ``eta1`` and ``eta2``
+may also be "auto".
 """
 
 from __future__ import annotations
@@ -157,6 +159,25 @@ def _spec_int(doc: dict, key: str, default: int, section: str = "") -> int:
     value = doc.get(key, default)
     if type(value) is not int:  # a JSON integer: not 1.5, 2.0, "100" or true (a bool)
         raise ConfigError(f"{section}{key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _spec_number(doc: dict, key: str, default, section: str = ""):
+    """A JSON number as a float; a field that defaults to "auto" also takes "auto"."""
+    value = doc.get(key, default)
+    if value == "auto" and default == "auto":
+        return value
+    if type(value) not in (int, float):  # not "0.25", true (a bool) or null
+        raise ConfigError(f"{section}{key} must be a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ConfigError(f"{section}{key} is too large for a float, got {value}") from None
+
+
+def _spec_object(value, name: str) -> dict:
+    if type(value) is not dict:
+        raise ConfigError(f"{name} must be a JSON object, got {json.dumps(value)}")
     return value
 
 
@@ -308,12 +329,15 @@ def cmd_compare(args) -> int:
 
     try:
         fmt = float_format()
+        _spec_object(spec, "the spec")
         configs = spec.get("configs", [])
+        if type(configs) is not list:
+            raise ConfigError(f"configs must be a JSON list, got {json.dumps(configs)}")
         if len(configs) < 2:
             raise ConfigError("compare needs at least two configs")
         problem = _load_problem_arg(spec["problem"])
         iters = _spec_int(spec, "iters", 1000)
-        sched = spec.get("schedule", {})
+        sched = _spec_object(spec.get("schedule", {}), "schedule")
         kind = sched.get("type", "uniform1")
         tau = _spec_int(sched, "tau", 0, "schedule.")
         workers = _spec_int(sched, "workers", 4, "schedule.")
@@ -331,38 +355,39 @@ def cmd_compare(args) -> int:
             raise ConfigError("tau and iters must be nonnegative")
         build_schedule(kind, workers, tau, 0, base_seed)  # a bad spec fails before any solve
 
-        if problem.known_optimum is not None:
-            x_ref, phi_star = problem.known_optimum
-        else:
-            ref = spec.get("reference")
-            if not ref or "alpha" not in ref:
-                raise ConfigError(
-                    "problem has no known optimum; give a reference block with an alpha"
-                )
-            x_ref, phi_star = problems.reference_solution(
-                problem,
-                float(ref["alpha"]),
-                max_iters=_spec_int(ref, "iters", 200000, "reference."),
-                tol=float(ref.get("tol", 1e-10)),
-            )
-
         resolved = []
-        for cfg in configs:
-            variant = cfg.get("variant", "piag")
+        for i, cfg in enumerate(configs):
+            variant = _spec_object(cfg, f"configs[{i}]").get("variant", "piag")
+            section = f"configs[{i}]."
             alpha, eta1, eta2, cert, cert_error = resolve_parameters(
                 problem,
                 variant,
-                cfg.get("alpha", "auto"),
-                cfg.get("eta1", "auto"),
-                cfg.get("eta2", "auto"),
+                _spec_number(cfg, "alpha", "auto", section),
+                _spec_number(cfg, "eta1", "auto", section),
+                _spec_number(cfg, "eta2", "auto", section),
                 tau,
-                float(cfg.get("c1", 0.25)),
+                _spec_number(cfg, "c1", 0.25, section),
             )
             label = cfg.get("label", variant)
             if cert_error is not None:
                 print(f"warning: config {label!r} is uncertified: {cert_error}", file=sys.stderr)
             params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=iters)
             resolved.append((label, variant, params, cert))
+
+        if problem.known_optimum is not None:
+            x_ref, phi_star = problem.known_optimum
+        else:
+            ref = _spec_object(spec.get("reference", {}), "reference")
+            if "alpha" not in ref:
+                raise ConfigError(
+                    "problem has no known optimum; give a reference block with an alpha"
+                )
+            x_ref, phi_star = problems.reference_solution(
+                problem,
+                _spec_number(ref, "alpha", None, "reference."),
+                max_iters=_spec_int(ref, "iters", 200000, "reference."),
+                tol=_spec_number(ref, "tol", 1e-10, "reference."),
+            )
     except (ConfigError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -95,28 +95,58 @@ class RateCertificate:
         return doc
 
 
-def _power(base: float, exponent: int) -> float:
-    """``base ** exponent``, or +inf where the float power overflows."""
-    try:
-        return base**exponent
-    except OverflowError:
-        return math.inf
+def _threshold(L: float, beta: float, tau: int, c1: float, exponent: int) -> float:
+    """((W + 1)^(1/exponent) - 1) / beta with W = beta / (16 C1 beta + 2 L (tau + 2))."""
+    W = beta / (16.0 * c1 * beta + 2.0 * L * (tau + 2))
+    return ((W + 1.0) ** (1.0 / exponent) - 1.0) / beta
 
 
-def _eta2_bracket(alpha: float, L: float, beta: float, tau: int, eta1: float, c1: float) -> float:
+def _eta2_max(alpha: float, beta: float, eta1: float, weight: float, power: int) -> float:
     """Largest post-prox weight the contraction argument supports at alpha.
 
     Comes from feeding the per-step descent inequality into the two-term
-    recurrence condition and bounding the inverse-power sum by the
-    corresponding power sum of (1 + alpha beta).
+    recurrence condition and bounding the inverse-power sum by
+    weight ((1 + alpha beta)^power - 1), clamped to [0, alpha beta / 2].
     """
     ab = alpha * beta
-    if tau >= 1:
-        weight = (L * (tau + 2) + 8.0 * c1 * beta) / (2.0 * beta)
-        burden = weight * (_power(ab + 1.0, tau + 2) - 1.0)
+    try:
+        grown = (ab + 1.0) ** power - 1.0
+    except OverflowError:
+        grown = math.inf
+    bracket = (0.25 - weight * grown) / (1.0 + ab - eta1)
+    return max(0.0, min(bracket, ab / 2.0))  # bracket first: a NaN bracket gives 0
+
+
+def _certificate(variant, inputs, alpha_max, alpha, eta1, eta2_max, eta2, simplified_factor=None):
+    """Contraction factor and the one admissibility rule every variant shares.
+
+    Admissible means 0 < alpha <= alpha_max (alpha < alpha_max for cor2,
+    whose threshold is open), 0 <= eta2 <= eta2_max, eta1 + eta2 < alpha beta
+    and rho < 1.  The closed upper bounds allow a relative 1e-15 for
+    rounding.  eta2 defaults to eta2_max.
+    """
+    if eta2 is None:
+        eta2 = eta2_max
+    ab = alpha * inputs.growth_constant
+    rho = (1.0 + eta2) / (1.0 + ab - eta1)
+    if variant == "cor2":
+        admissible = 0.0 < alpha < alpha_max
     else:
-        burden = (L + 4.0 * c1 * beta) / beta * (_power(ab + 1.0, 3) - 1.0)
-    return (0.25 - burden) / (1.0 + ab - eta1)
+        admissible = 0.0 < alpha <= alpha_max * (1.0 + 1e-15)
+    admissible = admissible and 0.0 <= eta2 <= eta2_max * (1.0 + 1e-15)
+    admissible = bool(admissible and eta1 + eta2 < ab and rho < 1.0)
+    return RateCertificate(
+        variant=variant,
+        inputs=inputs,
+        alpha_max=alpha_max,
+        alpha=alpha,
+        eta1=eta1,
+        eta2_max=eta2_max,
+        eta2=eta2,
+        rho=rho,
+        admissible=admissible,
+        simplified_factor=simplified_factor,
+    )
 
 
 def ipiag_certificate(
@@ -140,37 +170,18 @@ def ipiag_certificate(
     if not c1 < 0.5:
         raise ValueError("momentum_fraction must be below 0.5 for this variant")
 
-    W = beta / (16.0 * c1 * beta + 2.0 * L * (tau + 2))
-    if tight and tau >= 1:
-        alpha_max = ((W + 1.0) ** (1.0 / (tau + 2)) - 1.0) / beta
-    else:
-        alpha_max = ((W + 1.0) ** (1.0 / (tau + 3)) - 1.0) / beta
-
+    alpha_max = _threshold(L, beta, tau, c1, tau + 2 if tight and tau >= 1 else tau + 3)
     if alpha is None:
         alpha = alpha_max
-    admissible = 0.0 < alpha <= alpha_max * (1.0 + 1e-15)
-
     if eta1 is None:
         eta1 = min(c1 * alpha * beta, 1.0)
-    # bracket first: a NaN bracket (alpha beta = inf) then gives eta2_max = 0
-    eta2_max = max(0.0, min(_eta2_bracket(alpha, L, beta, tau, eta1, c1), alpha * beta / 2.0))
-    if eta2 is None:
-        eta2 = eta2_max
-    admissible = admissible and 0.0 <= eta2 <= eta2_max * (1.0 + 1e-15)
-    admissible = admissible and eta1 + eta2 < alpha * beta
-
-    rho = (1.0 + eta2) / (1.0 + alpha * beta - eta1)
-    return RateCertificate(
-        variant="t1tight" if tight else "t1",
-        inputs=inputs,
-        alpha_max=alpha_max,
-        alpha=alpha,
-        eta1=eta1,
-        eta2_max=eta2_max,
-        eta2=eta2,
-        rho=rho,
-        admissible=bool(admissible and rho < 1.0),
-    )
+    if tau >= 1:
+        weight = (L * (tau + 2) + 8.0 * c1 * beta) / (2.0 * beta)
+        eta2_max = _eta2_max(alpha, beta, eta1, weight, tau + 2)
+    else:  # not 2 L (tau + 2) / (2 beta): 2 L overflows for L >= 2**1023
+        eta2_max = _eta2_max(alpha, beta, eta1, (L + 4.0 * c1 * beta) / beta, 3)
+    variant = "t1tight" if tight else "t1"
+    return _certificate(variant, inputs, alpha_max, alpha, eta1, eta2_max, eta2)
 
 
 def momentum_certificate(
@@ -194,25 +205,11 @@ def momentum_certificate(
     alpha_max = (base ** (1.0 / (tau + 1)) - 1.0) / ((1.0 - c1) * beta)
     if alpha is None:
         alpha = alpha_max
-    admissible = 0.0 < alpha <= alpha_max * (1.0 + 1e-15)
-
     if eta1 is None:
         eta1 = c1 * alpha * beta
-    rho = 1.0 / (1.0 + alpha * beta - eta1)
     q = L / beta
     simplified = 1.0 - (1.0 - c1) / ((1.0 + q * (tau + 1)) * (tau + 1))
-    return RateCertificate(
-        variant="cor1",
-        inputs=inputs,
-        alpha_max=alpha_max,
-        alpha=alpha,
-        eta1=eta1,
-        eta2_max=0.0,
-        eta2=0.0,
-        rho=rho,
-        admissible=bool(admissible and rho < 1.0),
-        simplified_factor=simplified,
-    )
+    return _certificate("cor1", inputs, alpha_max, alpha, eta1, 0.0, 0.0, simplified)
 
 
 def nesterov_certificate(
@@ -230,33 +227,11 @@ def nesterov_certificate(
     beta = inputs.growth_constant
     tau = inputs.delay
 
-    W = beta / (2.0 * L * (tau + 2))
-    alpha_max = ((W + 1.0) ** (1.0 / (tau + 2)) - 1.0) / beta
+    alpha_max = _threshold(L, beta, tau, 0.0, tau + 2)
     if alpha is None:
         alpha = alpha_max * 0.999
-    admissible = 0.0 < alpha < alpha_max
-
-    ab = alpha * beta
-    burden = L * (tau + 2) / (2.0 * beta) * (_power(ab + 1.0, tau + 2) - 1.0)
-    bracket = (0.25 - burden) / (1.0 + ab)
-    eta2_max = max(0.0, min(bracket, ab / 2.0))  # NaN bracket -> 0, as in t1
-    if eta2 is None:
-        eta2 = eta2_max
-    admissible = admissible and 0.0 <= eta2 <= eta2_max * (1.0 + 1e-15)
-    admissible = admissible and eta2 < ab
-
-    rho = (1.0 + eta2) / (1.0 + ab)
-    return RateCertificate(
-        variant="cor2",
-        inputs=inputs,
-        alpha_max=alpha_max,
-        alpha=alpha,
-        eta1=0.0,
-        eta2_max=eta2_max,
-        eta2=eta2,
-        rho=rho,
-        admissible=bool(admissible and rho < 1.0),
-    )
+    eta2_max = _eta2_max(alpha, beta, 0.0, L * (tau + 2) / (2.0 * beta), tau + 2)
+    return _certificate("cor2", inputs, alpha_max, alpha, 0.0, eta2_max, eta2)
 
 
 def certificate_for(
@@ -266,12 +241,12 @@ def certificate_for(
     eta1: Optional[float] = None,
     eta2: Optional[float] = None,
 ) -> RateCertificate:
-    """Dispatch on the variant tag; ``cor2`` accepts no nonzero eta1."""
-    if variant == "t1":
-        return ipiag_certificate(inputs, tight=False, alpha=alpha, eta1=eta1, eta2=eta2)
-    if variant == "t1tight":
-        return ipiag_certificate(inputs, tight=True, alpha=alpha, eta1=eta1, eta2=eta2)
+    """Dispatch on the variant tag; ``cor1`` accepts no nonzero eta2, ``cor2`` no nonzero eta1."""
+    if variant in ("t1", "t1tight"):
+        return ipiag_certificate(inputs, variant == "t1tight", alpha=alpha, eta1=eta1, eta2=eta2)
     if variant == "cor1":
+        if eta2:
+            raise ValueError("cor1 has no post-prox inertia; eta2 must be 0")
         return momentum_certificate(inputs, alpha=alpha, eta1=eta1)
     if variant == "cor2":
         if eta1:

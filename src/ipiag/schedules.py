@@ -119,15 +119,19 @@ class DelaySchedule:
 def _flatten(lists: list) -> np.ndarray:
     """int64 array of the concatenated per-iteration lists.
 
-    Raises ScheduleError unless every entry is an integer that fits in int64;
-    ``np.fromiter`` alone would truncate ``1.9`` to 1.
+    Raises ScheduleError unless every entry is a Python or numpy integer that
+    fits in int64; ``np.fromiter`` alone would truncate ``1.9`` to 1, and the
+    round trip alone would pass ``2.0`` and ``True``.
     """
     flat = list(chain.from_iterable(lists))
+    integral = all(
+        issubclass(kind, (int, np.integer)) and kind is not bool for kind in set(map(type, flat))
+    )
     try:
         array = np.fromiter(flat, np.int64, len(flat))
     except (OverflowError, TypeError, ValueError):
         array = None
-    if array is None or array.tolist() != flat:
+    if not integral or array is None or array.tolist() != flat:
         raise ScheduleError("worker ids and sources must be 64-bit integers")
     return array
 

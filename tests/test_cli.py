@@ -541,6 +541,74 @@ class TestCompare:
             f"error: {field} must be an integer, got {json.dumps(value)}\n"
         )
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("the spec", [], "the spec must be a JSON object, got []"),
+        ("schedule", 5, "schedule must be a JSON object, got 5"),
+        ("configs", 5, "configs must be a JSON list, got 5"),
+        ("configs", [5, 6], "configs[0] must be a JSON object, got 5"),
+        ("reference", 5, "reference must be a JSON object, got 5"),
+        ("reference", "alpha", 'reference must be a JSON object, got "alpha"'),
+    ], ids=["spec", "schedule", "configs", "configs[0]", "reference", "reference-str"])
+    def test_spec_blocks_must_have_their_json_shape(self, tmp_path, capsys, field, value, message):
+        # an error line, not an AttributeError traceback; a lasso problem reads its reference
+        overrides = {
+            "configs": [{"label": "a", "variant": "piag", "alpha": 1e-3},
+                        {"label": "b", "variant": "piag", "alpha": 2e-3}],
+            "problem": lasso_document(
+                LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1)
+            ),
+            "reference": {"alpha": 2e-3, "iters": 100},
+        }
+        if field != "the spec":
+            overrides[field] = value
+        spec = self._spec(tmp_path, **overrides)
+        if field == "the spec":
+            (tmp_path / "spec.json").write_text(json.dumps(value))
+        assert main(["compare", "--spec", spec]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["0.25", True, None])
+    @pytest.mark.parametrize("field", [
+        "configs[1].c1", "configs[1].alpha", "configs[1].eta1", "configs[1].eta2",
+        "reference.alpha", "reference.tol",
+    ])
+    def test_spec_numbers_must_be_json_numbers(self, tmp_path, capsys, monkeypatch, field, value):
+        # refused, not read with float(): "c1": "0.25" and "alpha": true (alpha = 1) used to
+        # run; every number is read before the reference solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the reference solve ran")
+
+        monkeypatch.setattr("ipiag.problems.reference_solution", no_solve)
+        configs = [{"label": "a", "variant": "piag", "alpha": 1e-3},
+                   {"label": "b", "variant": "ipiag", "alpha": 2e-3, "eta1": 0.0, "eta2": 0.0}]
+        reference = {"alpha": 2e-3, "iters": 100}
+        section, _, key = field.rpartition(".")
+        (configs[1] if section == "configs[1]" else reference)[key] = value
+        spec = self._spec(
+            tmp_path,
+            configs,
+            problem=lasso_document(
+                LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1)
+            ),
+            reference=reference,
+        )
+        assert main(["compare", "--spec", spec]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {field} must be a number, got {json.dumps(value)}\n"
+        )
+
+    def test_spec_integer_beyond_the_float_range_is_a_config_error(self, tmp_path, capsys):
+        big = 10**400  # a JSON number, but float() raises OverflowError
+        spec = self._spec(
+            tmp_path,
+            [{"label": "a", "variant": "piag", "alpha": 1e-3},
+             {"label": "b", "variant": "ipiag", "alpha": 2e-3, "c1": big}],
+        )
+        assert main(["compare", "--spec", spec]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: configs[1].c1 is too large for a float, got {big}\n"
+        )
+
     @pytest.mark.parametrize("kind, message", [
         ("sync", "the sync schedule has no staleness; tau must be 0"),
         ("cyclic", "unknown schedule kind 'cyclic'"),

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ipiag import (
     ProxSpec,
@@ -94,6 +94,32 @@ class TestStepSizeThresholds:
         assert cert.rho < 1.0
 
 
+@st.composite
+def explicit_certificate_args(draw):
+    """(variant, inputs, alpha, eta1, eta2) around the default certificate.
+
+    alpha is a fraction of the default step and the weights mostly fractions
+    of alpha beta, so draws land on both sides of every admissibility bound;
+    eta1 is sometimes above 1 + alpha beta, where rho turns negative.
+    """
+    variant = draw(st.sampled_from(["t1", "t1tight", "cor1", "cor2"]))
+    inputs = RateInputs(
+        draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3)), draw(st.integers(0, 8)),
+        draw(st.floats(0.0, 0.49)),
+    )
+    alpha = certificate_for(variant, inputs).alpha * draw(st.floats(1e-3, 1.5))
+    ab = alpha * inputs.growth_constant
+    eta1 = draw(st.one_of(st.floats(0.0, 1.5).map(lambda f: f * ab), st.floats(0.0, 3.0)))
+    eta2 = ab * draw(st.floats(0.0, 1.0))
+    return (
+        variant,
+        inputs,
+        alpha,
+        0.0 if variant == "cor2" else eta1,
+        0.0 if variant == "cor1" else eta2,
+    )
+
+
 class TestAdmissibility:
     def test_oversized_step_is_flagged(self):
         cert = ipiag_certificate(UNIT, alpha=2.0 * ipiag_certificate(UNIT).alpha_max)
@@ -147,9 +173,28 @@ class TestAdmissibility:
         assert cert.eta1 == eta1
         assert cert.rho == (1.0 + cert.eta2) / (1.0 + alpha * beta - eta1)
 
-    def test_post_inertia_variant_rejects_eta1(self):
-        with pytest.raises(ValueError):
-            certificate_for("cor2", UNIT, eta1=0.1)
+    @pytest.mark.parametrize("variant, weight, message", [
+        ("cor1", "eta2", "cor1 has no post-prox inertia; eta2 must be 0"),
+        ("cor2", "eta1", "cor2 has no pre-prox inertia; eta1 must be 0"),
+    ], ids=["cor1-eta2", "cor2-eta1"])
+    def test_single_inertia_variant_rejects_the_other_weight(self, variant, weight, message):
+        # refused, not silently dropped: cor1 used to return eta2 = 0 for eta2 = 0.3
+        inputs = RateInputs(11.0, 2.0, 4, 0.25)
+        with pytest.raises(ValueError) as exc:
+            certificate_for(variant, inputs, **{weight: 0.3})
+        assert str(exc.value) == message
+        assert certificate_for(variant, inputs, **{weight: 0.0}).admissible
+
+    @given(explicit_certificate_args())
+    # admissible with rho = -2 if cor1 skips eta1 + eta2 < alpha beta
+    @example(("cor1", RateInputs(1, 1, 0, 0), 0.5, 2.0, 0.0))
+    def test_an_admissible_certificate_meets_every_condition(self, args):
+        variant, inputs, alpha, eta1, eta2 = args
+        cert = certificate_for(variant, inputs, alpha=alpha, eta1=eta1, eta2=eta2)
+        if cert.admissible:
+            assert 0.0 < cert.rho < 1.0
+            assert cert.eta1 + cert.eta2 < cert.alpha * inputs.growth_constant
+            assert cert.eta2 <= cert.eta2_max * (1.0 + 1e-15)
 
 
 def test_json_document_fields():

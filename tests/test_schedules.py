@@ -157,6 +157,8 @@ def schedule_lists(draw):
 @example((2, 1, [[0, 1], [5]], [[0], [1]]))
 @example((3, 2, [[0, 1], [2, 7]], [[0, 0], [4, 1]]))
 @example((2, 3, [[0]] * 6, [[0]] * 5 + [[6]]))
+# numpy integers are integers too
+@example((2, 1, [[np.int32(0)], [np.uint8(1)]], [[0], [np.int64(1)]]))
 def test_validation_raises_what_the_entry_by_entry_check_raises(case):
     try:
         validate_schedule_lists(*case)
@@ -172,7 +174,7 @@ def test_validation_raises_what_the_entry_by_entry_check_raises(case):
         assert s.sources.tolist() == [v for ss in source_iter for v in ss]
 
 
-@pytest.mark.parametrize("entry", [1.5, "1", 2**63])
+@pytest.mark.parametrize("entry", [1.5, "1", 2**63, 2.0, True])
 def test_entries_must_be_64_bit_integers(entry):
     with pytest.raises(ScheduleError, match="must be 64-bit integers"):
         DelaySchedule(2, 1, refreshed=[[0], [entry]], source_iter=[[0], [1]])
@@ -233,11 +235,15 @@ def test_jsonl_rejects_out_of_order_records(tmp_path):
     ("[1.5]", "[0.9]"),
     ("[1.5]", "[0]"),
     ("[1]", "[0.9]"),
+    ("[2.0]", "[0]"),
+    ("[true]", "[0]"),
+    ("[1]", "[0.0]"),
 ])
 def test_jsonl_entries_that_are_not_integers_are_rejected_not_truncated(
     tmp_path, refreshed, source_iter
 ):
-    # truncated, [1.5] / [0.9] would read as worker 1 and source 0
+    # truncated, [1.5] / [0.9] would read as worker 1 and source 0; 2.0 and true are
+    # value-equal to 2 and 1 but are not JSON integers
     path = tmp_path / "schedule.jsonl"
     path.write_text(f'{{"k": 0, "refreshed": {refreshed}, "source_iter": {source_iter}}}\n')
     with pytest.raises(ScheduleError, match="must be 64-bit integers"):
