@@ -46,6 +46,11 @@ class ToySpec:
         if not 1 <= self.num_workers <= self.num_components:
             raise ValueError("num_workers must lie in [1, num_components]")
 
+    @property
+    def regularizer(self) -> ProxSpec:
+        """h = l1_weight ||x||_1 plus the nonnegativity indicator."""
+        return ProxSpec("nonneg_l1", self.l1_weight)
+
 
 def make_toy(spec: ToySpec) -> CompositeProblem:
     """Build the chain-coupled quadratic test problem.
@@ -63,7 +68,7 @@ def make_toy(spec: ToySpec) -> CompositeProblem:
     """
     n = spec.num_components
     c = spec.offset
-    prox_spec = ProxSpec("nonneg_l1", spec.l1_weight)
+    prox_spec = spec.regularizer
 
     def smooth_value(x: Array) -> float:
         x = np.asarray(x, dtype=float)
@@ -150,7 +155,7 @@ def toy_document(spec: ToySpec) -> dict:
         },
         "seed": None,
     }
-    return problem_to_document(problem, generator, ProxSpec("nonneg_l1", spec.l1_weight).to_json())
+    return problem_to_document(problem, generator, spec.regularizer.to_json())
 
 
 @dataclass(frozen=True)
@@ -170,6 +175,11 @@ class LassoSpec:
             raise ValueError("sparsity must lie in (0, 1]")
         if self.l1_weight < 0:
             raise ValueError("l1_weight must be nonnegative")
+
+    @property
+    def regularizer(self) -> ProxSpec:
+        """h = l1_weight ||x||_1."""
+        return ProxSpec("l1", self.l1_weight)
 
 
 def lasso_arrays(spec: LassoSpec) -> tuple:
@@ -204,7 +214,7 @@ def make_lasso(spec: LassoSpec, growth_constant=None) -> CompositeProblem:
     envelope checks need ``growth_constant`` passed explicitly.
     """
     a, b, _ = lasso_arrays(spec)
-    prox_spec = ProxSpec("l1", spec.l1_weight)
+    prox_spec = spec.regularizer
     lipschitz = np.sum(a * a, axis=1)
 
     def smooth_value(x: Array) -> float:
@@ -245,7 +255,7 @@ def lasso_document(spec: LassoSpec, growth_constant=None) -> dict:
         },
         "seed": spec.seed,
     }
-    return problem_to_document(problem, generator, ProxSpec("l1", spec.l1_weight).to_json())
+    return problem_to_document(problem, generator, spec.regularizer.to_json())
 
 
 def spectral_norm_sq(a: Array) -> float:
@@ -278,16 +288,23 @@ def reference_solution(
     return trace.z_final, float(trace.phi[-1])
 
 
-def build_from_generator(name: str, params: dict, seed=None) -> CompositeProblem:
-    """Rebuild a problem from the generator name and parameters of a document."""
+def _generate(name: str, params: dict, seed) -> tuple:
+    """(spec, problem) for the generator name and parameters of a document."""
     if name == "toy":
-        return make_toy(ToySpec(**params))
+        spec = ToySpec(**params)
+        return spec, make_toy(spec)
     if name == "lasso":
         merged = dict(params)
         if seed is not None:
             merged.setdefault("seed", seed)
-        return make_lasso(LassoSpec(**merged))
+        spec = LassoSpec(**merged)
+        return spec, make_lasso(spec)
     raise ValueError(f"unknown problem generator {name!r}")
+
+
+def build_from_generator(name: str, params: dict, seed=None) -> CompositeProblem:
+    """Rebuild a problem from the generator name and parameters of a document."""
+    return _generate(name, params, seed)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -326,31 +343,47 @@ def problem_to_document(
     }
 
 
+def _close(stored, value) -> bool:
+    """Stored numbers match value to a relative 1e-12, shape included."""
+    stored = np.asarray(stored, dtype=float)
+    return stored.shape == np.shape(value) and np.allclose(stored, value, rtol=1e-12, atol=0.0)
+
+
 def problem_from_document(doc: dict) -> CompositeProblem:
     """Rebuild a problem from its document via the generator registry.
 
-    The generator is re-run from its recorded params/seed; serialized
-    metadata, when present, is checked against the rebuilt instance.
+    The generator is re-run once from its recorded params/seed; every stored
+    field (dimension, num_components, L_n, beta, prox, known_optimum) is
+    checked against the rebuilt instance.  L_n, beta, prox and
+    known_optimum may be absent or null.
     """
     gen = doc.get("generator")
     if not isinstance(gen, dict) or "name" not in gen:
         raise ValueError("document lacks a generator block")
-    problem = build_from_generator(gen["name"], gen.get("params", {}), gen.get("seed"))
+    spec, problem = _generate(gen["name"], gen.get("params", {}), gen.get("seed"))
     if "dimension" in doc and doc["dimension"] != problem.dimension:
         raise ValueError("document dimension does not match the generator output")
     if "num_components" in doc and doc["num_components"] != problem.num_components:
         raise ValueError("document num_components does not match the generator output")
-    if doc.get("L_n") is not None:
-        ln = np.asarray(doc["L_n"], dtype=float)
-        if ln.shape != problem.component_lipschitz.shape or not np.allclose(
-            ln, problem.component_lipschitz, rtol=1e-12, atol=0.0
-        ):
-            raise ValueError("document L_n does not match the generator output")
+    if doc.get("L_n") is not None and not _close(doc["L_n"], problem.component_lipschitz):
+        raise ValueError("document L_n does not match the generator output")
     if doc.get("beta") is not None:
         if problem.growth_constant is None:
             problem.growth_constant = float(doc["beta"])
         elif not math.isclose(doc["beta"], problem.growth_constant, rel_tol=1e-12):
             raise ValueError("document beta does not match the generator output")
+    if doc.get("prox") is not None and doc["prox"] != spec.regularizer.to_json():
+        raise ValueError("document prox does not match the generator output")
+    stored = doc.get("known_optimum")
+    if stored is not None:
+        opt = problem.known_optimum
+        if not (
+            isinstance(stored, dict)
+            and opt is not None
+            and _close(stored.get("x"), opt[0])
+            and _close(stored.get("phi"), opt[1])
+        ):
+            raise ValueError("document known_optimum does not match the generator output")
     return problem
 
 

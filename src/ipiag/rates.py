@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Array, CompositeProblem, evaluate_objective
-from .solver import Trace, lyapunov_value
+from .solver import Trace
 
 VARIANTS = ("t1", "t1tight", "cor1", "cor2")
 
@@ -121,7 +121,8 @@ def _certificate(variant, inputs, alpha_max, alpha, eta1, eta2_max, eta2, simpli
     """Contraction factor and the one admissibility rule every variant shares.
 
     Admissible means 0 < alpha <= alpha_max (alpha < alpha_max for cor2,
-    whose threshold is open), 0 <= eta2 <= eta2_max, eta1 + eta2 < alpha beta
+    whose threshold is open) with alpha finite (alpha_max overflows to inf
+    for subnormal L and beta), 0 <= eta2 <= eta2_max, eta1 + eta2 < alpha beta
     and rho < 1.  The closed upper bounds allow a relative 1e-15 for
     rounding.  eta2 defaults to eta2_max.
     """
@@ -133,7 +134,7 @@ def _certificate(variant, inputs, alpha_max, alpha, eta1, eta2_max, eta2, simpli
         admissible = 0.0 < alpha < alpha_max
     else:
         admissible = 0.0 < alpha <= alpha_max * (1.0 + 1e-15)
-    admissible = admissible and 0.0 <= eta2 <= eta2_max * (1.0 + 1e-15)
+    admissible = admissible and alpha < math.inf and 0.0 <= eta2 <= eta2_max * (1.0 + 1e-15)
     admissible = bool(admissible and eta1 + eta2 < ab and rho < 1.0)
     return RateCertificate(
         variant=variant,
@@ -300,17 +301,20 @@ class TwoTermRecurrence:
     def condition(self) -> tuple:
         """(lhs, rhs, ok) of the window-sum admissibility condition."""
         a = self.root
-        lhs = self.c * sum(a ** (-j) for j in range(self.k0 + 1))
-        rhs = self.b1 - self.b2 / a
-        return lhs, rhs, lhs <= rhs
+        return _window_condition(a, self.c, self.k0, self.b1 - self.b2 / a)
+
+
+def _window_condition(a: float, c: float, k0: int, rhs: float) -> tuple:
+    """(lhs, rhs, ok) of c * sum_{j <= k0} a^{-j} <= rhs."""
+    lhs = c * sum(a ** (-j) for j in range(k0 + 1))
+    return lhs, rhs, lhs <= rhs
 
 
 def one_term_condition(a: float, b: float, c: float, k0: int) -> tuple:
     """(lhs, rhs, ok) for V_{k+1} <= a V_k - b w_k + c S_k."""
     if not 0 < a < 1:
         raise ValueError("rate a must lie in (0, 1)")
-    lhs = c * sum(a ** (-j) for j in range(k0 + 1))
-    return lhs, b, lhs <= b
+    return _window_condition(a, c, k0, b)
 
 
 @dataclass
@@ -340,6 +344,23 @@ def _window_sums(w: Array, k0: int) -> Array:
     return cs[hi] - cs[lo]
 
 
+def _replay(condition, V_next, rhs, V, envelope, start, slack) -> RecurrenceReport:
+    """Residual (V_next - rhs) / (1 + |rhs|) <= slack; V under the envelope from ``start`` on."""
+    lhs, cond_rhs, cond_ok = condition
+    data_max = float(((V_next - rhs) / (1.0 + np.abs(rhs))).max())
+    _, first, _ = _envelope_check(V[start:], envelope[start:], 1e-9)
+    return RecurrenceReport(
+        condition_lhs=lhs,
+        condition_rhs=cond_rhs,
+        condition_ok=bool(cond_ok),
+        data_consistent=bool(data_max <= slack),
+        data_max_violation=data_max,
+        bound_ok=first is None,
+        bound_first_violation=None if first is None else first + start,
+        envelope=envelope,
+    )
+
+
 def verify_one_term(
     V: Array,
     w: Array,
@@ -361,28 +382,10 @@ def verify_one_term(
         raise ValueError("need at least two sequence values")
     if len(w) < n - 1:
         raise ValueError("w is shorter than the recurrence needs")
-    lhs, rhs, cond_ok = one_term_condition(a, b, c, k0)
-
+    condition = one_term_condition(a, b, c, k0)
     S = _window_sums(w, k0)
-    rhs_seq = a * V[:-1] - b * w[: n - 1] + c * S[: n - 1]
-    scale = 1.0 + np.abs(rhs_seq)
-    viol = (V[1:] - rhs_seq) / scale
-    data_max = float(viol.max())
-    data_ok = bool(data_max <= slack)
-
-    envelope = V[0] * a ** np.arange(n)
-    over = V > envelope * (1.0 + 1e-9) + 1e-300
-    first = int(np.nonzero(over)[0][0]) if over.any() else None
-    return RecurrenceReport(
-        condition_lhs=lhs,
-        condition_rhs=rhs,
-        condition_ok=bool(cond_ok),
-        data_consistent=data_ok,
-        data_max_violation=data_max,
-        bound_ok=first is None,
-        bound_first_violation=first,
-        envelope=envelope,
-    )
+    rhs = a * V[:-1] - b * w[: n - 1] + c * S[: n - 1]
+    return _replay(condition, V[1:], rhs, V, V[0] * a ** np.arange(n), 0, slack)
 
 
 def verify_two_term(
@@ -407,39 +410,21 @@ def verify_two_term(
         raise ValueError("need at least three sequence values")
     if len(w) < n - 1:
         raise ValueError("w is shorter than the recurrence needs")
-    lhs, rhs, cond_ok = rec.condition()
     a = rec.root
-
     S = _window_sums(w, rec.k0)
     ks = np.arange(1, n - 1)
-    rhs_seq = (
+    rhs = (
         rec.A * V[ks]
         + rec.B * V[ks - 1]
         - rec.b1 * w[ks]
         + rec.b2 * w[ks - 1]
         + rec.c * S[ks]
     )
-    scale = 1.0 + np.abs(rhs_seq)
-    viol = (V[ks + 1] - rhs_seq) / scale
-    data_max = float(viol.max())
-    data_ok = bool(data_max <= slack)
-
     head = V[1] + a * V[0] + rec.b1 * w[0]
     envelope = np.empty(n)
     envelope[0] = max(V[0], head)  # bound speaks from k = 1 on
     envelope[1:] = head * a ** np.arange(n - 1)
-    over = V[1:] > envelope[1:] * (1.0 + 1e-9) + 1e-300
-    first = int(np.nonzero(over)[0][0] + 1) if over.any() else None
-    return RecurrenceReport(
-        condition_lhs=lhs,
-        condition_rhs=rhs,
-        condition_ok=bool(cond_ok),
-        data_consistent=data_ok,
-        data_max_violation=data_max,
-        bound_ok=first is None,
-        bound_first_violation=first,
-        envelope=envelope,
-    )
+    return _replay(rec.condition(), V[ks + 1], rhs, V, envelope, 1, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +453,12 @@ class BoundReport:
 
 
 def _envelope_check(values: Array, envelope: Array, slack: float) -> tuple:
-    ok_mask = values <= envelope * (1.0 + slack) + 1e-300
-    bad = np.nonzero(~ok_mask)[0]
+    """(ok, first violation, max ratio) of values <= envelope (1 + slack) + 1e-300; NaN fails."""
+    bad = np.nonzero(~(values <= envelope * (1.0 + slack) + 1e-300))[0]
     first = int(bad[0]) if bad.size else None
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(envelope > 0, values / envelope, np.inf)
-    return first is None, first, float(np.nanmax(ratio))
+    return first is None, first, float(np.fmax.reduce(ratio))  # nanmax without its all-NaN warning
 
 
 def verify_linear_bound(
@@ -486,14 +471,18 @@ def verify_linear_bound(
     C is assembled from the first two records: Psi(z_1) + rho Psi(z_0)
     plus ||z_1 - z_0||^2 / (4 alpha).  Three envelopes are checked with
     relative slack: the Lyapunov value, the objective gap, and the squared
-    distance (scaled by 2 alpha / (1 - eta1)).
+    distance (scaled by 2 alpha / (1 - eta1)).  The certificate must be the
+    run's own: its alpha, eta1 and eta2 equal the trace's, so the trace's
+    psi is the Lyapunov value the certificate speaks of.
     """
     if trace.phi_star is None or trace.x_ref is None:
         raise ValueError("trace lacks a reference point / optimal value")
     if trace.records < 2:
         raise ValueError("need at least two records")
+    if (cert.alpha, cert.eta1, cert.eta2) != (trace.alpha, trace.eta1, trace.eta2):
+        raise ValueError("certificate alpha, eta1 or eta2 differs from the run's")
     alpha, eta1, rho = cert.alpha, cert.eta1, cert.rho
-    psi = lyapunov_value(trace.phi, trace.dist2, trace.phi_star, alpha, eta1)
+    psi = trace.psi
     constant = float(psi[1] + rho * psi[0] + trace.step_norm2[1] / (4.0 * alpha))
 
     k = np.arange(trace.records)
@@ -561,16 +550,11 @@ def verify_descent(
 
     d2 = ((trace.z - x_probe) ** 2).sum(axis=1)
     s = trace.step_norm2  # s[j] = ||z_j - z_{j-1}||^2, s[0] = 0
-    cs = np.concatenate(([0.0], np.cumsum(s)))
-
     ks = np.arange(n - 1)
     # sum_{j = k - tau - 1}^{k} ||z_{j+1} - z_j||^2  ->  s[m], m in [k - tau, k + 1]
-    lo = np.maximum(ks - tau, 0)
-    hi = ks + 1
-    window1 = cs[hi + 1] - cs[lo]
+    window1 = _window_sums(s, tau + 1)[1:]
     # sum_{j = k - 2}^{k - 1}  ->  s[m], m in [k - 1, k]
-    lo2 = np.maximum(ks - 1, 0)
-    window2 = cs[ks + 1] - cs[lo2]
+    window2 = _window_sums(s, 1)[:-1]
 
     # ||z_k - z_{k-1}||^2 is s[k]; s[0] = 0 covers the z_{-1} := z_0 case.
     zstep_prev = s[ks]

@@ -138,10 +138,15 @@ class TestDocuments:
         assert evaluate_objective(p, x_star) == pytest.approx(phi_star)
 
     def test_tampered_lipschitz_is_rejected(self):
-        doc = toy_document(ToySpec(num_components=10))
-        doc["L_n"][0] = 7.0
-        with pytest.raises(ValueError):
-            problem_from_document(doc)
+        for field, value in [
+            ("L_n", [7.0] + [1.0] * 9),  # L_0 is 2
+            ("prox", {"kind": "zero"}),
+            ("known_optimum", {"x": [1.0] * 10, "phi": -5.0}),
+        ]:
+            doc = toy_document(ToySpec(num_components=10))
+            doc[field] = value
+            with pytest.raises(ValueError, match=f"document {field} does not match"):
+                problem_from_document(doc)
 
     def test_missing_generator_is_rejected(self):
         with pytest.raises(ValueError):

@@ -188,6 +188,8 @@ class TestAdmissibility:
     @given(explicit_certificate_args())
     # admissible with rho = -2 if cor1 skips eta1 + eta2 < alpha beta
     @example(("cor1", RateInputs(1, 1, 0, 0), 0.5, 2.0, 0.0))
+    # the threshold overflows to alpha = inf, which gave rho = 0
+    @example(("t1", RateInputs(5e-324, 5e-324, 0, 0.25), None, None, None))
     def test_an_admissible_certificate_meets_every_condition(self, args):
         variant, inputs, alpha, eta1, eta2 = args
         cert = certificate_for(variant, inputs, alpha=alpha, eta1=eta1, eta2=eta2)
@@ -258,6 +260,11 @@ class TestVerifiers:
         assert rep.ok
         assert rep.condition_ok and rep.data_consistent and rep.bound_ok
         assert rep.bound_first_violation is None
+        # a NaN is a violation of the envelope, not a pass
+        V[3] = np.nan
+        rep = verify_one_term(V, w, a=0.9, b=0.5, c=0.0, k0=0)
+        assert not rep.bound_ok
+        assert rep.bound_first_violation == 3
 
     def test_one_term_flags_a_broken_recurrence(self):
         V = np.array([1.0, 2.0, 4.0])
@@ -288,6 +295,10 @@ class TestVerifiers:
         rep = verify_two_term(V, w, rec)
         assert rep.ok
         assert rep.data_max_violation <= 1e-12
+        V[5] = np.nan
+        rep = verify_two_term(V, w, rec)
+        assert not rep.bound_ok
+        assert rep.bound_first_violation == 5
 
     def test_two_term_flags_inflated_data(self):
         rec = TwoTermRecurrence(A=0.4, B=0.2, b1=1.0, b2=0.0, c=0.0, k0=0)
@@ -352,6 +363,13 @@ class TestLinearBound:
         rep = verify_linear_bound(trace, lying)
         assert not rep.ok
         assert rep.psi_first_violation is not None
+
+    def test_certificate_of_another_run_is_refused(self):
+        # the trace's psi is only the certificate's Lyapunov value at the same weights
+        trace, cert = self._toy_trace()
+        other = ipiag_certificate(cert.inputs, alpha=cert.alpha / 2.0)
+        with pytest.raises(ValueError, match="differs from the run's"):
+            verify_linear_bound(trace, other)
 
     def test_needs_a_reference_point(self):
         prob = make_toy(ToySpec(num_components=6))
