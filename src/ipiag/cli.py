@@ -200,6 +200,12 @@ def _load_problem_arg(source) -> CompositeProblem:
         raise ConfigError(f"cannot load problem: {exc}") from None
 
 
+def _make_output_dir(path: str) -> None:
+    os.makedirs(path, exist_ok=True)  # raises OSError, e.g. for a path under a regular file
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write to the output directory {path!r}")
+
+
 def cmd_run(args) -> int:
     t0 = time.perf_counter()
     try:
@@ -214,13 +220,13 @@ def cmd_run(args) -> int:
         )
         schedule = build_schedule(args.schedule, args.workers, args.tau, args.iters, args.seed)
         params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=args.iters)
-    except (ConfigError, ValueError) as exc:
+        _make_output_dir(args.out)
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     if cert_error is not None:
         print(f"warning: uncertified run: {cert_error}", file=sys.stderr)
-    os.makedirs(args.out, exist_ok=True)
     status = "ok"
     trace = None
     exit_code = EXIT_OK
@@ -373,6 +379,9 @@ def cmd_compare(args) -> int:
                 print(f"warning: config {label!r} is uncertified: {cert_error}", file=sys.stderr)
             params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=iters)
             resolved.append((label, variant, params, cert))
+        out_dir = args.out or spec.get("out")
+        if out_dir:
+            _make_output_dir(out_dir)
 
         if problem.known_optimum is not None:
             x_ref, phi_star = problem.known_optimum
@@ -388,7 +397,7 @@ def cmd_compare(args) -> int:
                 max_iters=_spec_int(ref, "iters", 200000, "reference."),
                 tol=_spec_number(ref, "tol", 1e-10, "reference."),
             )
-    except (ConfigError, ValueError, KeyError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:
@@ -453,9 +462,7 @@ def cmd_compare(args) -> int:
     for row in rows:
         lines.append(",".join(cell(row[h]) for h in header))
     table = "\n".join(lines) + "\n"
-    out_dir = args.out or spec.get("out")
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "compare.csv"), "w", encoding="utf-8") as fh:
             fh.write(table)
     sys.stdout.write(table)
@@ -473,11 +480,11 @@ def cmd_certify(args) -> int:
         else:
             doc["alpha0_stated"] = cert.alpha_max
             doc["alpha0_tight"] = cert.alpha_max
+        text = json.dumps(doc, indent=2, allow_nan=False)  # a non-finite field is a ValueError
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(text + "\n")
     return EXIT_OK
 
 

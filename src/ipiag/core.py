@@ -39,29 +39,27 @@ class CompositeProblem:
     ----------
     dimension : ambient dimension d.
     num_components : number N of smooth pieces.
-    component_gradient : callable (n, x) -> gradient of f_n at x, length d.
+    block_gradient : callable (indices, x) -> sum of the gradients of f_n at x
+        over the contiguous block ``indices`` (see ``block_range``), length d.
     smooth_value : callable x -> F(x).
     regularizer_value : callable x -> h(x), may return inf outside the domain.
     prox : callable (v, alpha) -> argmin_z h(z) + ||z - v||^2 / (2 alpha).
     component_lipschitz : length-N array of gradient Lipschitz constants L_n.
     growth_constant : quadratic-growth modulus beta, or None when unknown.
     known_optimum : optional (x_star, phi_star) pair.
-    block_gradient : optional callable (indices, x) -> sum of component
-        gradients over ``indices``; used as a fast path by the solver.
     total_lipschitz : L = sum of component_lipschitz; computed when omitted
         and checked against the component sum when supplied.
     """
 
     dimension: int
     num_components: int
-    component_gradient: Callable[[int, Array], Array]
+    block_gradient: Callable[[Array, Array], Array]
     smooth_value: Callable[[Array], float]
     regularizer_value: Callable[[Array], float]
     prox: Callable[[Array, float], Array]
     component_lipschitz: Array
     growth_constant: Optional[float] = None
     known_optimum: Optional[tuple[Array, float]] = None
-    block_gradient: Optional[Callable[[Array, Array], Array]] = None
     total_lipschitz: Optional[float] = None
 
     def __post_init__(self):
@@ -88,14 +86,19 @@ class CompositeProblem:
                 raise ValueError("known optimum has the wrong dimension")
             self.known_optimum = (x_star, float(phi_star))
 
-    def sum_block_gradient(self, indices: Array, x: Array) -> Array:
-        """Sum of component gradients over ``indices`` (fast path if present)."""
-        if self.block_gradient is not None:
-            return self.block_gradient(indices, x)
-        g = np.zeros(self.dimension)
-        for n in indices:
-            g += self.component_gradient(int(n), x)
-        return g
+
+def block_range(indices: Array, n: int) -> tuple[int, int]:
+    """(lo, hi) of ``indices`` = lo, ..., hi-1 in [0, n), else ValueError.
+
+    Only the ends and the length are read; entries between them are trusted.
+    """
+    ns = np.asarray(indices)
+    if ns.ndim != 1 or ns.size == 0:
+        raise ValueError("a block is a nonempty 1-D index range")
+    lo, hi = int(ns[0]), int(ns[-1]) + 1
+    if hi - lo != ns.size or lo < 0 or hi > n:
+        raise ValueError(f"{ns.size} indices from {lo} to {hi - 1} are not a range in 0..{n - 1}")
+    return lo, hi
 
 
 def _check_point(problem: CompositeProblem, x: Array) -> Array:
@@ -117,11 +120,11 @@ def evaluate_objective(problem: CompositeProblem, x: Array) -> float:
 
 
 def full_gradient(problem: CompositeProblem, x: Array) -> Array:
-    """Sum of all component gradients, accumulated in component order."""
+    """Sum of all component gradients, one single-component block at a time, in order."""
     x = _check_point(problem, x)
     g = np.zeros(problem.dimension)
     for n in range(problem.num_components):
-        g += problem.component_gradient(n, x)
+        g += problem.block_gradient(np.arange(n, n + 1), x)
     return g
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, CompositeProblem
+from .core import Array, CompositeProblem, block_range
 from .prox import ProxSpec
 from .rng import SplitMix64
 from .schedules import schedule_synchronous
@@ -82,44 +82,15 @@ def make_toy(spec: ToySpec) -> CompositeProblem:
         right_sq = 0.5 * float(np.add.reduce(plus_sq[1:]))
         return self_sq + left_sq + right_sq
 
-    def component_gradient(j: int, x: Array) -> Array:
-        g = np.zeros(n)
-        if j == 0:
-            g[0] = 2.0 * (x[0] - c)
-            g[1] = x[1] + c
-        elif j == n - 1:
-            g[n - 2] = x[n - 2] + c
-            g[n - 1] = x[n - 1] - c
-        else:
-            g[j - 1] = x[j - 1] + c
-            g[j] = x[j] - c
-            g[j + 1] = x[j + 1] + c
-        return g
-
     def block_gradient(indices: Array, x: Array) -> Array:
-        ns = np.asarray(indices, dtype=int)
+        lo, hi = block_range(indices, n)
         g = np.zeros(n)
-        if ns.size == 0:
-            return g
-        if ns[-1] - ns[0] + 1 == ns.size:  # ascending contiguous block
-            lo, hi = int(ns[0]), int(ns[-1]) + 1
-            g[lo:hi] = x[lo:hi] - c
-            if lo == 0:
-                g[0] += x[0] - c
-            a = max(lo, 1) - 1
-            if hi - 1 > a:
-                g[a : hi - 1] += x[a : hi - 1] + c
-            b2 = min(hi + 1, n)
-            if b2 > lo + 1:
-                g[lo + 1 : b2] += x[lo + 1 : b2] + c
-            return g
-        np.add.at(g, ns, x[ns] - c)
-        if (ns == 0).any():
+        g[lo:hi] = x[lo:hi] - c
+        if lo == 0:
             g[0] += x[0] - c
-        left = ns[ns >= 1] - 1
-        np.add.at(g, left, x[left] + c)
-        right = ns[ns <= n - 2] + 1
-        np.add.at(g, right, x[right] + c)
+        a = max(lo, 1) - 1
+        g[a : hi - 1] += x[a : hi - 1] + c  # left neighbours; empty for the block [0, 1)
+        g[lo + 1 : hi + 1] += x[lo + 1 : hi + 1] + c  # right neighbours, clipped at n
         return g
 
     lipschitz = np.ones(n)
@@ -132,14 +103,13 @@ def make_toy(spec: ToySpec) -> CompositeProblem:
     return CompositeProblem(
         dimension=n,
         num_components=n,
-        component_gradient=component_gradient,
+        block_gradient=block_gradient,
         smooth_value=smooth_value,
         regularizer_value=prox_spec.value,
         prox=prox_spec.prox,
         component_lipschitz=lipschitz,
         growth_constant=2.0,
         known_optimum=(x_star, phi_star),
-        block_gradient=block_gradient,
     )
 
 
@@ -200,13 +170,6 @@ def lasso_arrays(spec: LassoSpec) -> tuple:
     return a, b, x_true
 
 
-def _contiguous_slice(indices: Array):
-    ns = np.asarray(indices)
-    if ns.size and ns[-1] - ns[0] + 1 == ns.size:
-        return slice(int(ns[0]), int(ns[-1]) + 1)
-    return None
-
-
 def make_lasso(spec: LassoSpec, growth_constant=None) -> CompositeProblem:
     """Least-squares components f_i = (a_i . x - b_i)^2 / 2, h = l1.
 
@@ -221,25 +184,20 @@ def make_lasso(spec: LassoSpec, growth_constant=None) -> CompositeProblem:
         r = a @ x - b
         return 0.5 * float(r @ r)
 
-    def component_gradient(i: int, x: Array) -> Array:
-        return (a[i] @ x - b[i]) * a[i]
-
     def block_gradient(indices: Array, x: Array) -> Array:
-        sl = _contiguous_slice(indices)
-        rows = a[sl] if sl is not None else a[np.asarray(indices, dtype=int)]
-        rhs = b[sl] if sl is not None else b[np.asarray(indices, dtype=int)]
-        return rows.T @ (rows @ x - rhs)
+        lo, hi = block_range(indices, spec.rows)
+        rows = a[lo:hi]
+        return rows.T @ (rows @ x - b[lo:hi])
 
     return CompositeProblem(
         dimension=spec.cols,
         num_components=spec.rows,
-        component_gradient=component_gradient,
+        block_gradient=block_gradient,
         smooth_value=smooth_value,
         regularizer_value=prox_spec.value,
         prox=prox_spec.prox,
         component_lipschitz=lipschitz,
         growth_constant=growth_constant,
-        block_gradient=block_gradient,
     )
 
 
@@ -357,6 +315,8 @@ def problem_from_document(doc: dict) -> CompositeProblem:
     checked against the rebuilt instance.  L_n, beta, prox and
     known_optimum may be absent or null.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a problem document is a JSON object, not {type(doc).__name__}")
     gen = doc.get("generator")
     if not isinstance(gen, dict) or "name" not in gen:
         raise ValueError("document lacks a generator block")

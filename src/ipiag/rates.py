@@ -50,10 +50,10 @@ class RateInputs:
     momentum_fraction: float = 0.0  # C1, weight of the pre-prox inertia
 
     def __post_init__(self):
-        if not self.total_lipschitz > 0:
-            raise ValueError("total_lipschitz must be positive")
-        if not self.growth_constant > 0:
-            raise ValueError("growth_constant must be positive")
+        if not 0 < self.total_lipschitz < math.inf:
+            raise ValueError("total_lipschitz must be positive and finite")
+        if not 0 < self.growth_constant < math.inf:
+            raise ValueError("growth_constant must be positive and finite")
         if self.delay < 0:
             raise ValueError("delay must be nonnegative")
         if not 0.0 <= self.momentum_fraction < 1.0:

@@ -184,7 +184,7 @@ def run(
     # gradient table: one block gradient per worker
     blocks = np.zeros((W, problem.dimension))
     for w in range(W):
-        blocks[w] = problem.sum_block_gradient(partition[w], x0)
+        blocks[w] = problem.block_gradient(partition[w], x0)
 
     # ring buffer of recent x iterates; the checked table keeps every read within tau of k
     ring = max(schedule.tau + 2, 2)
@@ -219,7 +219,7 @@ def run(
     executed = 0
     for k in range(K):
         for w, slot in islice(refreshes, counts[k]):
-            blocks[w] = problem.sum_block_gradient(partition[w], x_hist[slot])
+            blocks[w] = problem.block_gradient(partition[w], x_hist[slot])
         g = np.add.reduce(blocks)  # what ndarray.sum calls, without its Python wrapper
         # a finite sum implies finite entries; one reduction beats isfinite(arr).all()
         if not math.isfinite(np.add.reduce(g)):

@@ -65,6 +65,28 @@ def toy_aggregated_gradient(x, c):
     return g
 
 
+def toy_component_gradient(j, x, c):
+    """Gradient of the toy's component j alone, from its stencil.
+
+    f_0 = (x_0 - c)^2 + (x_1 + c)^2 / 2, f_{N-1} = ((x_{N-2} + c)^2 + (x_{N-1} - c)^2) / 2,
+    and each inner f_j = ((x_{j-1} + c)^2 + (x_j - c)^2 + (x_{j+1} + c)^2) / 2.
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    g = np.zeros(n)
+    if j == 0:
+        g[0] = 2.0 * (x[0] - c)
+        g[1] = x[1] + c
+    elif j == n - 1:
+        g[n - 2] = x[n - 2] + c
+        g[n - 1] = x[n - 1] - c
+    else:
+        g[j - 1] = x[j - 1] + c
+        g[j] = x[j] - c
+        g[j + 1] = x[j + 1] + c
+    return g
+
+
 def toy_prox_grad_reference(x0, c, l1_weight, alpha, iters):
     """Plain proximal-gradient iterates on the toy objective.
 
@@ -96,14 +118,14 @@ def inertial_replay(problem, alpha, eta1, eta2, schedule, x0, iters, x_ref, phi_
     """
     blocks = np.array_split(np.arange(problem.num_components), schedule.num_workers)
     x = np.asarray(x0, dtype=float).copy()
-    table = np.array([problem.sum_block_gradient(b, x) for b in blocks])
+    table = np.array([problem.block_gradient(b, x) for b in blocks])
     sources = np.zeros(schedule.num_workers, dtype=np.int64)
     stale = [np.zeros(schedule.num_workers, dtype=np.int64)]
     x_prev, z = x, x
     xs, zs = [x], [z]
     for k in range(iters):
         for w, s in zip(schedule.refreshed[k], schedule.source_iter[k]):
-            table[w] = problem.sum_block_gradient(blocks[w], xs[s])
+            table[w] = problem.block_gradient(blocks[w], xs[s])
             sources[w] = s
         stale.append(k - sources)
         g = table.sum(axis=0)

@@ -89,6 +89,18 @@ class TestCertify:
         )
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flags", [
+        ["--L", "inf", "--beta", "2", "--tau", "4"],
+        ["--L", "5e-324", "--beta", "5e-324", "--tau", "0"],
+    ], ids=["infinite-L", "alpha-overflows"])
+    def test_a_certificate_that_is_not_finite_is_refused(self, capsys, flags):
+        # these printed "L": Infinity, and "alpha": Infinity with "rho": NaN, which is not JSON
+        rc = main(["certify", *flags])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+
 
 class TestRun:
     def test_writes_trace_and_summary(self, toy_file, tmp_path, capsys):
@@ -215,6 +227,41 @@ class TestRun:
             ["run", "--problem", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]
         )
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '"x"', "3.5", "null"])
+    def test_a_problem_document_must_be_an_object(self, tmp_path, capsys, content):
+        path = tmp_path / "problem.json"
+        path.write_text(content)
+        out = tmp_path / "o"
+        rc = main(["run", "--problem", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.splitlines() == [err.strip()] and "a problem document is a JSON object" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["sub", ""], ids=["under-a-file", "a-file"])
+    def test_an_output_directory_that_cannot_be_made_is_a_config_error(
+        self, toy_file, tmp_path, capsys, below
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / below if below else blocker
+        rc = main(["run", "--problem", toy_file, "--iters", "20", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.splitlines() == [err.strip()] and err.startswith("error:")
+        assert blocker.read_text() == ""
+
+    def test_an_output_directory_that_cannot_be_written_is_a_config_error(
+        self, toy_file, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "o"
+        monkeypatch.setattr("ipiag.cli.os.access", lambda path, mode: False)
+        rc = main(["run", "--problem", toy_file, "--iters", "20", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.strip() == f"error: cannot write to the output directory {str(out)!r}"
+        assert list(out.iterdir()) == []
 
     def test_foreign_inertia_flag_is_rejected(self, toy_file, tmp_path, capsys):
         rc = main(
@@ -454,6 +501,19 @@ class TestCompare:
         assert rc == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
+
+    def test_an_output_directory_under_a_file_is_a_config_error(self, tmp_path, capsys):
+        spec = self._spec(
+            tmp_path,
+            [{"variant": "piag", "alpha": "auto"}, {"variant": "ipiag", "alpha": "auto"}],
+        )
+        (tmp_path / "file").write_text("")
+        rc = main(["compare", "--spec", spec, "--out", str(tmp_path / "file" / "sub")])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error:")
 
     def test_bad_float_digits_is_a_config_error(self, tmp_path, monkeypatch, capsys):
         spec = self._spec(

@@ -16,17 +16,20 @@ from ipiag import (
     run,
     schedule_synchronous,
 )
+from ipiag.core import block_range
 from ipiag.problems import toy_document
 
 
 def tiny_problem(growth=None, optimum=None):
-    def grad(n, x):
-        return np.array([2.0 * x[0], 0.0]) if n == 0 else np.array([0.0, 4.0 * x[1]])
+    def block_gradient(indices, x):
+        # component 0 is x_0^2, component 1 is 2 x_1^2
+        lo, hi = block_range(indices, 2)
+        return np.array([2.0 * x[0] if lo == 0 else 0.0, 4.0 * x[1] if hi == 2 else 0.0])
 
     return CompositeProblem(
         dimension=2,
         num_components=2,
-        component_gradient=grad,
+        block_gradient=block_gradient,
         smooth_value=lambda x: float(x[0] ** 2 + 2.0 * x[1] ** 2),
         regularizer_value=lambda x: 0.0,
         prox=lambda v, a: np.asarray(v, dtype=float).copy(),
@@ -46,7 +49,7 @@ class TestProblemValidation:
             CompositeProblem(
                 dimension=2,
                 num_components=2,
-                component_gradient=lambda n, x: x,
+                block_gradient=lambda indices, x: x,
                 smooth_value=lambda x: 0.0,
                 regularizer_value=lambda x: 0.0,
                 prox=lambda v, a: v,
@@ -58,7 +61,7 @@ class TestProblemValidation:
             CompositeProblem(
                 dimension=2,
                 num_components=2,
-                component_gradient=lambda n, x: x,
+                block_gradient=lambda indices, x: x,
                 smooth_value=lambda x: 0.0,
                 regularizer_value=lambda x: 0.0,
                 prox=lambda v, a: v,
@@ -70,7 +73,7 @@ class TestProblemValidation:
             CompositeProblem(
                 dimension=2,
                 num_components=2,
-                component_gradient=lambda n, x: x,
+                block_gradient=lambda indices, x: x,
                 smooth_value=lambda x: 0.0,
                 regularizer_value=lambda x: 0.0,
                 prox=lambda v, a: v,
@@ -113,9 +116,13 @@ def test_gradient_consistency_on_generated_problem():
 def test_sum_block_gradient_matches_component_loop():
     p = make_toy(ToySpec(num_components=12))
     x = np.linspace(-2.0, 2.0, 12)
-    idx = np.array([0, 3, 4, 5, 11])
-    manual = sum(p.component_gradient(int(n), x) for n in idx)
-    assert np.allclose(p.sum_block_gradient(idx, x), manual, atol=1e-12)
+    idx = np.arange(3, 12)
+    manual = sum(p.block_gradient(np.arange(n, n + 1), x) for n in idx)
+    assert np.allclose(p.block_gradient(idx, x), manual, atol=1e-12)
+    for bad in (np.array([0, 3, 4, 5, 11]), np.arange(0), np.arange(11, 13), np.arange(-1, 2),
+                np.arange(4).reshape(2, 2)):
+        with pytest.raises(ValueError):
+            p.block_gradient(bad, x)
 
 
 def test_iterate_state_initial_copies_the_start_point():

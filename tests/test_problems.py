@@ -26,7 +26,7 @@ from ipiag import (
 )
 from ipiag.problems import build_from_generator
 
-from .oracles import same_bits, toy_aggregated_gradient, toy_smooth_value
+from .oracles import same_bits, toy_aggregated_gradient, toy_component_gradient, toy_smooth_value
 
 # wide finite entries (squares stay finite), signed zeros and subnormals included
 entries = st.one_of(
@@ -114,16 +114,21 @@ class TestToy:
         prob = make_toy(ToySpec(num_components=13))
         rng = np.random.default_rng(3)
         x = rng.normal(size=13)
+        for j in range(13):
+            single = prob.block_gradient(np.arange(j, j + 1), x)
+            assert np.allclose(single, toy_component_gradient(j, x, 3.0), atol=1e-12), j
         cases = [
             np.arange(0, 5),        # contiguous, touches the left edge
             np.arange(8, 13),       # contiguous, touches the right edge
             np.arange(4, 9),        # interior block
-            np.array([0, 2, 5, 12]),  # scattered, exercises the fallback
             np.array([7]),
         ]
         for idx in cases:
-            loop = sum(prob.component_gradient(int(j), x) for j in idx)
+            loop = sum(prob.block_gradient(np.arange(j, j + 1), x) for j in idx)
             assert np.allclose(prob.block_gradient(idx, x), loop, atol=1e-12), idx
+        for idx in (np.array([0, 2, 5, 12]), np.array([], dtype=int)):  # scattered, empty
+            with pytest.raises(ValueError):
+                prob.block_gradient(idx, x)
 
     def test_partition_blocks_sum_to_the_full_gradient(self):
         prob = make_toy(ToySpec(num_components=21))
@@ -190,9 +195,16 @@ class TestLasso:
         prob = make_lasso(self.SPEC)
         rng = np.random.default_rng(4)
         x = rng.normal(size=30) * 0.2
-        for idx in (np.arange(3, 9), np.array([0, 4, 11])):
-            loop = sum(prob.component_gradient(int(i), x) for i in idx)
-            assert np.allclose(prob.block_gradient(idx, x), loop, atol=1e-10)
+        a, b, _ = lasso_arrays(self.SPEC)
+        for i in range(12):
+            single = prob.block_gradient(np.arange(i, i + 1), x)
+            assert np.allclose(single, (a[i] @ x - b[i]) * a[i], atol=1e-10), i
+        idx = np.arange(3, 9)
+        loop = sum(prob.block_gradient(np.arange(i, i + 1), x) for i in idx)
+        assert np.allclose(prob.block_gradient(idx, x), loop, atol=1e-10)
+        for idx in (np.array([0, 4, 11]), np.array([], dtype=int)):  # scattered, empty
+            with pytest.raises(ValueError):
+                prob.block_gradient(idx, x)
 
     def test_regularizer_is_weighted_l1(self):
         prob = make_lasso(self.SPEC)
@@ -239,7 +251,7 @@ def test_one_dimensional_least_squares_closed_form():
     prob = CompositeProblem(
         dimension=1,
         num_components=1,
-        component_gradient=lambda n, x: 2.0 * (2.0 * x - 2.0),
+        block_gradient=lambda indices, x: 2.0 * (2.0 * x - 2.0),
         smooth_value=lambda x: 0.5 * float((2.0 * x[0] - 2.0) ** 2),
         regularizer_value=lambda x: float(abs(x[0])),
         prox=ProxSpec("l1", 1.0).prox,

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ class TestInputs:
             dict(total_lipschitz=1.0, growth_constant=-1.0, delay=0),
             dict(total_lipschitz=1.0, growth_constant=1.0, delay=-1),
             dict(total_lipschitz=1.0, growth_constant=1.0, delay=0, momentum_fraction=1.0),
+            dict(total_lipschitz=math.inf, growth_constant=2.0, delay=4),
+            dict(total_lipschitz=1.0, growth_constant=math.inf, delay=0),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

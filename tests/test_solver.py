@@ -31,7 +31,7 @@ def quadratic_1d(l=4.0):
     return CompositeProblem(
         dimension=1,
         num_components=1,
-        component_gradient=lambda n, x: l * x,
+        block_gradient=lambda indices, x: l * x,
         smooth_value=lambda x: 0.5 * l * float(x[0] ** 2),
         regularizer_value=lambda x: 0.0,
         prox=lambda v, a: np.asarray(v, dtype=float).copy(),
@@ -149,6 +149,44 @@ def test_aging_past_tau_is_rejected_before_the_first_block_gradient():
     assert calls == []
 
 
+def test_run_keeps_its_call_protocol():
+    # one block gradient per worker at x0, then one per scheduled refresh, each on exactly a
+    # contiguous_partition block; one prox per step; one regularizer and one smooth value per record
+    prob = make_toy(ToySpec(num_components=10))
+    W, K = 4, 60
+    schedule = schedule_uniform_single(W, 3, K, seed=5)
+    x0 = np.full(10, 0.5)
+    grads, counts = [], {"prox": 0, "smooth_value": 0, "regularizer_value": 0}
+
+    def block_gradient(indices, x, inner=prob.block_gradient):
+        grads.append((np.array(indices), x.copy()))
+        return inner(indices, x)
+
+    def counted(name):
+        inner = getattr(prob, name)
+
+        def call(*args):
+            counts[name] += 1
+            return inner(*args)
+
+        return call
+
+    traced = dataclasses.replace(
+        prob, block_gradient=block_gradient, **{name: counted(name) for name in counts}
+    )
+    # eta2 = 0 makes every x iterate equal to the z of the same record, which the trace stores
+    trace = run(traced, SolverParams(alpha=1e-2, eta1=0.3, max_iters=K), schedule, x0)
+    partition = contiguous_partition(10, W)
+    n = schedule.offsets[K]
+    want = [(w, None) for w in range(W)]
+    want += list(zip(schedule.workers[:n].tolist(), schedule.sources[:n].tolist()))
+    assert len(grads) == len(want) == W + n
+    for (indices, x), (w, source) in zip(grads, want):
+        assert indices.dtype == partition[w].dtype and np.array_equal(indices, partition[w])
+        assert np.array_equal(x, x0 if source is None else trace.z[source])
+    assert counts == {"prox": K, "smooth_value": K + 1, "regularizer_value": K + 1}
+
+
 def test_list_edits_after_construction_do_not_steer_the_run():
     prob = make_toy(ToySpec(num_components=8))
     params = SolverParams(alpha=1e-2, max_iters=20)
@@ -205,12 +243,12 @@ def test_nonfinite_gradient_raises_with_the_iteration():
     k_bad = 7
     calls = []
 
-    def grad(n, x):
+    def block_gradient(indices, x):
         # call 1 fills the table at x0; call k + 2 is the refresh of iteration k
-        calls.append(n)
+        calls.append(indices)
         return np.full(1, np.inf) if len(calls) == k_bad + 2 else 4.0 * x
 
-    prob = dataclasses.replace(quadratic_1d(), component_gradient=grad)
+    prob = dataclasses.replace(quadratic_1d(), block_gradient=block_gradient)
     with pytest.raises(NumericError, match="aggregated gradient is not finite") as info:
         run(prob, SolverParams(alpha=0.1, max_iters=20), schedule_synchronous(1, 20), np.ones(1))
     assert info.value.iteration == k_bad
