@@ -36,7 +36,7 @@ optimum; it is solved once with the synchronous method and shared by all
 rows.  ``repetitions`` must be at least 1; they collapse to 1 for the
 deterministic sync schedule.  Counts must be JSON integers and the other
 numeric fields JSON numbers; a config's ``alpha``, ``eta1`` and ``eta2``
-may also be "auto".
+may also be "auto".  An ``out`` directory (``--out`` overrides it) is a string.
 """
 
 from __future__ import annotations
@@ -355,6 +355,9 @@ def cmd_compare(args) -> int:
         if kind == "sync":
             reps = 1
         base_seed = _spec_int(spec, "base_seed", 0)
+        spec_out = spec.get("out", "")
+        if type(spec_out) is not str:  # not 5, null or a list
+            raise ConfigError(f"out must be a string, got {json.dumps(spec_out)}")
         if not 1 <= workers <= problem.num_components:
             raise ConfigError("workers must lie in [1, num_components]")
         if tau < 0 or iters < 0:
@@ -379,7 +382,7 @@ def cmd_compare(args) -> int:
                 print(f"warning: config {label!r} is uncertified: {cert_error}", file=sys.stderr)
             params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=iters)
             resolved.append((label, variant, params, cert))
-        out_dir = args.out or spec.get("out")
+        out_dir = args.out or spec_out
         if out_dir:
             _make_output_dir(out_dir)
 

@@ -12,7 +12,7 @@ Conventions
 * The gradient table starts with every block evaluated at x_0 (source 0),
   so initial staleness is 0.
 * Generators emit refreshes that read the master's current iterate
-  (source_iter == k); hand-built schedules may use older sources to model
+  (sources == k); hand-built schedules may use older sources to model
   transit delay, as long as staleness stays within ``tau``.
 
 Wire format: one JSON object per line, ``{"k": k, "refreshed": [...],
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -34,57 +35,80 @@ class ScheduleError(ValueError):
     """Malformed schedule or violated staleness bound."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelaySchedule:
     """Per-iteration refresh sets with declared staleness bound.
 
-    Construction validates the lists once and keeps them flattened as
-    read-only int64 arrays: the refreshes of iteration k are entries
-    ``offsets[k]:offsets[k + 1]`` of ``workers`` and ``sources``.  The
-    schedule is frozen; ``run``, ``staleness_table`` and ``to_jsonl`` read
-    only those arrays, so an edit to ``refreshed`` or ``source_iter`` after
-    construction is never seen.
+    The schedule is three int64 arrays: the refreshes of iteration k are
+    entries ``offsets[k]:offsets[k + 1]`` of ``workers`` (the worker ids) and
+    ``sources`` (the iterate each refresh reads).  Construction checks them
+    once and keeps read-only copies; the schedule is frozen.  Per-iteration
+    lists go in through ``from_lists``; ``refreshed`` and ``source_iter``
+    give them back as tuples derived from the arrays.
     """
 
     num_workers: int
     tau: int
-    refreshed: list
-    source_iter: list
-    offsets: np.ndarray = field(init=False, repr=False, compare=False)
-    workers: np.ndarray = field(init=False, repr=False, compare=False)
-    sources: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(repr=False)
+    workers: np.ndarray = field(repr=False)
+    sources: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.num_workers < 1:
-            raise ScheduleError("need at least one worker")
-        if self.tau < 0:
-            raise ScheduleError("tau must be nonnegative")
-        K = len(self.refreshed)
-        if len(self.source_iter) != K:
-            raise ScheduleError("refreshed and source_iter must align")
-        counts = np.fromiter(map(len, self.refreshed), np.int64, K)
-        offsets = np.zeros(K + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        # every entry must be an integer before any is checked to be in range
-        workers = _flatten(self.refreshed)
-        sources = _flatten(self.source_iter)
-        # up to the first iteration whose two lists differ in length, entries pair up
-        misaligned = np.flatnonzero(counts != np.fromiter(map(len, self.source_iter), np.int64, K))
-        end = offsets[misaligned[0]] if misaligned.size else len(workers)
-        steps = np.repeat(np.arange(K), counts)[:end]
-        bad_worker = (workers[:end] < 0) | (workers[:end] >= self.num_workers)
-        bad = np.flatnonzero(bad_worker | (sources[:end] < 0) | (sources[:end] > steps))
+        _check_sizes(self.num_workers, self.tau)
+        offsets, workers, sources = map(_int64_copy, (self.offsets, self.workers, self.sources))
+        if not (
+            offsets.ndim == workers.ndim == sources.ndim == 1
+            and len(offsets)
+            and offsets[0] == 0
+            and offsets[-1] == len(workers) == len(sources)
+            and (offsets[1:] >= offsets[:-1]).all()
+        ):
+            raise ScheduleError("offsets must rise from 0 to the length of workers and sources")
+        steps = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        bad_worker = (workers < 0) | (workers >= self.num_workers)
+        bad = np.flatnonzero(bad_worker | (sources < 0) | (sources > steps))
         # the first offending entry in iteration order decides the message
         if bad.size:
             i = bad[0]
             if bad_worker[i]:
                 raise ScheduleError(f"iteration {steps[i]}: worker id {workers[i]} out of range")
             raise ScheduleError(f"iteration {steps[i]}: source {sources[i]} out of range")
-        if misaligned.size:
-            raise ScheduleError(f"iteration {misaligned[0]}: refresh lists must align")
         for name, array in (("offsets", offsets), ("workers", workers), ("sources", sources)):
-            array.flags.writeable = False
             object.__setattr__(self, name, array)
+
+    @classmethod
+    def from_lists(
+        cls, num_workers: int, tau: int, refreshed: list, source_iter: list
+    ) -> DelaySchedule:
+        """The schedule refreshing workers ``refreshed[k]`` at iterates ``source_iter[k]``.
+
+        Every entry must be an integer before any is checked to be in range, and a bad entry
+        before the first iteration whose two lists differ in length is reported first.
+        """
+        _check_sizes(num_workers, tau)
+        K = len(refreshed)
+        if len(source_iter) != K:
+            raise ScheduleError("refreshed and source_iter must align")
+        counts = np.fromiter(map(len, refreshed), np.int64, K)
+        offsets = np.zeros(K + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        workers, sources = _flatten(refreshed), _flatten(source_iter)
+        misaligned = np.flatnonzero(counts != np.fromiter(map(len, source_iter), np.int64, K))
+        if misaligned.size:
+            k = misaligned[0]
+            cls(num_workers, tau, offsets[: k + 1], workers[: offsets[k]], sources[: offsets[k]])
+            raise ScheduleError(f"iteration {k}: refresh lists must align")
+        return cls(num_workers, tau, offsets, workers, sources)
+
+    @cached_property
+    def refreshed(self) -> tuple:
+        """Read-only per-iteration worker ids, derived from the arrays."""
+        return _per_step(self.offsets, self.workers)
+
+    @cached_property
+    def source_iter(self) -> tuple:
+        """Read-only per-iteration sources, derived from the arrays."""
+        return _per_step(self.offsets, self.sources)
 
     @property
     def iterations(self) -> int:
@@ -110,10 +134,29 @@ class DelaySchedule:
                 rec = json.loads(line)
                 if rec["k"] != len(refreshed):
                     raise ScheduleError("iteration records out of order")
-                # as parsed: the constructor rejects 1.5 rather than truncating it to 1
+                # as parsed: from_lists rejects 1.5 rather than truncating it to 1
                 refreshed.append(rec["refreshed"])
                 sources.append(rec["source_iter"])
-        return cls(num_workers=num_workers, tau=tau, refreshed=refreshed, source_iter=sources)
+        return cls.from_lists(num_workers, tau, refreshed, sources)
+
+
+def _check_sizes(num_workers: int, tau: int, iters: int = 0) -> None:
+    if iters < 0:
+        raise ScheduleError("iters must be nonnegative")
+    if num_workers < 1:
+        raise ScheduleError("need at least one worker")
+    if tau < 0:
+        raise ScheduleError("tau must be nonnegative")
+
+
+def _int64_copy(values) -> np.ndarray:
+    """Read-only int64 copy of an integer array; a later edit to ``values`` is not seen."""
+    array = np.asarray(values)
+    if array.size and not (array.dtype.kind in "iu" and np.can_cast(array.dtype, np.int64)):
+        raise ScheduleError("worker ids and sources must be 64-bit integers")
+    array = array.astype(np.int64)
+    array.flags.writeable = False
+    return array
 
 
 def _flatten(lists: list) -> np.ndarray:
@@ -136,16 +179,20 @@ def _flatten(lists: list) -> np.ndarray:
     return array
 
 
+def _per_step(offsets: np.ndarray, flat: np.ndarray) -> tuple:
+    bounds, values = offsets.tolist(), flat.tolist()
+    return tuple(tuple(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+
 def schedule_synchronous(num_workers: int, iters: int) -> DelaySchedule:
     """Every worker refreshes at every iteration; staleness is always 0."""
-    if iters < 0:
-        raise ScheduleError("iters must be nonnegative")
-    all_workers = list(range(num_workers))
+    _check_sizes(num_workers, 0, iters)
     return DelaySchedule(
-        num_workers=num_workers,
-        tau=0,
-        refreshed=[list(all_workers) for _ in range(iters)],
-        source_iter=[[k] * num_workers for k in range(iters)],
+        num_workers,
+        0,
+        offsets=np.arange(0, num_workers * (iters + 1), num_workers),
+        workers=np.tile(np.arange(num_workers), iters),
+        sources=np.repeat(np.arange(iters), num_workers),
     )
 
 
@@ -160,42 +207,47 @@ def schedule_uniform_single(
     an unlucky streak of draws).  With a single worker this degenerates to
     the synchronous schedule.
     """
-    if iters < 0:
-        raise ScheduleError("iters must be nonnegative")
-    if num_workers < 1:
-        raise ScheduleError("need at least one worker")
-    if tau < 0:
-        raise ScheduleError("tau must be nonnegative")
+    _check_sizes(num_workers, tau, iters)
     rng = SplitMix64(seed)
     picks = (rng.u64_array(iters) % np.uint64(num_workers)).astype(int).tolist() if iters else []
     sources = [0] * num_workers
     oldest = 0  # min(sources), kept exact
-    refreshed = []
+    workers, crowded = [], []  # crowded: (k, n) for the steps that refresh n > 1 blocks
     for k in range(iters):
-        if k - oldest > tau:
-            # every block is at most tau + 1 old here, so the blocks at the cap are exactly
-            # those last refreshed at oldest == k - tau - 1; mostly there is one, and
-            # count/index find it without a Python-level scan of the W sources
-            if sources.count(oldest) == 1:
-                chosen = [sources.index(oldest)]
-            else:
-                chosen = [w for w, s in enumerate(sources) if s == oldest]
-            for w in chosen:
-                sources[w] = k
-            oldest = min(sources)
-        else:
+        if k - oldest <= tau:
             w = picks[k]
-            chosen = [w]
+            workers.append(w)
             last = sources[w]
             sources[w] = k
             if last == oldest:
                 oldest = min(sources)
-        refreshed.append(chosen)
+            continue
+        # every block is at most tau + 1 old here, so the blocks at the cap are exactly those
+        # last refreshed at oldest == k - tau - 1; mostly there is one, and count/index find
+        # it without a Python-level scan of the W sources
+        n = sources.count(oldest)
+        if n == 1:
+            w = sources.index(oldest)
+            workers.append(w)
+            sources[w] = k
+        else:
+            crowded.append((k, n))
+            for w, s in enumerate(sources):
+                if s == oldest:
+                    workers.append(w)
+                    sources[w] = k
+        oldest = min(sources)
+    counts = np.ones(iters, dtype=np.int64)
+    for k, n in crowded:
+        counts[k] = n
+    offsets = np.zeros(iters + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
     return DelaySchedule(
-        num_workers=num_workers,
-        tau=tau,
-        refreshed=refreshed,
-        source_iter=[[k] * len(ws) for k, ws in enumerate(refreshed)],
+        num_workers,
+        tau,
+        offsets=offsets,
+        workers=np.array(workers, dtype=np.int64),
+        sources=np.repeat(np.arange(iters), counts),
     )
 
 

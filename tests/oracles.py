@@ -124,7 +124,7 @@ def inertial_replay(problem, alpha, eta1, eta2, schedule, x0, iters, x_ref, phi_
     x_prev, z = x, x
     xs, zs = [x], [z]
     for k in range(iters):
-        for w, s in zip(schedule.refreshed[k], schedule.source_iter[k]):
+        for w, s in refreshes(schedule, k):
             table[w] = problem.block_gradient(blocks[w], xs[s])
             sources[w] = s
         stale.append(k - sources)
@@ -210,12 +210,18 @@ def uniform_single_lists(num_workers, tau, iters, seed):
     return refreshed, source_iter
 
 
+def refreshes(schedule, k):
+    """(worker, source) pairs of iteration k, read from the schedule's flat arrays."""
+    lo, hi = schedule.offsets[k], schedule.offsets[k + 1]
+    return zip(schedule.workers[lo:hi].tolist(), schedule.sources[lo:hi].tolist())
+
+
 def max_staleness(schedule):
     """Largest table-entry staleness over a replay; ScheduleError past tau."""
     sources = np.zeros(schedule.num_workers, dtype=int)
     worst = 0
     for k in range(schedule.iterations):
-        for w, s in zip(schedule.refreshed[k], schedule.source_iter[k]):
+        for w, s in refreshes(schedule, k):
             sources[w] = s
         worst = max(worst, int(np.max(k - sources)))
     if worst > schedule.tau:

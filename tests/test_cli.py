@@ -669,6 +669,33 @@ class TestCompare:
             f"error: configs[1].c1 is too large for a float, got {big}\n"
         )
 
+    @pytest.mark.parametrize("value", [5, None, ["cmp"]])
+    @pytest.mark.parametrize("flag", [[], ["--out", "cmp"]], ids=["spec", "flag"])
+    def test_spec_out_must_be_a_json_string(self, tmp_path, capsys, monkeypatch, value, flag):
+        # an error line before any solve or run, not a TypeError traceback from os.makedirs;
+        # an --out flag does not excuse a malformed spec
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr("ipiag.problems.reference_solution", no_solve)
+        monkeypatch.setattr("ipiag.cli.run", no_solve)
+        monkeypatch.chdir(tmp_path)
+        spec = self._spec(
+            tmp_path,
+            [{"label": "a", "variant": "piag", "alpha": 1e-3},
+             {"label": "b", "variant": "piag", "alpha": 2e-3}],
+            problem=lasso_document(
+                LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1)
+            ),
+            reference={"alpha": 2e-3, "iters": 100},
+            out=value,
+        )
+        assert main(["compare", "--spec", spec, *flag]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: out must be a string, got {json.dumps(value)}\n"
+        assert not (tmp_path / "cmp").exists()
+
     @pytest.mark.parametrize("kind, message", [
         ("sync", "the sync schedule has no staleness; tau must be 0"),
         ("cyclic", "unknown schedule kind 'cyclic'"),

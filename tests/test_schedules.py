@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -18,21 +19,42 @@ from ipiag.schedules import staleness_table
 from .oracles import max_staleness, uniform_single_lists, validate_schedule_lists
 
 
+def flat(refreshed, source_iter):
+    """(offsets, workers, sources) as lists: the flat form of per-iteration lists."""
+    offsets = np.cumsum([0] + [len(ws) for ws in refreshed]).tolist()
+    return offsets, [w for ws in refreshed for w in ws], [v for ss in source_iter for v in ss]
+
+
+def arrays(schedule):
+    return schedule.offsets.tolist(), schedule.workers.tolist(), schedule.sources.tolist()
+
+
 def test_synchronous_refreshes_everyone_at_the_current_iterate():
     s = schedule_synchronous(3, 5)
     assert s.iterations == 5
     assert s.tau == 0
-    assert all(ws == [0, 1, 2] for ws in s.refreshed)
-    assert s.source_iter[4] == [4, 4, 4]
+    assert s.offsets.tolist() == [0, 3, 6, 9, 12, 15]
+    assert s.workers.tolist() == [0, 1, 2] * 5
+    assert s.sources[12:].tolist() == [4, 4, 4]
     assert max_observed_staleness(s) == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+@pytest.mark.parametrize("iters", [0, 1, 7])
+def test_synchronous_arrays_equal_their_list_form(workers, iters):
+    s = schedule_synchronous(workers, iters)
+    refreshed = [list(range(workers)) for _ in range(iters)]
+    source_iter = [[k] * workers for k in range(iters)]
+    assert arrays(s) == flat(refreshed, source_iter)
+    assert all(a.dtype == np.int64 for a in (s.offsets, s.workers, s.sources))
 
 
 def test_uniform_single_is_deterministic_in_the_seed():
     a = schedule_uniform_single(4, 3, 200, seed=11)
     b = schedule_uniform_single(4, 3, 200, seed=11)
     c = schedule_uniform_single(4, 3, 200, seed=12)
-    assert a.refreshed == b.refreshed and a.source_iter == b.source_iter
-    assert a.refreshed != c.refreshed
+    assert arrays(a) == arrays(b)
+    assert arrays(a) != arrays(c)
 
 
 def test_uniform_single_with_zero_tau_refreshes_all_workers():
@@ -40,13 +62,13 @@ def test_uniform_single_with_zero_tau_refreshes_all_workers():
     # after iteration 0 every block would age beyond tau=0, so every
     # iteration from k=1 on must force a full refresh
     for k in range(1, 10):
-        assert sorted(s.refreshed[k]) == [0, 1, 2, 3]
+        assert sorted(s.workers[s.offsets[k]:s.offsets[k + 1]].tolist()) == [0, 1, 2, 3]
     assert max_observed_staleness(s) == 0
 
 
 def test_single_worker_degenerates_to_synchronous():
     s = schedule_uniform_single(1, 5, 20, seed=9)
-    assert all(ws == [0] for ws in s.refreshed)
+    assert arrays(s) == arrays(schedule_synchronous(1, 20))
     assert max_observed_staleness(s) == 0
 
 
@@ -63,7 +85,7 @@ def test_uniform_single_never_exceeds_the_bound(workers, tau, seed):
 def test_hand_built_schedule_staleness_is_the_oldest_entry():
     # four workers, five iterations; worker 3 is never refreshed after the
     # initial table fill, so its entry ages to 4 by the last iteration
-    s = DelaySchedule(
+    s = DelaySchedule.from_lists(
         num_workers=4,
         tau=4,
         refreshed=[[0], [1], [0, 2], [1], [2]],
@@ -73,7 +95,7 @@ def test_hand_built_schedule_staleness_is_the_oldest_entry():
 
 
 def test_declared_bound_is_enforced_not_clamped():
-    s = DelaySchedule(
+    s = DelaySchedule.from_lists(
         num_workers=2,
         tau=1,
         refreshed=[[0], [0], [0]],
@@ -85,7 +107,7 @@ def test_declared_bound_is_enforced_not_clamped():
 
 
 def test_stale_sources_count_at_refresh_time():
-    s = DelaySchedule(
+    s = DelaySchedule.from_lists(
         num_workers=1,
         tau=3,
         refreshed=[[], [], [], [0]],
@@ -97,23 +119,53 @@ def test_stale_sources_count_at_refresh_time():
 class TestValidation:
     def test_misaligned_outer_lists(self):
         with pytest.raises(ScheduleError):
-            DelaySchedule(2, 1, refreshed=[[0]], source_iter=[])
+            DelaySchedule.from_lists(2, 1, refreshed=[[0]], source_iter=[])
 
     def test_misaligned_inner_lists(self):
         with pytest.raises(ScheduleError):
-            DelaySchedule(2, 1, refreshed=[[0, 1]], source_iter=[[0]])
+            DelaySchedule.from_lists(2, 1, refreshed=[[0, 1]], source_iter=[[0]])
 
     def test_worker_out_of_range(self):
         with pytest.raises(ScheduleError):
-            DelaySchedule(2, 1, refreshed=[[2]], source_iter=[[0]])
+            DelaySchedule.from_lists(2, 1, refreshed=[[2]], source_iter=[[0]])
 
     def test_source_from_the_future(self):
         with pytest.raises(ScheduleError):
-            DelaySchedule(2, 1, refreshed=[[0]], source_iter=[[1]])
+            DelaySchedule.from_lists(2, 1, refreshed=[[0]], source_iter=[[1]])
 
     def test_negative_tau(self):
         with pytest.raises(ScheduleError):
-            DelaySchedule(2, -1, refreshed=[], source_iter=[])
+            DelaySchedule.from_lists(2, -1, refreshed=[], source_iter=[])
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: schedule_synchronous(0, 5), "need at least one worker"),
+        (lambda: schedule_synchronous(2, -1), "iters must be nonnegative"),
+        (lambda: schedule_uniform_single(0, 1, 5, seed=0), "need at least one worker"),
+        (lambda: schedule_uniform_single(2, -1, 5, seed=0), "tau must be nonnegative"),
+        (lambda: schedule_uniform_single(2, 1, -1, seed=0), "iters must be nonnegative"),
+    ], ids=["sync-workers", "sync-iters", "uniform1-workers", "uniform1-tau", "uniform1-iters"])
+    def test_generators_reject_bad_sizes(self, make, message):
+        with pytest.raises(ScheduleError, match=f"^{message}$"):
+            make()
+
+    @pytest.mark.parametrize("offsets, workers, sources, message", [
+        ([], [], [], "offsets must rise"),
+        ([1], [], [], "offsets must rise"),
+        ([0, 2], [0], [0], "offsets must rise"),
+        ([0, 1], [0], [0, 0], "offsets must rise"),
+        ([0, 2, 1], [0, 1], [0, 1], "offsets must rise"),
+        ([[0, 1]], [0], [0], "offsets must rise"),
+        ([0, 1], [[0]], [0], "offsets must rise"),
+        ([0, 1], [0.0], [0], "must be 64-bit integers"),
+        ([0, 1], [True], [0], "must be 64-bit integers"),
+        ([0, 1], np.array([1], dtype=np.uint64), [0], "must be 64-bit integers"),
+        ([0, 1, 3], [0, 1, 2], [0, 1, 0], "iteration 1: worker id 2 out of range"),
+        ([0, 1, 3], [0, 1, 0], [0, 2, 1], "iteration 1: source 2 out of range"),
+        ([0, 0, 1], [0], [-1], "iteration 1: source -1 out of range"),
+    ])
+    def test_the_array_constructor_checks_its_arrays(self, offsets, workers, sources, message):
+        with pytest.raises(ScheduleError, match=message):
+            DelaySchedule(2, 1, offsets, workers, sources)
 
 
 @st.composite
@@ -164,28 +216,34 @@ def test_validation_raises_what_the_entry_by_entry_check_raises(case):
         validate_schedule_lists(*case)
     except ScheduleError as exc:
         with pytest.raises(ScheduleError) as got:
-            DelaySchedule(*case)
+            DelaySchedule.from_lists(*case)
         assert str(got.value) == str(exc)
+        # where the lists align, their flat arrays are refused with the same message
+        workers, tau, refreshed, source_iter = case
+        if list(map(len, refreshed)) == list(map(len, source_iter)):
+            with pytest.raises(ScheduleError) as got:
+                DelaySchedule(workers, tau, *flat(refreshed, source_iter))
+            assert str(got.value) == str(exc)
     else:
-        s = DelaySchedule(*case)
+        s = DelaySchedule.from_lists(*case)
         _, _, refreshed, source_iter = case
-        assert s.offsets.tolist() == np.cumsum([0] + [len(ws) for ws in refreshed]).tolist()
-        assert s.workers.tolist() == [w for ws in refreshed for w in ws]
-        assert s.sources.tolist() == [v for ss in source_iter for v in ss]
+        assert arrays(s) == flat(refreshed, source_iter)
+        # the array constructor takes the same schedule as its flat arrays
+        assert arrays(DelaySchedule(s.num_workers, s.tau, *arrays(s))) == arrays(s)
 
 
 @pytest.mark.parametrize("entry", [1.5, "1", 2**63, 2.0, True])
 def test_entries_must_be_64_bit_integers(entry):
     with pytest.raises(ScheduleError, match="must be 64-bit integers"):
-        DelaySchedule(2, 1, refreshed=[[0], [entry]], source_iter=[[0], [1]])
+        DelaySchedule.from_lists(2, 1, refreshed=[[0], [entry]], source_iter=[[0], [1]])
     with pytest.raises(ScheduleError, match="must be 64-bit integers"):
-        DelaySchedule(2, 1, refreshed=[[0], [1]], source_iter=[[0], [entry]])
+        DelaySchedule.from_lists(2, 1, refreshed=[[0], [1]], source_iter=[[0], [entry]])
     # every entry is checked to be an integer before any is checked to be in range,
     # so a truncated 1.5 never reaches a range message and an earlier bad id never wins
     with pytest.raises(ScheduleError, match="must be 64-bit integers"):
-        DelaySchedule(1, 0, refreshed=[[entry]], source_iter=[[0]])
+        DelaySchedule.from_lists(1, 0, refreshed=[[entry]], source_iter=[[0]])
     with pytest.raises(ScheduleError, match="must be 64-bit integers"):
-        DelaySchedule(2, 1, refreshed=[[5], [entry]], source_iter=[[0], [1]])
+        DelaySchedule.from_lists(2, 1, refreshed=[[5], [entry]], source_iter=[[0], [1]])
 
 
 def test_a_schedule_is_frozen_and_its_arrays_read_only():
@@ -202,22 +260,34 @@ def test_a_schedule_is_frozen_and_its_arrays_read_only():
 def test_edits_to_the_lists_after_construction_are_not_seen(tmp_path):
     s = schedule_uniform_single(4, 2, 20, seed=0)
     table = staleness_table(s, 20)
-    s.source_iter[3] = [7]
-    s.refreshed[5].append(9)
+    # the per-iteration views are tuples
+    with pytest.raises(TypeError):
+        s.source_iter[3] = [7]
+    with pytest.raises(TypeError):
+        s.refreshed[5][0] = 9
+    assert np.array_equal(staleness_table(s, 20), table)
+    # the constructor keeps its own copies, so edits to the arrays passed in are not seen
+    passed = [a.copy() for a in (s.offsets, s.workers, s.sources)]
+    s = DelaySchedule(4, 2, *passed)
+    passed[2][3] = 7
+    passed[1][5] = 9
     assert np.array_equal(staleness_table(s, 20), table)
     path = tmp_path / "schedule.jsonl"
     s.to_jsonl(str(path))
     back = DelaySchedule.from_jsonl(str(path), num_workers=4, tau=2)
-    assert (back.refreshed, back.source_iter) == uniform_single_lists(4, 2, 20, seed=0)
+    assert arrays(back) == flat(*uniform_single_lists(4, 2, 20, seed=0))
 
 
 def test_jsonl_roundtrip(tmp_path):
     s = schedule_uniform_single(3, 2, 50, seed=5)
     path = tmp_path / "schedule.jsonl"
     s.to_jsonl(str(path))
+    # the wire format is pinned byte for byte
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "ec1c4b9819c97987218fe3b49c285c05c139c931690a8308d2a4b5911f676f24"
+    )
     back = DelaySchedule.from_jsonl(str(path), num_workers=3, tau=2)
-    assert back.refreshed == s.refreshed
-    assert back.source_iter == s.source_iter
+    assert arrays(back) == arrays(s)
     assert back.tau == 2
 
 
@@ -257,7 +327,11 @@ def test_uniform_single_equals_the_numpy_form(workers, tau, iters):
     for seed in (0, 1, 2**63 + 5):
         s = schedule_uniform_single(workers, tau, iters, seed)
         refreshed, source_iter = uniform_single_lists(workers, tau, iters, seed)
-        assert s.refreshed == refreshed and s.source_iter == source_iter
+        assert arrays(s) == flat(refreshed, source_iter)
+        assert all(a.dtype == np.int64 for a in (s.offsets, s.workers, s.sources))
+        # the read-only views are the same lists, as tuples of Python ints
+        assert s.refreshed == tuple(map(tuple, refreshed))
+        assert s.source_iter == tuple(map(tuple, source_iter))
         assert all(type(v) is int for ws in s.refreshed + s.source_iter for v in ws)
         worst = max_observed_staleness(s)
         assert type(worst) is int
@@ -274,7 +348,7 @@ def test_max_staleness_of_hand_built_schedules_equals_the_numpy_form(workers, ta
         ws = rng.choice(workers, size=rng.integers(0, workers + 1), replace=True).tolist()
         refreshed.append(ws)
         sources.append([int(rng.integers(max(0, k - tau - 1), k + 1)) for _ in ws])
-    s = DelaySchedule(workers, tau, refreshed, sources)
+    s = DelaySchedule.from_lists(workers, tau, refreshed, sources)
     try:
         expected = max_staleness(s)
     except ScheduleError as exc:

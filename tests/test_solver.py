@@ -83,7 +83,7 @@ REPLAY_PROBLEMS = {
 
 def transit_schedule(workers, tau, iters):
     """Every worker refreshes every step, reading an iterate 1..tau steps old."""
-    return DelaySchedule(
+    return DelaySchedule.from_lists(
         workers,
         tau,
         refreshed=[list(range(workers)) for _ in range(iters)],
@@ -130,7 +130,7 @@ def test_run_equals_the_plain_replay_bit_for_bit(name, eta1, eta2, schedule_kind
 def test_aging_past_tau_is_rejected_before_the_first_block_gradient():
     # worker 3 is never refreshed, so its entry is 49 steps old at k = 49 while tau says 2
     K = 50
-    schedule = DelaySchedule(
+    schedule = DelaySchedule.from_lists(
         num_workers=4,
         tau=2,
         refreshed=[[k % 3] for k in range(K)],
@@ -192,8 +192,11 @@ def test_list_edits_after_construction_do_not_steer_the_run():
     params = SolverParams(alpha=1e-2, max_iters=20)
     want = run(prob, params, schedule_uniform_single(4, 2, 20, seed=0), np.zeros(8))
     schedule = schedule_uniform_single(4, 2, 20, seed=0)
-    # iterate 7 is not written until step 6; the validated arrays still say source 3
-    schedule.source_iter[3] = [7]
+    # iterate 7 is not written until step 6; neither the views nor the arrays take it
+    with pytest.raises(TypeError):
+        schedule.source_iter[3] = [7]
+    with pytest.raises(ValueError):
+        schedule.sources[3] = 7
     got = run(prob, params, schedule, np.zeros(8))
     for name in ("k", "phi", "dist2", "psi", "step_norm2", "staleness", "x_final", "z_final", "z"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
