@@ -88,6 +88,7 @@ class RateCertificate:
             "eta2_max": self.eta2_max,
             "eta2": self.eta2,
             "rho": self.rho,
+            "admissible": self.admissible,
             "C": None,  # the envelope constant; only a checked run has one
         }
         if self.simplified_factor is not None:

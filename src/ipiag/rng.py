@@ -20,9 +20,19 @@ Derived draws are defined on top of the 64-bit stream:
 * ``normals(n)``   -- Box-Muller on consecutive uniform blocks ``u1 = U[:m]``,
   ``u2 = U[m:]`` producing ``r*cos`` values followed by ``r*sin`` values,
   truncated to ``n``.
+
+Layout and memory.  The bulk draws do each elementwise step in place:
+``u64_array``, ``uniforms`` and ``normals`` hold two n-element arrays at
+their peak, the result and one scratch, so about twice the output bytes.
+The array ``normals`` returns starts on a 64-byte (cache-line) boundary,
+so a matrix reshaped from it is aligned with no copy, and so is every row
+whose byte length is a multiple of 64.  A negative draw count raises
+``ValueError`` and leaves the stream where it was.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -30,12 +40,29 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_ALIGN = 64  # bytes: one cache line
 
 
 def _mix(z: int) -> int:
     z = (z ^ (z >> 30)) * _MIX1 & _MASK
     z = (z ^ (z >> 27)) * _MIX2 & _MASK
     return z ^ (z >> 31)
+
+
+def _count(n) -> int:
+    """A draw count: an integer, at least 0."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"draw count must be nonnegative, got {n}")
+    return n
+
+
+def _aligned_doubles(n: int) -> np.ndarray:
+    """Uninitialised float64 array of length n starting on a 64-byte boundary."""
+    per_line = _ALIGN // 8
+    buf = np.empty(n + per_line - 1, dtype=np.float64)
+    skip = (-buf.ctypes.data % _ALIGN) // 8  # malloc aligns to at least 8 bytes
+    return buf[skip : skip + n]
 
 
 class SplitMix64:
@@ -57,27 +84,62 @@ class SplitMix64:
             raise ValueError("n must be positive")
         return self.next_u64() % n
 
+    def _fill(self, out: np.ndarray) -> np.ndarray:
+        """Write the next len(out) draws into the uint64 array out.
+
+        Returns the uint64 scratch array of the same length that the mixing
+        used, free for the caller to reuse.
+        """
+        n = len(out)
+        z = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        self.counter += n
+        np.multiply(z, np.uint64(_GAMMA), out=out)
+        out += np.uint64(self.seed)
+        for shift, factor in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(out, np.uint64(shift), out=z)
+            out ^= z
+            out *= np.uint64(factor)
+        np.right_shift(out, np.uint64(31), out=z)
+        out ^= z
+        return z
+
+    def _fill_uniforms(self, draws: np.ndarray) -> np.ndarray:
+        """Next len(draws) uniforms, with the uint64 array draws holding the raw draws.
+
+        Returns them as a float64 view of the scratch array ``_fill`` returns,
+        so draws is free for the caller afterwards.
+        """
+        u = self._fill(draws).view(np.float64)
+        draws >>= np.uint64(11)
+        np.copyto(u, draws, casting="unsafe")  # exact: every value is below 2**53
+        u *= 2.0**-53
+        return u
+
     def u64_array(self, n: int) -> np.ndarray:
         """Next n raw draws as a uint64 array (same stream as next_u64)."""
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
-        self.counter += n
-        z = np.uint64(self.seed) + idx * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        out = np.empty(_count(n), dtype=np.uint64)
+        self._fill(out)
+        return out
 
     def uniforms(self, n: int) -> np.ndarray:
         """Doubles in [0, 1) with 53-bit resolution."""
-        return (self.u64_array(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return self._fill_uniforms(np.empty(_count(n), dtype=np.uint64))
 
     def normals(self, n: int) -> np.ndarray:
-        """Standard normal draws via Box-Muller on uniform blocks."""
-        m = (n + 1) // 2
-        u = self.uniforms(2 * m)
-        u1 = np.maximum(u[:m], 2.0**-53)  # keep log finite
-        u2 = u[m:]
-        r = np.sqrt(-2.0 * np.log(u1))
-        z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
+        """Standard normal draws via Box-Muller on uniform blocks, 64-byte aligned."""
+        m = (_count(n) + 1) // 2
+        z = _aligned_doubles(2 * m)
+        u = self._fill_uniforms(z.view(np.uint64))
+        r, theta = u[:m], u[m:]
+        np.maximum(r, 2.0**-53, out=r)  # keep log finite
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta *= 2.0 * np.pi
+        np.cos(theta, out=z[:m])
+        z[:m] *= r
+        np.sin(theta, out=z[m:])
+        z[m:] *= r
         return z[:n]
 
     def shuffle_prefix(self, n: int, k: int) -> np.ndarray:

@@ -300,3 +300,28 @@ def svg_polyline_points(curves, width=640, height=420):
         )
         for x, y in cleaned
     ]
+
+
+def splitmix_u64(seed, counter, n):
+    """Draws counter+1 .. counter+n of SplitMix64(seed), one whole-array expression per step."""
+    idx = np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
+    z = np.uint64(int(seed) & (2**64 - 1)) + idx * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def splitmix_uniforms(seed, counter, n):
+    """Doubles (u >> 11) * 2**-53 over the same draws."""
+    return (splitmix_u64(seed, counter, n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def splitmix_normals(seed, counter, n):
+    """Box-Muller on uniform blocks: r*cos values, then r*sin values, cut to n."""
+    m = (n + 1) // 2
+    u = splitmix_uniforms(seed, counter, 2 * m)
+    u1 = np.maximum(u[:m], 2.0**-53)
+    u2 = u[m:]
+    r = np.sqrt(-2.0 * np.log(u1))
+    z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
+    return z[:n]

@@ -64,6 +64,7 @@ class TestCertify:
         assert doc["alpha0"] == pytest.approx(0.07721734501594178, rel=1e-12)
         assert doc["alpha0_stated"] == doc["alpha0_tight"]
         assert doc["rho"] < 1.0
+        assert doc["admissible"] is True
         assert doc["C"] is None
 
     def test_tight_threshold_shown_alongside_the_stated_one(self, capsys):
@@ -321,6 +322,7 @@ class TestRun:
         assert rc == EXIT_BOUND
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "ok"
+        assert summary["certificate"]["admissible"] is False
         assert summary["bound_checks"]["psi"] == "fail"
 
     @pytest.mark.parametrize("tau", ["0", "4"])

@@ -212,6 +212,9 @@ def test_json_document_fields():
     assert "simplified_factor" in doc
     plain = certificate_for("t1", UNIT).to_json_dict()
     assert "simplified_factor" not in plain
+    assert doc["admissible"] is True and plain["admissible"] is True
+    oversized = ipiag_certificate(UNIT, alpha=2.0 * ipiag_certificate(UNIT).alpha_max)
+    assert oversized.to_json_dict()["admissible"] is False
 
 
 class TestRecurrenceAlgebra:

@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ipiag.rng import SplitMix64
+
+from .oracles import splitmix_normals, splitmix_u64, splitmix_uniforms
+
+BULK_ORACLES = {"u64_array": splitmix_u64, "uniforms": splitmix_uniforms, "normals": splitmix_normals}
 
 
 def test_scalar_and_array_paths_agree():
@@ -74,3 +80,44 @@ def test_consuming_draws_advances_the_counter():
     fresh = SplitMix64(5)
     fresh_seq = [fresh.next_u64() for _ in range(11)]
     assert after == fresh_seq[10]
+
+
+@pytest.mark.parametrize("method", sorted(BULK_ORACLES))
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5, 2**64 - 1])
+def test_bulk_draws_match_the_whole_array_formulas_byte_for_byte(method, seed):
+    # a scalar draw first, so the bulk draws start mid-stream
+    for n in (0, 1, 2, 3, 7, 100, 101, 300000, 300001):
+        r = SplitMix64(seed)
+        r.next_u64()
+        got = getattr(r, method)(n)
+        want = BULK_ORACLES[method](seed, 1, n)
+        assert got.dtype == want.dtype and got.shape == want.shape, (method, n)
+        assert got.tobytes() == want.tobytes(), (method, seed, n)
+        used = 2 * ((n + 1) // 2) if method == "normals" else n
+        assert r.counter == 1 + used
+
+
+@pytest.mark.parametrize("method", sorted(BULK_ORACLES))
+def test_a_negative_draw_count_leaves_the_stream_alone(method):
+    r = SplitMix64(5)
+    r.next_u64()
+    with pytest.raises(ValueError):
+        getattr(r, method)(-3)
+    assert r.counter == 1
+    assert r.next_u64() == SplitMix64(5).u64_array(2)[1]
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000, 300001])
+def test_normals_start_on_a_cache_line(n):
+    assert SplitMix64(n).normals(n).ctypes.data % 64 == 0
+
+
+def test_normals_hold_at_most_twice_their_output_bytes():
+    n = 300000
+    tracemalloc.start()
+    try:
+        z = SplitMix64(9).normals(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.05 * z.nbytes
