@@ -60,12 +60,10 @@ def variant_comparison(args, out_dir):
         write_trace_csv(os.path.join(out_dir, f"toy_{label.replace('-', '_')}.csv"), trace)
         curves.append({"label": label, "x": trace.k, "y": trace.dist2})
         if label == "plain":
-            report = verify_linear_bound(trace, cert)
-            scale = 2.0 * cert.alpha / (1.0 - cert.eta1)
             envelope = {
                 "label": "certified envelope",
                 "x": trace.k,
-                "y": scale * report.constant * cert.rho ** np.asarray(trace.k, dtype=float),
+                "y": verify_linear_bound(trace, cert).dist_envelope,
                 "dashed": True,
             }
         print(

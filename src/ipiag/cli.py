@@ -5,7 +5,8 @@ Three subcommands:
 ``run``      execute one configuration on a problem document, writing
              ``trace.csv``, ``summary.json``, and optionally ``plot.svg``
              (squared distance vs iteration, log scale, with the
-             certificate envelope rho^k C dash-dotted).
+             certificate envelope dash-dotted; else the objective; else
+             no file and a warning).
 ``compare``  execute several configurations sharing one problem and emit a
              table with iterations-to-threshold columns, averaged over
              seeded repetitions when the schedule is randomized.
@@ -14,7 +15,9 @@ Three subcommands:
 
 Exit codes: 0 success, 2 configuration error, 3 the run diverged (the
 divergence guard fired or an iterate became non-finite), 4 a certificate
-bound check ran and failed.
+bound check ran and failed.  Codes 2 and 3 come with one ``error:`` line on
+stderr.  Floats in ``trace.csv`` and ``compare.csv`` are written with
+``%.17g``, which reads back to the same double.
 
 The ``compare`` spec file is JSON:
 
@@ -54,7 +57,7 @@ from .core import CompositeProblem, NumericError
 from .problems import load_problem, problem_from_document
 from .rates import RateInputs, certificate_for, ipiag_certificate, verify_linear_bound
 from .schedules import DelaySchedule, schedule_synchronous, schedule_uniform_single
-from .solver import SolverParams, float_format, iterations_to_threshold, run
+from .solver import FLOAT_FORMAT, SolverParams, iterations_to_threshold, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,9 +69,14 @@ class ConfigError(ValueError):
     """Invalid combination of flags, spec fields, or problem metadata."""
 
 
+def _error(message: str) -> None:
+    """Print the one ``error:`` line of a failed call; line breaks in quoted input are escaped."""
+    print("error: " + "\\n".join(message.splitlines()), file=sys.stderr)
+
+
 def _parse_value(text, name: str):
     """'auto' stays a sentinel; anything else must parse as a float."""
-    if text is None or text == "auto":
+    if text == "auto":
         return "auto"
     try:
         return float(text)
@@ -93,7 +101,7 @@ def resolve_parameters(
     error is None) or when no certificate covers the resolved values (then
     error says why, and the run is uncertified).
     """
-    if variant not in rates.RUN_VARIANTS:
+    if type(variant) is not str or variant not in rates.RUN_VARIANTS:  # a spec's {} is unhashable
         raise ConfigError(f"unknown variant {variant!r}")
     alpha_arg = _parse_value(alpha_arg, "alpha")
     eta1_arg = _parse_value(eta1_arg, "eta1")
@@ -192,6 +200,8 @@ def build_schedule(kind: str, workers: int, tau: int, iters: int, seed: int) -> 
 
 
 def _load_problem_arg(source) -> CompositeProblem:
+    if type(source) not in (str, dict):  # open() takes an int as a file descriptor, 0 as stdin
+        raise ConfigError(f"problem must be a path or a JSON object, got {json.dumps(source)}")
     try:
         if isinstance(source, dict):
             return problem_from_document(source)
@@ -209,7 +219,6 @@ def _make_output_dir(path: str) -> None:
 def cmd_run(args) -> int:
     t0 = time.perf_counter()
     try:
-        float_format()  # reject a bad IPIAG_FLOAT_DIGITS before any work
         problem = _load_problem_arg(args.problem)
         if not 1 <= args.workers <= problem.num_components:
             raise ConfigError("workers must lie in [1, num_components]")
@@ -222,7 +231,7 @@ def cmd_run(args) -> int:
         params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=args.iters)
         _make_output_dir(args.out)
     except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_CONFIG
 
     if cert_error is not None:
@@ -233,7 +242,7 @@ def cmd_run(args) -> int:
     try:
         trace = run(problem, params, schedule, np.zeros(problem.dimension), store_iterates=False)
     except NumericError as exc:
-        print(f"error: diverged: {exc}", file=sys.stderr)
+        _error(f"diverged: {exc}")
         status = "diverged"
         exit_code = EXIT_DIVERGED
 
@@ -288,27 +297,7 @@ def cmd_run(args) -> int:
         fh.write("\n")
 
     if args.plot and trace is not None and trace.records >= 2:
-        curves = []
-        if np.isfinite(trace.dist2).any():
-            curves.append({"label": "dist^2", "x": trace.k, "y": trace.dist2})
-            ylabel = "squared distance"
-        else:
-            curves.append({"label": "objective", "x": trace.k, "y": trace.phi})
-            ylabel = "objective"
-        if report is not None:
-            env = report.constant * report.rho ** np.asarray(trace.k, dtype=float)
-            scale = 2.0 * cert.alpha / (1.0 - cert.eta1)
-            curves.append(
-                {"label": "certificate bound", "x": trace.k, "y": scale * env, "dashed": True}
-            )
-        from .plotting import log_line_plot
-
-        log_line_plot(
-            os.path.join(args.out, "plot.svg"),
-            curves,
-            title=f"{args.variant} on {os.path.basename(str(args.problem))}",
-            ylabel=ylabel,
-        )
+        _plot_run(args, trace, report)
 
     checks = ",".join(f"{k}={v}" for k, v in verdicts.items())
     print(
@@ -316,6 +305,37 @@ def cmd_run(args) -> int:
         f"final_phi={summary['final_phi']} checks[{checks}] -> {args.out}"
     )
     return exit_code
+
+
+def _positive(values) -> bool:
+    """Whether a log axis can show any of ``values``."""
+    return bool(np.any(np.isfinite(values) & (values > 0)))
+
+
+def _plot_run(args, trace, report) -> None:
+    """plot.svg of a run: dist2 and its envelope, else the objective, else a warning."""
+    if _positive(trace.dist2):
+        curves = [{"label": "dist^2", "x": trace.k, "y": trace.dist2}]
+        ylabel = "squared distance"
+        if report is not None:
+            curves.append(
+                {"label": "certificate bound", "x": trace.k, "y": report.dist_envelope,
+                 "dashed": True}
+            )
+    elif _positive(trace.phi):
+        curves = [{"label": "objective", "x": trace.k, "y": trace.phi}]
+        ylabel = "objective"
+    else:
+        print("warning: no plot.svg: no squared distance or objective is positive", file=sys.stderr)
+        return
+    from .plotting import log_line_plot
+
+    log_line_plot(
+        os.path.join(args.out, "plot.svg"),
+        curves,
+        title=f"{args.variant} on {os.path.basename(str(args.problem))}",
+        ylabel=ylabel,
+    )
 
 
 def _mean_or_none(values) -> float:
@@ -330,11 +350,10 @@ def cmd_compare(args) -> int:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read spec: {exc}", file=sys.stderr)
+        _error(f"cannot read spec: {exc}")
         return EXIT_CONFIG
 
     try:
-        fmt = float_format()
         _spec_object(spec, "the spec")
         configs = spec.get("configs", [])
         if type(configs) is not list:
@@ -401,10 +420,10 @@ def cmd_compare(args) -> int:
                 tol=_spec_number(ref, "tol", 1e-10, "reference."),
             )
     except (ConfigError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_CONFIG
     except NumericError as exc:
-        print(f"error: reference solve diverged: {exc}", file=sys.stderr)
+        _error(f"reference solve diverged: {exc}")
         return EXIT_DIVERGED
 
     rows = []
@@ -423,7 +442,7 @@ def cmd_compare(args) -> int:
                     store_iterates=False,
                 )
             except NumericError as exc:
-                print(f"error: config {label!r} diverged: {exc}", file=sys.stderr)
+                _error(f"config {label!r} diverged: {exc}")
                 return EXIT_DIVERGED
             hits4.append(iterations_to_threshold(trace.dist2, 1e-4))
             hits6.append(iterations_to_threshold(trace.dist2, 1e-6))
@@ -458,7 +477,7 @@ def cmd_compare(args) -> int:
         if v is None:
             return ""
         if isinstance(v, float):
-            return fmt % v
+            return FLOAT_FORMAT % v
         return str(v)
 
     lines = [",".join(header)]
@@ -485,7 +504,7 @@ def cmd_certify(args) -> int:
             doc["alpha0_tight"] = cert.alpha_max
         text = json.dumps(doc, indent=2, allow_nan=False)  # a non-finite field is a ValueError
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_CONFIG
     sys.stdout.write(text + "\n")
     return EXIT_OK

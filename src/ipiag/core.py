@@ -11,7 +11,7 @@ when known, the quadratic-growth modulus and the optimum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,8 +47,8 @@ class CompositeProblem:
     component_lipschitz : length-N array of gradient Lipschitz constants L_n.
     growth_constant : quadratic-growth modulus beta, or None when unknown.
     known_optimum : optional (x_star, phi_star) pair.
-    total_lipschitz : L = sum of component_lipschitz; computed when omitted
-        and checked against the component sum when supplied.
+
+    ``total_lipschitz``, L = sum of component_lipschitz, is derived, not passed.
     """
 
     dimension: int
@@ -60,7 +60,7 @@ class CompositeProblem:
     component_lipschitz: Array
     growth_constant: Optional[float] = None
     known_optimum: Optional[tuple[Array, float]] = None
-    total_lipschitz: Optional[float] = None
+    total_lipschitz: float = field(init=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -72,11 +72,7 @@ class CompositeProblem:
             raise ValueError("component_lipschitz must have one entry per component")
         if not np.all(self.component_lipschitz > 0):
             raise ValueError("component Lipschitz constants must be positive")
-        total = float(np.sum(self.component_lipschitz))
-        if self.total_lipschitz is None:
-            self.total_lipschitz = total
-        elif self.total_lipschitz != total:
-            raise ValueError("total_lipschitz must equal the sum of component_lipschitz")
+        self.total_lipschitz = float(np.sum(self.component_lipschitz))
         if self.growth_constant is not None and not self.growth_constant > 0:
             raise ValueError("growth_constant must be positive when given")
         if self.known_optimum is not None:

@@ -11,6 +11,8 @@ import math
 import numpy as np
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+XLABEL = "iteration"
+WIDTH, HEIGHT = 640, 420
 
 
 def _escape(text: str) -> str:
@@ -26,12 +28,9 @@ def log_line_plot(
     path: str,
     curves: list,
     title: str = "",
-    xlabel: str = "iteration",
     ylabel: str = "",
-    width: int = 640,
-    height: int = 420,
 ) -> None:
-    """Write an SVG with one polyline per curve, y drawn on a log scale.
+    """Write a WIDTH x HEIGHT SVG with one polyline per curve, y on a log scale.
 
     Each curve is a dict with keys ``label``, ``x``, ``y`` and an optional
     boolean ``dashed``.  Nonpositive or nonfinite y values are dropped
@@ -60,7 +59,7 @@ def log_line_plot(
         y_hi = y_lo + 1
 
     ml, mr, mt, mb = 64, 16, 34, 46
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
 
     def sx(v):
         return ml + (v - x_lo) / (x_hi - x_lo) * pw
@@ -69,13 +68,13 @@ def log_line_plot(
         return mt + (y_hi - v) / (y_hi - y_lo) * ph
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" font-size="13">'
+            f'<text x="{WIDTH / 2:.0f}" y="20" text-anchor="middle" font-size="13">'
             f"{_escape(title)}</text>"
         )
 
@@ -106,8 +105,8 @@ def log_line_plot(
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="black"/>'
     )
     parts.append(
-        f'<text x="{ml + pw / 2:.0f}" y="{height - 10}" text-anchor="middle">'
-        f"{_escape(xlabel)}</text>"
+        f'<text x="{ml + pw / 2:.0f}" y="{HEIGHT - 10}" text-anchor="middle">'
+        f"{XLABEL}</text>"
     )
     if ylabel:
         parts.append(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,17 +35,16 @@ class ToySpec:
     num_components: int
     offset: float = 3.0
     l1_weight: float = 1.0
-    num_workers: int = 4
 
     def __post_init__(self):
         if self.num_components < 2:
             raise ValueError("need at least two components")
-        if not self.offset > 0:
-            raise ValueError("offset must be positive")
-        if self.l1_weight < 0:
-            raise ValueError("l1_weight must be nonnegative")
-        if not 1 <= self.num_workers <= self.num_components:
-            raise ValueError("num_workers must lie in [1, num_components]")
+        if not 0.0 < self.offset < math.inf:
+            raise ValueError("offset must be positive and finite")
+        if not 0.0 <= self.l1_weight < math.inf:
+            raise ValueError("l1_weight must be nonnegative and finite")
+        if math.isinf(1.5 * self.num_components * self.offset * self.offset):
+            raise ValueError("offset is so large that the objective overflows")
 
     @property
     def regularizer(self) -> ProxSpec:
@@ -121,7 +121,6 @@ def toy_document(spec: ToySpec) -> dict:
             "num_components": spec.num_components,
             "offset": spec.offset,
             "l1_weight": spec.l1_weight,
-            "num_workers": spec.num_workers,
         },
         "seed": None,
     }
@@ -143,8 +142,10 @@ class LassoSpec:
             raise ValueError("rows and cols must be positive")
         if not 0.0 < self.sparsity <= 1.0:
             raise ValueError("sparsity must lie in (0, 1]")
-        if self.l1_weight < 0:
-            raise ValueError("l1_weight must be nonnegative")
+        if not 0.0 <= self.l1_weight < math.inf:
+            raise ValueError("l1_weight must be nonnegative and finite")
+        if not isinstance(self.seed, numbers.Integral):  # int() truncates 1.5 and overflows on inf
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
     @property
     def regularizer(self) -> ProxSpec:
@@ -170,11 +171,11 @@ def lasso_arrays(spec: LassoSpec) -> tuple:
     return a, b, x_true
 
 
-def make_lasso(spec: LassoSpec, growth_constant=None) -> CompositeProblem:
+def make_lasso(spec: LassoSpec) -> CompositeProblem:
     """Least-squares components f_i = (a_i . x - b_i)^2 / 2, h = l1.
 
-    The growth modulus is not computed from the data; certificates and
-    envelope checks need ``growth_constant`` passed explicitly.
+    The growth modulus is not computed from the data, so the problem has
+    none; a document's ``beta`` supplies one (``problem_from_document``).
     """
     a, b, _ = lasso_arrays(spec)
     prox_spec = spec.regularizer
@@ -197,12 +198,11 @@ def make_lasso(spec: LassoSpec, growth_constant=None) -> CompositeProblem:
         regularizer_value=prox_spec.value,
         prox=prox_spec.prox,
         component_lipschitz=lipschitz,
-        growth_constant=growth_constant,
     )
 
 
-def lasso_document(spec: LassoSpec, growth_constant=None) -> dict:
-    problem = make_lasso(spec, growth_constant=growth_constant)
+def lasso_document(spec: LassoSpec) -> dict:
+    problem = make_lasso(spec)
     generator = {
         "name": "lasso",
         "params": {
@@ -258,11 +258,6 @@ def _generate(name: str, params: dict, seed) -> tuple:
         spec = LassoSpec(**merged)
         return spec, make_lasso(spec)
     raise ValueError(f"unknown problem generator {name!r}")
-
-
-def build_from_generator(name: str, params: dict, seed=None) -> CompositeProblem:
-    """Rebuild a problem from the generator name and parameters of a document."""
-    return _generate(name, params, seed)[1]
 
 
 # ---------------------------------------------------------------------------

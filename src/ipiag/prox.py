@@ -78,7 +78,3 @@ class ProxSpec:
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "lambda": float(self.weight)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ProxSpec":
-        return cls(kind=doc["kind"], weight=float(doc.get("lambda", 0.0)))

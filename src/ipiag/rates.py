@@ -434,10 +434,11 @@ def verify_two_term(
 
 @dataclass
 class BoundReport:
-    """Envelope check of a traced run against a certificate."""
+    """Envelope check of a traced run against a certificate, with the dist2 envelope it checked."""
 
     rho: float
     constant: float
+    dist_envelope: Array
     psi_ok: bool
     phi_ok: bool
     dist_ok: bool
@@ -472,9 +473,10 @@ def verify_linear_bound(
     C is assembled from the first two records: Psi(z_1) + rho Psi(z_0)
     plus ||z_1 - z_0||^2 / (4 alpha).  Three envelopes are checked with
     relative slack: the Lyapunov value, the objective gap, and the squared
-    distance (scaled by 2 alpha / (1 - eta1)).  The certificate must be the
-    run's own: its alpha, eta1 and eta2 equal the trace's, so the trace's
-    psi is the Lyapunov value the certificate speaks of.
+    distance (scaled by 2 alpha / (1 - eta1), +inf at eta1 = 1).  The
+    certificate must be the run's own: its alpha, eta1 and eta2 equal the
+    trace's, so the trace's psi is the Lyapunov value the certificate
+    speaks of.
     """
     if trace.phi_star is None or trace.x_ref is None:
         raise ValueError("trace lacks a reference point / optimal value")
@@ -492,12 +494,13 @@ def verify_linear_bound(
 
     psi_ok, psi_first, psi_ratio = _envelope_check(psi, env, slack)
     phi_ok, phi_first, phi_ratio = _envelope_check(gap, env, slack)
-    dist_ok, dist_first, dist_ratio = _envelope_check(
-        trace.dist2, (2.0 * alpha / (1.0 - eta1)) * env, slack
-    )
+    # at eta1 = 1 psi has no distance term, so the certificate bounds dist2 nowhere
+    dist_env = np.full(trace.records, np.inf) if eta1 == 1.0 else 2.0 * alpha / (1.0 - eta1) * env
+    dist_ok, dist_first, dist_ratio = _envelope_check(trace.dist2, dist_env, slack)
     return BoundReport(
         rho=rho,
         constant=constant,
+        dist_envelope=dist_env,
         psi_ok=psi_ok,
         phi_ok=phi_ok,
         dist_ok=dist_ok,

@@ -15,7 +15,6 @@ a DelaySchedule refreshes; the aggregate is the sum over blocks.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
@@ -32,19 +31,8 @@ from .core import (
 from .schedules import DelaySchedule, staleness_table
 
 DIVERGENCE_FACTOR = 1e12
-FLOAT_DIGITS_ENV = "IPIAG_FLOAT_DIGITS"
-
-
-def float_format() -> str:
-    """Printf format for CSV floats: ``IPIAG_FLOAT_DIGITS`` significant digits (default 17)."""
-    text = os.environ.get(FLOAT_DIGITS_ENV, "17")
-    try:
-        digits = int(text)
-    except ValueError:
-        digits = 0
-    if digits < 1:
-        raise ValueError(f"{FLOAT_DIGITS_ENV} must be a positive integer, got {text!r}")
-    return f"%.{digits}g"
+# printf format of every float written to a CSV: 17 significant digits read back to the same double
+FLOAT_FORMAT = "%.17g"
 
 
 @dataclass
@@ -125,8 +113,7 @@ class Trace:
         return self.staleness.max(axis=1)
 
     def to_csv(self, path: str) -> None:
-        fmt = float_format()
-        row = f"%d,{fmt},{fmt},{fmt},{fmt},%d\n"
+        row = f"%d,{FLOAT_FORMAT},{FLOAT_FORMAT},{FLOAT_FORMAT},{FLOAT_FORMAT},%d\n"
         columns = (self.k, self.phi, self.dist2, self.psi, self.step_norm2, self.max_staleness)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("k,phi,dist2,psi,step_norm2,max_staleness\n")

@@ -270,7 +270,7 @@ def trace_csv(trace, fmt):
     return "".join(lines)
 
 
-def svg_polyline_points(curves, width=640, height=420):
+def svg_polyline_points(curves):
     """``points`` attribute of each polyline ``log_line_plot`` draws, point by point.
 
     Same cleaning, frame and margins as the plot; each coordinate is mapped
@@ -292,7 +292,7 @@ def svg_polyline_points(curves, width=640, height=420):
     if y_hi == y_lo:
         y_hi = y_lo + 1
     ml, mr, mt, mb = 64, 16, 34, 46
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = 640 - ml - mr, 420 - mt - mb
     return [
         " ".join(
             f"{ml + (a - x_lo) / (x_hi - x_lo) * pw:.2f},{mt + (y_hi - b) / (y_hi - y_lo) * ph:.2f}"

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import pathlib
+import tempfile
 import warnings
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -48,10 +53,12 @@ def test_polylines_equal_the_point_by_point_form(tmp_path):
         {"label": "flat", "x": np.full(4, 5.0), "y": [np.inf, 1e-3, -1.0, 2e-3]},
     ]
     path = tmp_path / "plot.svg"
-    log_line_plot(str(path), curves, title="t & <u>", xlabel="k > 0", ylabel="a & b")
+    log_line_plot(str(path), curves, title="t & <u>", ylabel="a & b")
     root = ET.parse(path).getroot()
     assert [p.get("points") for p in root.iter(f"{SVG}polyline")] == svg_polyline_points(curves)
-    assert {"psi <x & y>", "t & <u>", "k > 0", "a & b"} <= {t.text for t in root.iter(f"{SVG}text")}
+    assert {"psi <x & y>", "t & <u>", "iteration", "a & b"} <= {
+        t.text for t in root.iter(f"{SVG}text")
+    }
 
 
 class TestCertify:
@@ -152,6 +159,66 @@ class TestRun:
         head = (out / "plot.svg").read_text()[:100]
         assert head.startswith("<svg")
 
+    def test_plot_envelope_is_the_checked_dist2_bound(self, toy_file, tmp_path):
+        out = tmp_path / "out"
+        rc = main(
+            ["run", "--problem", toy_file, "--variant", "ipiag", "--tau", "2", "--iters", "100",
+             "--out", str(out), "--plot"]
+        )
+        assert rc == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        cert = summary["certificate"]
+        k = np.arange(101)
+        table = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+        bound = 2.0 * summary["alpha"] / (1.0 - summary["eta1"]) * (cert["C"] * cert["rho"] ** k)
+        curves = [{"x": k, "y": table[:, 2]}, {"x": k, "y": bound}]
+        root = ET.parse(out / "plot.svg").getroot()
+        assert [p.get("points") for p in root.iter(f"{SVG}polyline")] == svg_polyline_points(curves)
+
+    @pytest.mark.parametrize(
+        "offset, l1_weight, drawn",
+        # a start at the optimum: dist2 is 0 throughout, the objective is not
+        [(1.0, 1.0, "objective"),
+         # every square underflows, so the objective is 0 too and nothing can be drawn
+         (1e-300, 0.0, None)],
+    )
+    def test_plot_of_a_run_without_a_positive_distance(
+        self, tmp_path, capsys, offset, l1_weight, drawn
+    ):
+        path = tmp_path / "toy.json"
+        path.write_text(json.dumps(toy_document(ToySpec(10, offset=offset, l1_weight=l1_weight))))
+        out = tmp_path / "out"
+        rc = main(
+            ["run", "--problem", str(path), "--variant", "piag", "--iters", "20", "--out", str(out),
+             "--plot"]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["bound_checks"]["dist2"] == "pass"
+        assert np.all(np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)[:, 2] == 0.0)
+        if drawn is None:
+            assert not (out / "plot.svg").exists()
+            assert err.splitlines() == [err.strip()] and err.startswith("warning: no plot.svg")
+        else:
+            assert err == ""
+            root = ET.parse(out / "plot.svg").getroot()
+            assert len(list(root.iter(f"{SVG}polyline"))) == 1  # no dist2 envelope on it
+            assert drawn in {t.text for t in root.iter(f"{SVG}text")}
+
+    # num_workers as in documents written by older versions; a key with a line break is
+    # quoted raw by the TypeError, and the error line escapes it
+    @pytest.mark.parametrize("key, shown", [("num_workers", "num_workers"), ("a\nb", "a\\nb")])
+    def test_a_toy_param_the_spec_lacks_is_a_config_error(self, tmp_path, capsys, key, shown):
+        doc = toy_document(ToySpec(num_components=12))
+        doc["generator"]["params"][key] = 4
+        path = tmp_path / "toy.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["run", "--problem", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.splitlines() == [err.strip()] and err.startswith("error: cannot load problem")
+        assert f"unexpected keyword argument '{shown}'" in err
+
     def test_plot_text_is_escaped(self, tmp_path):
         path = tmp_path / "a&b<1>.json"
         path.write_text(json.dumps(toy_document(ToySpec(num_components=12))))
@@ -214,14 +281,6 @@ class TestRun:
         assert (cert["eta1"], cert["eta2"]) == (eta1, eta2)
         assert cert["rho"] == (1.0 + eta2) / (1.0 + alpha * cert["beta"] - eta1)
         assert cert["variant"] == cert_variant
-
-    def test_bad_float_digits_is_a_config_error(self, toy_file, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("IPIAG_FLOAT_DIGITS", "abc")
-        out = tmp_path / "o"
-        rc = main(["run", "--problem", toy_file, "--iters", "20", "--out", str(out)])
-        assert rc == EXIT_CONFIG
-        assert "IPIAG_FLOAT_DIGITS" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_missing_problem_file(self, tmp_path, capsys):
         rc = main(
@@ -398,6 +457,7 @@ class TestRun:
         red = BoundReport(
             rho=0.5,
             constant=1.0,
+            dist_envelope=0.5 ** np.arange(21),
             psi_ok=False,
             phi_ok=True,
             dist_ok=True,
@@ -517,16 +577,6 @@ class TestCompare:
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith("error:")
 
-    def test_bad_float_digits_is_a_config_error(self, tmp_path, monkeypatch, capsys):
-        spec = self._spec(
-            tmp_path,
-            [{"variant": "piag", "alpha": "auto"}, {"variant": "ipiag", "alpha": "auto"}],
-        )
-        monkeypatch.setenv("IPIAG_FLOAT_DIGITS", "abc")
-        rc = main(["compare", "--spec", spec, "--out", str(tmp_path / "cmp")])
-        assert rc == EXIT_CONFIG
-        assert "IPIAG_FLOAT_DIGITS" in capsys.readouterr().err
-
     def test_uncertified_config_warns_and_leaves_rho_empty(self, tmp_path, capsys):
         spec = self._spec(
             tmp_path,
@@ -602,6 +652,26 @@ class TestCompare:
         assert capsys.readouterr().err == (
             f"error: {field} must be an integer, got {json.dumps(value)}\n"
         )
+
+    def test_a_problem_that_is_a_number_is_not_a_file_descriptor(self, tmp_path, capsys):
+        # open() used to take the number as a file descriptor: 0 read stdin, and the
+        # with-block closed whichever descriptor it named
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "w") as fh:
+            json.dump(toy_document(ToySpec(num_components=12)), fh)
+        try:
+            spec = self._spec(
+                tmp_path, [{"variant": "piag", "alpha": 1e-3}, {"variant": "ipiag", "alpha": 1e-3}],
+                problem=read_end,
+            )
+            assert main(["compare", "--spec", spec]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"error: problem must be a path or a JSON object, got {read_end}\n"
+            )
+            os.fstat(read_end)  # still open
+        finally:
+            with contextlib.suppress(OSError):
+                os.close(read_end)
 
     @pytest.mark.parametrize("field, value, message", [
         ("the spec", [], "the spec must be a JSON object, got []"),
@@ -737,3 +807,160 @@ class TestCompare:
 
     def test_missing_spec_file(self, tmp_path):
         assert main(["compare", "--spec", str(tmp_path / "none.json")]) == EXIT_CONFIG
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract, over mutated documents and specs, random JSON values
+# and output directories that cannot be made.  Sizes stay small: a mutated count
+# is at most 50, so no example allocates much or runs long.
+
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 50), st.floats(), st.text(max_size=4)
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def _mostly(draw, common, rare):
+    """Draws from ``common`` three times in four, else from ``rare``.
+
+    A seeded ``random.Random`` picks the branch: hypothesis's own choices lean to
+    the edge cases, which would leave few valid calls.
+    """
+    return draw(rare if draw(st.randoms(use_true_random=True)).random() < 0.25 else common)
+
+
+def _mutate(draw, root, paths):
+    """Set up to two fields of ``root`` to random JSON values.
+
+    Each field is an existing or a new key of the JSON object at one of ``paths``
+    (key sequences from the root); a path that an earlier mutation broke is skipped.
+    """
+    for _ in range(draw(_mostly(st.integers(0, 1), st.just(2)))):
+        owner = root
+        for key in draw(st.sampled_from(paths)):
+            owner = owner.get(key) if isinstance(owner, dict) else None
+        if isinstance(owner, dict):
+            new_key = st.text(max_size=4)
+            keys = _mostly(st.sampled_from(sorted(owner)), new_key) if owner else new_key
+            owner[draw(keys)] = draw(json_values)
+
+
+@st.composite
+def problem_documents(draw):
+    """A toy or small lasso document with up to two fields set to random JSON values."""
+    if draw(_mostly(st.just(True), st.just(False))):
+        spec = ToySpec(
+            draw(st.integers(2, 12)),
+            offset=draw(_mostly(st.sampled_from([1.0, 3.0, 1e-300]), st.floats(1e-300, 10.0))),
+            l1_weight=draw(_mostly(st.sampled_from([0.0, 1.0, 3.0]), st.floats(0.0, 10.0))),
+        )
+        doc = toy_document(spec)
+    else:
+        doc = lasso_document(LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1))
+    _mutate(draw, doc, [(), ("generator",), ("generator", "params")])
+    return doc
+
+
+@st.composite
+def compare_specs(draw):
+    """A compare spec over a small problem, with up to two fields set to random JSON values."""
+    spec = {
+        "problem": draw(problem_documents()),
+        "iters": 30,
+        "schedule": {"type": "uniform1", "tau": 2, "workers": 3},
+        "repetitions": 2,
+        "base_seed": 0,
+        "reference": {"alpha": 2e-3, "iters": 50, "tol": 1e-10},
+        "configs": {
+            "plain": {"label": "plain", "variant": "piag", "alpha": 1e-3},
+            "inertial": {"label": "inertial", "variant": "ipiag", "alpha": 1e-3, "c1": 0.25},
+        },
+    }
+    _mutate(draw, spec, [(), ("schedule",), ("reference",), ("configs", "plain"),
+                         ("configs", "inertial")])
+    if isinstance(spec["configs"], dict):
+        spec["configs"] = list(spec["configs"].values())
+    return spec
+
+
+def _write_json(path, value):
+    path.write_text(json.dumps(value))  # NaN and infinities go in as JSON's extensions
+    return str(path)
+
+
+@st.composite
+def cli_calls(draw):
+    """A function of the example's directory that returns the argv of one CLI call."""
+    command = draw(st.sampled_from(["run", "compare", "certify"]))
+    out = draw(_mostly(st.just("out"), st.just("blocker/sub")))  # blocker is a regular file
+    if command == "run":
+        content = draw(_mostly(problem_documents(), json_values))
+        flags = [
+            "--variant", draw(st.sampled_from(["piag", "piag-m", "piag-nel", "ipiag"])),
+            "--alpha", draw(_mostly(st.sampled_from(["auto", "1e-3", "1.0"]),
+                                    st.sampled_from(["1e200", "-1", "nan"]))),
+            "--eta1", draw(_mostly(st.just("auto"), st.sampled_from(["0", "0.3"]))),
+            "--tau", str(draw(st.integers(0, 3))),
+            "--workers", str(draw(st.integers(1, 4))),
+            "--schedule", draw(_mostly(st.just("uniform1"), st.just("sync"))),
+            "--iters", str(draw(st.integers(0, 60))),
+        ] + (["--plot"] if draw(st.booleans()) else [])
+        return lambda d: ["run", "--problem", _write_json(d / "p.json", content),
+                          "--out", str(d / out), *flags]
+    if command == "compare":
+        content = draw(_mostly(compare_specs(), json_values))
+        flags = ["--out", out] if draw(st.booleans()) else []
+        if draw(st.booleans()):
+            flags += ["--repetitions", str(draw(st.integers(-1, 3)))]
+        return lambda d: ["compare", "--spec", _write_json(d / "spec.json", content),
+                          *[str(d / f) if f == out else f for f in flags]]
+    rare = st.floats() | st.sampled_from([5e-324, 1e308])
+    flags = [
+        f"--L={draw(_mostly(st.just(101.0), rare))!r}",
+        f"--beta={draw(_mostly(st.just(2.0), rare))!r}",
+        f"--c1={draw(_mostly(st.sampled_from([0.0, 0.25]), rare))!r}",
+        f"--tau={draw(_mostly(st.integers(0, 8), st.integers(-2, 1000)))}",
+        "--variant", draw(st.sampled_from(["t1", "t1tight", "cor1", "cor2"])),
+    ]
+    return lambda d: ["certify", *flags]
+
+
+@given(cli_calls())
+@example(lambda d: ["run", "--problem", _write_json(
+    d / "p.json", toy_document(ToySpec(10, offset=1.0, l1_weight=1.0))),
+    "--variant", "piag", "--iters", "20", "--out", str(d / "out"), "--plot"])
+@example(lambda d: ["run", "--problem", _write_json(
+    d / "p.json", toy_document(ToySpec(10, offset=1e-300, l1_weight=0.0))),
+    "--iters", "20", "--out", str(d / "out"), "--plot"])
+@example(lambda d: ["run", "--problem", _write_json(  # auto eta1 = 1 on a run that stays put
+    d / "p.json", toy_document(ToySpec(2, offset=1.0, l1_weight=1.0))),
+    "--variant", "ipiag", "--alpha", "1e200", "--workers", "1", "--iters", "1",
+    "--out", str(d / "out")])
+@settings(max_examples=150)
+def test_every_call_keeps_the_exit_code_contract(make_argv):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        d = pathlib.Path(tmp)
+        (d / "blocker").write_text("")
+        argv = make_argv(d)
+        err = io.StringIO()
+        os.chdir(tmp)  # a spec's relative out lands here
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert rc in {EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED, EXIT_BOUND}, argv
+    assert [str(w.message) for w in caught] == [], argv
+    lines = err.getvalue().splitlines()
+    assert all(line.startswith(("error: ", "warning: ")) for line in lines), (argv, lines)
+    errors = [line for line in lines if line.startswith("error: ")]
+    assert len(errors) == (1 if rc in (EXIT_CONFIG, EXIT_DIVERGED) else 0), (argv, lines)

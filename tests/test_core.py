@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -69,7 +70,8 @@ class TestProblemValidation:
             )
 
     def test_rejects_total_mismatch(self):
-        with pytest.raises(ValueError):
+        # the total is derived from the components, so no total, matching or not, is taken
+        with pytest.raises(TypeError, match="total_lipschitz"):
             CompositeProblem(
                 dimension=2,
                 num_components=2,
@@ -80,6 +82,14 @@ class TestProblemValidation:
                 component_lipschitz=np.array([1.0, 1.0]),
                 total_lipschitz=3.0,
             )
+
+    def test_replace_rederives_the_total(self):
+        # the benchmark tracer copies problems with dataclasses.replace
+        p = tiny_problem()
+        traced = dataclasses.replace(p, block_gradient=lambda indices, x: x)
+        assert traced.total_lipschitz == 6.0
+        doubled = dataclasses.replace(p, component_lipschitz=np.array([4.0, 8.0]))
+        assert doubled.total_lipschitz == 12.0
 
     def test_rejects_bad_growth_constant(self):
         with pytest.raises(ValueError):

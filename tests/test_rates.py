@@ -377,6 +377,25 @@ class TestLinearBound:
         with pytest.raises(ValueError, match="differs from the run's"):
             verify_linear_bound(trace, other)
 
+    def test_dist2_envelope_is_the_scaled_psi_envelope(self):
+        trace, cert = self._toy_trace()
+        rep = verify_linear_bound(trace, cert)
+        k = np.arange(trace.records)
+        scale = 2.0 * cert.alpha / (1.0 - cert.eta1)
+        assert np.array_equal(rep.dist_envelope, scale * (rep.constant * cert.rho ** k))
+
+    def test_full_pre_prox_inertia_bounds_no_distance(self):
+        # ipiag's auto eta1 is min(C1 alpha beta, 1): at alpha = 1e200 it is 1, psi loses
+        # its distance term and 2 alpha / (1 - eta1) used to raise ZeroDivisionError
+        prob = make_toy(ToySpec(num_components=2, offset=1.0, l1_weight=1.0))  # x0 is optimal
+        cert = ipiag_certificate(RateInputs(prob.total_lipschitz, 2.0, 0, 0.25), alpha=1e200)
+        assert cert.eta1 == 1.0
+        params = SolverParams(alpha=cert.alpha, eta1=cert.eta1, eta2=cert.eta2, max_iters=1)
+        trace = run(prob, params, schedule_synchronous(1, 1), np.zeros(2))
+        rep = verify_linear_bound(trace, cert)
+        assert np.all(rep.dist_envelope == np.inf)
+        assert rep.dist_ok and rep.dist_max_ratio == 0.0
+
     def test_needs_a_reference_point(self):
         prob = make_toy(ToySpec(num_components=6))
         bare = dataclasses.replace(prob, known_optimum=None)
