@@ -381,7 +381,9 @@ def cmd_compare(args) -> int:
             raise ConfigError("workers must lie in [1, num_components]")
         if tau < 0 or iters < 0:
             raise ConfigError("tau and iters must be nonnegative")
-        build_schedule(kind, workers, tau, 0, base_seed)  # a bad spec fails before any solve
+        # built at full length, so a spec whose schedule cannot be built (a bad type, or
+        # iters too large for an array) fails before any solve
+        first_schedule = build_schedule(kind, workers, tau, iters, base_seed)
 
         resolved = []
         for i, cfg in enumerate(configs):
@@ -430,7 +432,10 @@ def cmd_compare(args) -> int:
     for label, variant, params, cert in resolved:
         hits4, hits6, gaps = [], [], []
         for r in range(reps):
-            schedule = build_schedule(kind, workers, tau, iters, base_seed + r)
+            # the other repetitions differ from the first only in the seed
+            schedule = first_schedule if r == 0 else build_schedule(
+                kind, workers, tau, iters, base_seed + r
+            )
             try:
                 trace = run(
                     problem,

@@ -106,13 +106,26 @@ def _check_point(problem: CompositeProblem, x: Array) -> Array:
     return x
 
 
+def record_objective(problem: CompositeProblem) -> Callable[[Array], float]:
+    """x -> F(x) + h(x) for float arrays of shape (d,), the problem's callables bound once.
+
+    The regularizer is evaluated first; when it is infinite the smooth value
+    is never asked for and the objective is +inf.
+    """
+    regularizer_value, smooth_value = problem.regularizer_value, problem.smooth_value
+
+    def objective(x: Array) -> float:
+        h = float(regularizer_value(x))
+        if math.isinf(h):
+            return math.inf
+        return float(smooth_value(x)) + h
+
+    return objective
+
+
 def evaluate_objective(problem: CompositeProblem, x: Array) -> float:
-    """Full objective F(x) + h(x); +inf propagates from the regularizer."""
-    x = _check_point(problem, x)
-    h = float(problem.regularizer_value(x))
-    if math.isinf(h):
-        return math.inf
-    return float(problem.smooth_value(x)) + h
+    """Full objective F(x) + h(x) at a checked point (``record_objective``)."""
+    return record_objective(problem)(_check_point(problem, x))
 
 
 def full_gradient(problem: CompositeProblem, x: Array) -> Array:

@@ -302,6 +302,20 @@ def _close(stored, value) -> bool:
     return stored.shape == np.shape(value) and np.allclose(stored, value, rtol=1e-12, atol=0.0)
 
 
+def _document_beta(value) -> float:
+    """A document's beta as a float: a number, not a bool or a string, positive and finite."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            beta = float(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            beta = math.inf
+        if 0.0 < beta < math.inf:
+            return beta
+    raise ValueError(
+        f"document beta must be a positive finite number, got {json.dumps(value, default=repr)}"
+    )
+
+
 def problem_from_document(doc: dict) -> CompositeProblem:
     """Rebuild a problem from its document via the generator registry.
 
@@ -323,9 +337,10 @@ def problem_from_document(doc: dict) -> CompositeProblem:
     if doc.get("L_n") is not None and not _close(doc["L_n"], problem.component_lipschitz):
         raise ValueError("document L_n does not match the generator output")
     if doc.get("beta") is not None:
+        beta = _document_beta(doc["beta"])
         if problem.growth_constant is None:
-            problem.growth_constant = float(doc["beta"])
-        elif not math.isclose(doc["beta"], problem.growth_constant, rel_tol=1e-12):
+            problem.growth_constant = beta
+        elif not math.isclose(beta, problem.growth_constant, rel_tol=1e-12):
             raise ValueError("document beta does not match the generator output")
     if doc.get("prox") is not None and doc["prox"] != spec.regularizer.to_json():
         raise ValueError("document prox does not match the generator output")

@@ -27,6 +27,7 @@ from .core import (
     DivergenceError,
     NumericError,
     evaluate_objective,
+    record_objective,
 )
 from .schedules import DelaySchedule, staleness_table
 
@@ -177,18 +178,25 @@ def run(
     ring = max(schedule.tau + 2, 2)
     x_hist = np.zeros((ring, problem.dimension))
     x_hist[0] = x0
+    slots = list(x_hist)  # row views: a list index is cheaper than an array index
 
     n_rec = K + 1
     phi = np.full(n_rec, np.nan)
     dist2 = np.full(n_rec, np.nan)
     step2 = np.zeros(n_rec)
     zs = np.zeros((n_rec, problem.dimension)) if store_iterates else None
+    diff = np.empty(problem.dimension)
+    ones = np.ones(problem.dimension)
+    # every z has x0's shape (checked once above and per prox output below), so the
+    # records skip evaluate_objective's per-point check
+    objective = record_objective(problem)
+    block_gradient, prox = problem.block_gradient, problem.prox
 
     def observe(j: int, z: Array) -> float:
-        phi[j] = value = evaluate_objective(problem, z)
+        phi[j] = value = objective(z)
         if x_ref is not None:
-            diff = z - x_ref
-            dist2[j] = diff @ diff
+            np.subtract(z, x_ref, out=diff)
+            dist2[j] = np.dot(diff, diff)  # the @ kernel, with less call overhead
         return value
 
     # nothing below writes into these arrays, so they may all alias x0
@@ -199,6 +207,7 @@ def run(
         zs[0] = z
 
     alpha, eta1, eta2 = params.alpha, params.eta1, params.eta2
+    stop_tolerance = params.stop_tolerance
     # the validated arrays, not the lists, drive the replay; step k takes counts[k] refreshes
     n = schedule.offsets[K]
     counts = np.diff(schedule.offsets[: K + 1]).tolist()
@@ -206,20 +215,28 @@ def run(
     executed = 0
     for k in range(K):
         for w, slot in islice(refreshes, counts[k]):
-            blocks[w] = problem.block_gradient(partition[w], x_hist[slot])
+            blocks[w] = block_gradient(partition[w], slots[slot])
         g = np.add.reduce(blocks)  # what ndarray.sum calls, without its Python wrapper
-        # a finite sum implies finite entries; one reduction beats isfinite(arr).all()
-        if not math.isfinite(np.add.reduce(g)):
+        # a finite sum implies finite entries.  np.dot with ones sums with less call overhead
+        # than np.add.reduce, in another order, which can only change whether a sum of finite
+        # entries near the float maximum overflows
+        if not math.isfinite(np.dot(g, ones)):
             raise NumericError("aggregated gradient is not finite", iteration=k)
-        y = x + eta1 * (x - x_prev)
-        z_next = problem.prox(y - alpha * g, alpha)
+        # with eta1 = 0 the pre-prox extrapolation is y = x, so it costs no array operation
+        v = x + eta1 * (x - x_prev) - alpha * g if eta1 else x - alpha * g
+        z_next = prox(v, alpha)
+        if z_next.shape != x0.shape:
+            raise ValueError(f"prox returned shape {z_next.shape}, expected {x0.shape}")
         j = k + 1
         dz = z_next - z
-        # ring >= 2, so slot j % ring is not the slot of x, which becomes x_prev
-        x_prev, x = x, np.add(z_next, eta2 * dz, out=x_hist[j % ring])
-        if not math.isfinite(np.add.reduce(z_next) + np.add.reduce(x)):
+        # ring >= 2, so slot j % ring is not the slot of x, which becomes x_prev.  At
+        # eta2 = 0 neither a copy of z_next nor z_next + 0.0 has the bits of
+        # z_next + 0 * dz: a -0.0 of z_next stays -0.0 exactly where dz is -0.0 or negative
+        x_prev, x = x, np.add(z_next, eta2 * dz, out=slots[j % ring])
+        # a non-finite entry of z_next makes the same entry of x non-finite
+        if not math.isfinite(np.dot(x, ones)):
             raise NumericError("iterate became non-finite", iteration=k)
-        step2[j] = dz @ dz
+        step2[j] = np.dot(dz, dz)
         z = z_next
         if store_iterates:
             zs[j] = z
@@ -231,7 +248,7 @@ def run(
                 f"({DIVERGENCE_FACTOR:.0e} relative to the start)",
                 iteration=j,
             )
-        if params.stop_tolerance is not None and np.sqrt(step2[j]) < params.stop_tolerance:
+        if stop_tolerance is not None and np.sqrt(step2[j]) < stop_tolerance:
             break
 
     n = executed + 1

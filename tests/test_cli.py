@@ -793,6 +793,28 @@ class TestCompare:
         assert err == f"error: {message}\n"
         assert "--tau" not in err
 
+    def test_iters_too_large_for_a_schedule_fails_before_the_reference_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # every repetition's schedule is built inside the spec checks, so numpy's refusal
+        # of the array size is a configuration error, not a traceback after the solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the reference solve ran")
+
+        monkeypatch.setattr("ipiag.problems.reference_solution", no_solve)
+        lasso = lasso_document(LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1))
+        spec = self._spec(
+            tmp_path,
+            [{"label": "a", "variant": "piag", "alpha": 1e-3},
+             {"label": "b", "variant": "piag", "alpha": 2e-3}],
+            problem=lasso,
+            iters=10**30,  # too large for any array, so nothing is allocated
+            reference={"alpha": 2e-3, "iters": 50000, "tol": 1e-10},
+        )
+        assert main(["compare", "--spec", spec]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "spec_reps, flag", [(0, []), (2, ["--repetitions", "-1"])], ids=["spec", "flag"]
     )

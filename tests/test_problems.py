@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -374,3 +375,22 @@ class TestDocuments:
         doc["generator"]["params"]["num_workers"] = 4  # a param ToySpec no longer takes
         with pytest.raises(TypeError, match="num_workers"):
             problem_from_document(doc)
+
+    @pytest.mark.parametrize(
+        "beta",
+        [True, -1, "2", float("nan"), float("inf"), 10**400],
+        ids=["true", "-1", "string", "nan", "inf", "beyond-float"],
+    )
+    def test_a_lasso_beta_must_be_a_positive_finite_number(self, beta):
+        # these used to load as a float, or (beyond-float) raise OverflowError
+        doc = lasso_document(LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1))
+        doc["beta"] = beta
+        with pytest.raises(ValueError, match="beta must be a positive finite number"):
+            problem_from_document(doc)
+
+    @pytest.mark.parametrize("beta", [0.5, 3])
+    def test_a_valid_lasso_beta_fills_in_the_growth_constant(self, beta):
+        doc = lasso_document(LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1))
+        doc["beta"] = beta
+        prob = problem_from_document(json.loads(json.dumps(doc)))
+        assert type(prob.growth_constant) is float and prob.growth_constant == beta

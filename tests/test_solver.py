@@ -76,6 +76,11 @@ REPLAY_PROBLEMS = {
     "lasso8x12": lambda: make_lasso(
         LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1)
     ),
+    # the heavier weight leaves -0.0 entries in z, where x = z + eta2 * dz keeps or flips
+    # the sign of zero; the byte check on x_final sees a copy of z or z + 0.0 there
+    "lasso8x12_l1": lambda: make_lasso(
+        LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=1.0, seed=1)
+    ),
 }
 
 
@@ -97,10 +102,8 @@ REPLAY_SCHEDULES = {
 }
 
 
-@pytest.mark.parametrize("schedule_kind", sorted(REPLAY_SCHEDULES))
-@pytest.mark.parametrize("eta1, eta2", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.2), (0.3, 0.2)])
-@pytest.mark.parametrize("name", sorted(REPLAY_PROBLEMS))
-def test_run_equals_the_plain_replay_bit_for_bit(name, eta1, eta2, schedule_kind):
+def replay_case(name, eta1, eta2, schedule_kind):
+    """(run's trace, the plain replay) of one problem, weight pair and schedule."""
     prob = REPLAY_PROBLEMS[name]()
     K, W = 60, 4
     alpha = 0.5 / prob.total_lipschitz
@@ -117,12 +120,61 @@ def test_run_equals_the_plain_replay_bit_for_bit(name, eta1, eta2, schedule_kind
         x_ref=x_ref,
         phi_star=phi_star,
     )
-    want = inertial_replay(prob, alpha, eta1, eta2, schedule, x0, K, x_ref, phi_star)
-    assert trace.records == K + 1
+    return trace, inertial_replay(prob, alpha, eta1, eta2, schedule, x0, K, x_ref, phi_star)
+
+
+@pytest.mark.parametrize("schedule_kind", sorted(REPLAY_SCHEDULES))
+@pytest.mark.parametrize("eta1, eta2", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.2), (0.3, 0.2)])
+@pytest.mark.parametrize("name", sorted(REPLAY_PROBLEMS))
+def test_run_equals_the_plain_replay_bit_for_bit(name, eta1, eta2, schedule_kind):
+    trace, want = replay_case(name, eta1, eta2, schedule_kind)
+    assert trace.records == 61
     for field in ("phi", "dist2", "psi", "z", "x_final", "z_final"):
         assert same_bits(getattr(trace, field), want[field]), field
     assert trace.staleness.dtype == want["staleness"].dtype
     assert np.array_equal(trace.staleness, want["staleness"])
+
+
+def test_the_heavy_l1_replay_ends_with_negative_zeros():
+    # without them the byte check on x_final above could not tell z + 0 * dz from a copy
+    trace, _ = replay_case("lasso8x12_l1", 0.3, 0.0, "uniform1")
+    z = trace.z_final
+    assert np.count_nonzero((z == 0) & np.signbit(z)) >= 1
+
+
+@pytest.mark.parametrize("steps, negative", [(2, True), (3, False)])
+def test_zero_eta2_keeps_the_zero_signs_of_z_plus_zero_dz(steps, negative):
+    # z steps 1 -> +0.0 -> -0.0 -> -0.0, so x = z + 0 * dz is -0.0 after step 2 (dz = -0.0)
+    # and +0.0 after step 3 (dz = +0.0): a copy of z fails step 3, z + 0.0 fails step 2
+    outputs = iter([0.0, -0.0, -0.0])
+    prob = dataclasses.replace(quadratic_1d(), prox=lambda v, alpha: np.array([next(outputs)]))
+    params = SolverParams(alpha=0.1, max_iters=steps)
+    trace = run(prob, params, schedule_synchronous(1, steps), np.ones(1))
+    assert trace.x_final[0] == 0.0 and bool(np.signbit(trace.x_final[0])) is negative
+
+
+def test_zero_eta1_steps_from_x_itself():
+    # with eta1 = 0 the prox reads x - alpha g, not x + 0 (x - x_prev) - alpha g; the two
+    # differ only in the sign of a zero, where an entry of x is -0.0, x_prev's entry is
+    # negative or -0.0 and alpha g's entry is +0.0, and a prox that keeps that sign shows it
+    prob = CompositeProblem(
+        dimension=2,
+        num_components=1,
+        block_gradient=lambda indices, x: np.array([4.0 * x[0], 0.0]),
+        smooth_value=lambda x: 2.0 * float(x[0] ** 2),
+        regularizer_value=lambda x: 0.0,
+        prox=lambda v, alpha: np.array(v, dtype=float),
+        component_lipschitz=np.array([4.0]),
+    )
+    x0 = np.array([1.0, -0.0])
+    trace = run(prob, SolverParams(alpha=0.1, max_iters=3), schedule_synchronous(1, 3), x0)
+    want = inertial_replay(prob, 0.1, 0.0, 0.0, schedule_synchronous(1, 3), x0, 3, np.zeros(2))
+    # step 1 reads x_0 = x_prev = x0: the replay's y has +0.0 where x0 has -0.0
+    assert same_bits(trace.z[1, 1], -0.0) and same_bits(want["z"][1, 1], 0.0)
+    assert np.array_equal(trace.z, want["z"])  # everything else has the replay's bits
+    assert same_bits(np.delete(trace.z.ravel(), 3), np.delete(want["z"].ravel(), 3))
+    for field in ("phi", "x_final", "z_final"):
+        assert same_bits(getattr(trace, field), want[field]), field
 
 
 def test_aging_past_tau_is_rejected_before_the_first_block_gradient():
@@ -224,6 +276,62 @@ def test_an_iterate_off_the_domain_diverges_without_a_smooth_value():
     assert len(steps) == 3
     assert len(smooth_points) == 3  # records 0, 1 and 2
     assert all(p.min() >= 0 for p in smooth_points)
+
+
+def prox_that_turns(bad_at, value, inner):
+    """``inner``, except that step ``bad_at`` (the one making z_{bad_at + 1}) sets z[0] = value."""
+    calls = []
+
+    def prox(v, alpha):
+        z = inner(v, alpha)
+        calls.append(None)
+        if len(calls) == bad_at + 1:
+            z[0] = value
+        return z
+
+    return prox
+
+
+@pytest.mark.parametrize("eta2", [0.0, 0.2])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_prox_output_stops_the_run_at_its_step(value, eta2):
+    prob = make_toy(ToySpec(num_components=8))
+    smooth_points = []
+
+    def smooth_value(x, inner=prob.smooth_value):
+        smooth_points.append(x.copy())
+        return inner(x)
+
+    prob = dataclasses.replace(
+        prob, prox=prox_that_turns(4, value, prob.prox), smooth_value=smooth_value
+    )
+    params = SolverParams(alpha=1e-2, eta1=0.3, eta2=eta2, max_iters=10)
+    with pytest.raises(NumericError, match="^iterate became non-finite$") as info:
+        run(prob, params, schedule_uniform_single(4, 2, 10, seed=0), np.full(8, 0.5))
+    assert type(info.value) is NumericError and info.value.iteration == 4
+    assert len(smooth_points) == 5  # records 0..4; z_5 is never observed
+
+
+@pytest.mark.parametrize("eta2", [0.0, 0.2])
+def test_the_divergence_guard_fires_before_a_later_non_finite_iterate(eta2):
+    # z_4 is finite but far past the guard, and the next step's prox returns inf
+    prob = quadratic_1d()
+    prox = prox_that_turns(3, 1e150, prob.prox)
+    prob = dataclasses.replace(prob, prox=prox_that_turns(4, np.inf, prox))
+    params = SolverParams(alpha=0.1, eta2=eta2, max_iters=10)
+    with pytest.raises(DivergenceError) as info:
+        run(prob, params, schedule_synchronous(1, 10), np.ones(1))
+    assert info.value.iteration == 4
+
+
+def test_finite_entries_whose_sum_overflows_are_left_to_the_guard():
+    # one reduction over x checks finiteness; x = [1e308] is finite, so the divergence
+    # guard, not a non-finite error, ends the run (a sum of z and x would overflow)
+    prob = quadratic_1d()
+    prob = dataclasses.replace(prob, prox=prox_that_turns(2, 1e308, prob.prox))
+    with pytest.raises(DivergenceError) as info:
+        run(prob, SolverParams(alpha=0.1, max_iters=10), schedule_synchronous(1, 10), np.ones(1))
+    assert info.value.iteration == 3
 
 
 def test_psi_is_nan_exactly_without_a_reference_point():
