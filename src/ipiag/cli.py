@@ -19,32 +19,17 @@ bound check ran and failed.  Codes 2 and 3 come with one ``error:`` line on
 stderr.  Floats in ``trace.csv`` and ``compare.csv`` are written with
 ``%.17g``, which reads back to the same double.
 
-The ``compare`` spec file is JSON:
-
-    {
-      "problem": "path/to/problem.json" | {inline document},
-      "iters": 10000,
-      "schedule": {"type": "uniform1", "tau": 4, "workers": 4},
-      "repetitions": 10,
-      "base_seed": 0,
-      "reference": {"alpha": 0.002, "iters": 200000, "tol": 1e-10},
-      "configs": [
-        {"label": "piag", "variant": "piag", "alpha": "auto"},
-        {"label": "ipiag", "variant": "ipiag", "alpha": "auto", "c1": 0.25}
-      ]
-    }
-
-``reference`` is only needed when the problem document carries no known
-optimum; it is solved once with the synchronous method and shared by all
-rows.  ``repetitions`` must be at least 1; they collapse to 1 for the
-deterministic sync schedule.  Counts must be JSON integers and the other
-numeric fields JSON numbers; a config's ``alpha``, ``eta1`` and ``eta2``
-may also be "auto".  An ``out`` directory (``--out`` overrides it) is a string.
+The ``compare`` spec file is a JSON object that ``ipiag.inputs.SPEC`` and its
+block tables declare, shown in README.md.  ``reference`` is solved once with the
+synchronous method when the problem carries no known optimum, and shared by all
+rows.  Repetitions collapse to 1 for the deterministic sync schedule.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -52,11 +37,11 @@ import time
 
 import numpy as np
 
-from . import problems, rates
+from . import inputs, problems, rates
 from .core import CompositeProblem, NumericError
 from .problems import load_problem, problem_from_document
 from .rates import RateInputs, certificate_for, ipiag_certificate, verify_linear_bound
-from .schedules import DelaySchedule, schedule_synchronous, schedule_uniform_single
+from .schedules import DelaySchedule, ScheduleError, schedule_synchronous, schedule_uniform_single
 from .solver import FLOAT_FORMAT, SolverParams, iterations_to_threshold, run
 
 EXIT_OK = 0
@@ -101,7 +86,7 @@ def resolve_parameters(
     error is None) or when no certificate covers the resolved values (then
     error says why, and the run is uncertified).
     """
-    if type(variant) is not str or variant not in rates.RUN_VARIANTS:  # a spec's {} is unhashable
+    if variant not in rates.RUN_VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     alpha_arg = _parse_value(alpha_arg, "alpha")
     eta1_arg = _parse_value(eta1_arg, "eta1")
@@ -163,51 +148,37 @@ def resolve_parameters(
     return alpha, eta1, eta2, cert, error
 
 
-def _spec_int(doc: dict, key: str, default: int, section: str = "") -> int:
-    value = doc.get(key, default)
-    if type(value) is not int:  # a JSON integer: not 1.5, 2.0, "100" or true (a bool)
-        raise ConfigError(f"{section}{key} must be an integer, got {json.dumps(value)}")
-    return value
-
-
-def _spec_number(doc: dict, key: str, default, section: str = ""):
-    """A JSON number as a float; a field that defaults to "auto" also takes "auto"."""
-    value = doc.get(key, default)
-    if value == "auto" and default == "auto":
-        return value
-    if type(value) not in (int, float):  # not "0.25", true (a bool) or null
-        raise ConfigError(f"{section}{key} must be a number, got {json.dumps(value)}")
+def _sized_by(name: str, iters: int, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; numpy refusing arrays of ``iters`` rows is a ConfigError."""
     try:
-        return float(value)
-    except OverflowError:  # a JSON integer beyond the float range
-        raise ConfigError(f"{section}{key} is too large for a float, got {value}") from None
-
-
-def _spec_object(value, name: str) -> dict:
-    if type(value) is not dict:
-        raise ConfigError(f"{name} must be a JSON object, got {json.dumps(value)}")
-    return value
+        return make(*args, **kwargs)
+    except ScheduleError:
+        raise
+    except (MemoryError, ValueError) as exc:  # beyond numpy's index range, or unallocatable
+        raise ConfigError(f"{name} is too large for the arrays it sizes, got {iters} ({exc})")
 
 
 def build_schedule(kind: str, workers: int, tau: int, iters: int, seed: int) -> DelaySchedule:
     if kind == "sync":
         if tau != 0:
-            raise ConfigError("the sync schedule has no staleness; tau must be 0")
-        return schedule_synchronous(workers, iters)
-    if kind == "uniform1":
-        return schedule_uniform_single(workers, tau, iters, seed)
-    raise ConfigError(f"unknown schedule kind {kind!r}")
+            raise ConfigError(f"the sync schedule has no staleness; tau must be 0, got {tau}")
+        return _sized_by("iters", iters, schedule_synchronous, workers, iters)
+    return _sized_by("iters", iters, schedule_uniform_single, workers, tau, iters, seed)
 
 
-def _load_problem_arg(source) -> CompositeProblem:
-    if type(source) not in (str, dict):  # open() takes an int as a file descriptor, 0 as stdin
-        raise ConfigError(f"problem must be a path or a JSON object, got {json.dumps(source)}")
+def _load_problem_arg(source, workers: int, field: str) -> CompositeProblem:
+    """The problem of a path or inline document, which has at least ``workers`` components."""
     try:
         if isinstance(source, dict):
-            return problem_from_document(source)
-        return load_problem(source)
+            problem = problem_from_document(source)
+        else:
+            problem = load_problem(source)
     except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         raise ConfigError(f"cannot load problem: {exc}") from None
+    if workers > problem.num_components:
+        limit = f"the problem's {problem.num_components} components"
+        raise ConfigError(f"{field} must not exceed {limit}, got {workers}")
+    return problem
 
 
 def _make_output_dir(path: str) -> None:
@@ -219,11 +190,9 @@ def _make_output_dir(path: str) -> None:
 def cmd_run(args) -> int:
     t0 = time.perf_counter()
     try:
-        problem = _load_problem_arg(args.problem)
-        if not 1 <= args.workers <= problem.num_components:
-            raise ConfigError("workers must lie in [1, num_components]")
-        if args.tau < 0 or args.iters < 0:
-            raise ConfigError("tau and iters must be nonnegative")
+        flags = {field.name: getattr(args, field.name) for field in inputs.RUN_FLAGS.fields}
+        inputs.read(flags, inputs.RUN_FLAGS)
+        problem = _load_problem_arg(args.problem, args.workers, "workers")
         alpha, eta1, eta2, cert, cert_error = resolve_parameters(
             problem, args.variant, args.alpha, args.eta1, args.eta2, args.tau, args.c1
         )
@@ -354,81 +323,72 @@ def cmd_compare(args) -> int:
         return EXIT_CONFIG
 
     try:
-        _spec_object(spec, "the spec")
-        configs = spec.get("configs", [])
-        if type(configs) is not list:
-            raise ConfigError(f"configs must be a JSON list, got {json.dumps(configs)}")
+        spec = inputs.read(spec, inputs.SPEC)
+        sched = inputs.read(spec["schedule"], inputs.SCHEDULE, "schedule")
+        ref = inputs.read(spec["reference"], inputs.REFERENCE, "reference")
+        configs = [
+            inputs.read(cfg, inputs.CONFIG, f"configs[{i}]") for i, cfg in enumerate(spec["configs"])
+        ]
         if len(configs) < 2:
-            raise ConfigError("compare needs at least two configs")
-        problem = _load_problem_arg(spec["problem"])
-        iters = _spec_int(spec, "iters", 1000)
-        sched = _spec_object(spec.get("schedule", {}), "schedule")
-        kind = sched.get("type", "uniform1")
-        tau = _spec_int(sched, "tau", 0, "schedule.")
-        workers = _spec_int(sched, "workers", 4, "schedule.")
-        reps = _spec_int(spec, "repetitions", 10)
+            raise ConfigError(f"configs must list at least two configs, got {len(configs)}")
+        kind, tau, workers, iters = sched["type"], sched["tau"], sched["workers"], spec["iters"]
+        reps = spec["repetitions"]
         if args.repetitions is not None:
-            reps = args.repetitions
-        if reps < 1:
-            raise ConfigError("repetitions must be at least 1")
+            reps = inputs.check(inputs.REPETITIONS, args.repetitions, "repetitions")
         if kind == "sync":
             reps = 1
-        base_seed = _spec_int(spec, "base_seed", 0)
-        spec_out = spec.get("out", "")
-        if type(spec_out) is not str:  # not 5, null or a list
-            raise ConfigError(f"out must be a string, got {json.dumps(spec_out)}")
-        if not 1 <= workers <= problem.num_components:
-            raise ConfigError("workers must lie in [1, num_components]")
-        if tau < 0 or iters < 0:
-            raise ConfigError("tau and iters must be nonnegative")
-        # built at full length, so a spec whose schedule cannot be built (a bad type, or
-        # iters too large for an array) fails before any solve
+        base_seed = spec["base_seed"]
+        inputs.check(inputs.SEED, base_seed + reps - 1, "base_seed + repetitions - 1")
+        problem = _load_problem_arg(spec["problem"], workers, "schedule.workers")
+        # built at full length, so a spec whose schedule cannot be built (iters too large for
+        # an array) fails before any solve
         first_schedule = build_schedule(kind, workers, tau, iters, base_seed)
 
         resolved = []
-        for i, cfg in enumerate(configs):
-            variant = _spec_object(cfg, f"configs[{i}]").get("variant", "piag")
-            section = f"configs[{i}]."
+        for cfg in configs:
+            variant = cfg["variant"]
             alpha, eta1, eta2, cert, cert_error = resolve_parameters(
-                problem,
-                variant,
-                _spec_number(cfg, "alpha", "auto", section),
-                _spec_number(cfg, "eta1", "auto", section),
-                _spec_number(cfg, "eta2", "auto", section),
-                tau,
-                _spec_number(cfg, "c1", 0.25, section),
+                problem, variant, cfg["alpha"], cfg["eta1"], cfg["eta2"], tau, cfg["c1"]
             )
-            label = cfg.get("label", variant)
+            label = variant if cfg["label"] is None else cfg["label"]
             if cert_error is not None:
                 print(f"warning: config {label!r} is uncertified: {cert_error}", file=sys.stderr)
             params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=iters)
             resolved.append((label, variant, params, cert))
-        out_dir = args.out or spec_out
+        out_dir = args.out or spec["out"]
         if out_dir:
             _make_output_dir(out_dir)
 
         if problem.known_optimum is not None:
             x_ref, phi_star = problem.known_optimum
         else:
-            ref = _spec_object(spec.get("reference", {}), "reference")
-            if "alpha" not in ref:
-                raise ConfigError(
-                    "problem has no known optimum; give a reference block with an alpha"
-                )
-            x_ref, phi_star = problems.reference_solution(
-                problem,
-                _spec_number(ref, "alpha", None, "reference."),
-                max_iters=_spec_int(ref, "iters", 200000, "reference."),
-                tol=_spec_number(ref, "tol", 1e-10, "reference."),
+            if ref["alpha"] is None:
+                raise ConfigError("reference.alpha is required: the problem has no known optimum")
+            x_ref, phi_star = _sized_by(
+                "reference.iters", ref["iters"], problems.reference_solution,
+                problem, ref["alpha"], max_iters=ref["iters"], tol=ref["tol"],
             )
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         _error(str(exc))
         return EXIT_CONFIG
     except NumericError as exc:
         _error(f"reference solve diverged: {exc}")
         return EXIT_DIVERGED
 
-    rows = []
+    header = [
+        "label",
+        "variant",
+        "alpha",
+        "eta1",
+        "eta2",
+        "rho",
+        "iters_to_1e-4",
+        "iters_to_1e-6",
+        "final_gap",
+    ]
+    buffer = io.StringIO()
+    table = csv.writer(buffer, lineterminator="\n")  # quotes only the cells that need it
+    table.writerow(header)
     for label, variant, params, cert in resolved:
         hits4, hits6, gaps = [], [], []
         for r in range(reps):
@@ -452,47 +412,20 @@ def cmd_compare(args) -> int:
             hits4.append(iterations_to_threshold(trace.dist2, 1e-4))
             hits6.append(iterations_to_threshold(trace.dist2, 1e-6))
             gaps.append(float(trace.phi[-1] - phi_star))
-        rows.append(
-            {
-                "label": label,
-                "variant": variant,
-                "alpha": params.alpha,
-                "eta1": params.eta1,
-                "eta2": params.eta2,
-                "rho": None if cert is None else cert.rho,
-                "iters_to_1e-4": _mean_or_none(hits4),
-                "iters_to_1e-6": _mean_or_none(hits6),
-                "final_gap": float(np.mean(gaps)),
-            }
-        )
-
-    header = [
-        "label",
-        "variant",
-        "alpha",
-        "eta1",
-        "eta2",
-        "rho",
-        "iters_to_1e-4",
-        "iters_to_1e-6",
-        "final_gap",
-    ]
-
-    def cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return FLOAT_FORMAT % v
-        return str(v)
-
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell(row[h]) for h in header))
-    table = "\n".join(lines) + "\n"
+        row = [
+            params.alpha,
+            params.eta1,
+            params.eta2,
+            None if cert is None else cert.rho,
+            _mean_or_none(hits4),
+            _mean_or_none(hits6),
+            float(np.mean(gaps)),
+        ]
+        table.writerow([label, variant] + [None if v is None else FLOAT_FORMAT % v for v in row])
     if out_dir:
         with open(os.path.join(out_dir, "compare.csv"), "w", encoding="utf-8") as fh:
-            fh.write(table)
-    sys.stdout.write(table)
+            fh.write(buffer.getvalue())
+    sys.stdout.write(buffer.getvalue())
     return EXIT_OK
 
 
@@ -528,15 +461,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--alpha", default="auto", help="step size, or 'auto'")
     p_run.add_argument("--eta1", default="auto", help="pre-prox inertia, or 'auto'")
     p_run.add_argument("--eta2", default="auto", help="post-prox inertia, or 'auto'")
-    p_run.add_argument("--tau", type=int, default=0, help="staleness bound")
-    p_run.add_argument("--workers", type=int, default=4)
-    p_run.add_argument("--schedule", choices=("sync", "uniform1"), default="uniform1")
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--iters", type=int, default=1000)
+    p_run.add_argument("--tau", type=int, default=inputs.TAU.default, help="staleness bound")
+    p_run.add_argument("--workers", type=int, default=inputs.WORKERS.default)
+    p_run.add_argument(
+        "--schedule", choices=inputs.SCHEDULE_TYPE.allowed, default=inputs.SCHEDULE_TYPE.default
+    )
+    p_run.add_argument("--seed", type=int, default=inputs.SEED.default)
+    p_run.add_argument("--iters", type=int, default=inputs.ITERS.default)
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--plot", action="store_true", help="also write plot.svg")
     p_run.add_argument(
-        "--c1", type=float, default=0.25, help="momentum fraction behind auto eta1"
+        "--c1", type=float, default=inputs.C1.default, help="momentum fraction behind auto eta1"
     )
     p_run.set_defaults(func=cmd_run)
 

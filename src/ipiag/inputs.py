@@ -1,0 +1,170 @@
+"""Every JSON input, declared once as a table, and ``read``, the one reader of a table.
+
+README.md shows the tables and what ``read`` refuses; every message names
+``<section>.<field>`` and the value.  Rules that join fields stay with the code
+that knows them.
+"""
+
+from __future__ import annotations
+
+import json
+import numbers
+from typing import NamedTuple
+
+from .rates import RUN_VARIANTS
+
+REQUIRED = object()
+
+# JSON type -> (whether a value has it, how a message names it)
+_TYPES = {
+    "integer": (lambda v: isinstance(v, numbers.Integral) and type(v) is not bool, "an integer"),
+    "number": (lambda v: isinstance(v, numbers.Real) and type(v) is not bool, "a number"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "path": (lambda v: isinstance(v, str), "a path"),
+    "object": (lambda v: isinstance(v, dict), "a JSON object"),
+    "list": (lambda v: isinstance(v, list), "a JSON list"),
+    "null": (lambda v: v is None, "null"),
+    "auto": (lambda v: v == "auto", '"auto"'),
+}
+
+
+class Field(NamedTuple):
+    """One key of a JSON object: its JSON types joined by " or ", its default (``REQUIRED``,
+    or ``None`` for "not given"), and what it allows, an interval such as "(0, 1]" or a
+    tuple of values."""
+
+    name: str
+    types: str
+    default: object = REQUIRED
+    allowed: object = None
+
+
+class Table(NamedTuple):
+    """The fields of a JSON object; the title names a top-level object in messages."""
+
+    title: str
+    fields: tuple
+
+
+def read(value, table: Table, section: str = "") -> dict:
+    """The checked fields of the JSON object ``value`` at ``section``, defaults filled in."""
+    where = section or table.title
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, got {_show(value)}")
+    fields = {}
+    for field in table.fields:
+        name = f"{section}.{field.name}" if section else field.name
+        if field.name in value:
+            fields[field.name] = check(field, value[field.name], name)
+        elif field.default is REQUIRED:
+            raise ValueError(f"{name} is required")
+        else:
+            fields[field.name] = field.default
+    for key in value:
+        if key not in fields:
+            raise ValueError(f"{where} has no field {_show(key)}")
+    return fields
+
+
+def check(field: Field, value, name: str):
+    """``value`` as ``field`` takes it, a number as a float; a ValueError names ``name``."""
+    types = field.types.split(" or ")
+    kind = next((t for t in types if _TYPES[t][0](value)), None)
+    if kind is None:
+        wanted = " or ".join(_TYPES[t][1] for t in types)
+        raise ValueError(f"{name} must be {wanted}, got {_show(value)}")
+    taken = value
+    if kind == "number":
+        try:
+            taken = float(value)
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float, got {_show(value)}") from None
+    if isinstance(field.allowed, tuple) and value not in field.allowed:
+        choices = ", ".join(map(_show, field.allowed))
+        raise ValueError(f"{name} must be one of {choices}, got {_show(value)}")
+    if isinstance(field.allowed, str) and kind in ("integer", "number"):
+        low, high = (_bound(end) for end in field.allowed[1:-1].split(", "))
+        above = low < taken if field.allowed[0] == "(" else low <= taken
+        below = taken < high if field.allowed[-1] == ")" else taken <= high
+        if not (above and below):
+            raise ValueError(f"{name} must lie in {field.allowed}, got {_show(value)}")
+    return taken
+
+
+def _bound(text: str):
+    base, _, power = text.partition("**")
+    return int(base) ** int(power) if power else float(base)
+
+
+def _show(value) -> str:
+    return json.dumps(value, default=repr)
+
+
+# rows that two tables share, or that the command line reads
+SCHEDULE_TYPE = Field("type", "string", "uniform1", ("sync", "uniform1"))
+TAU = Field("tau", "integer", 0, "[0, inf)")
+WORKERS = Field("workers", "integer", 4, "[1, inf)")
+ITERS = Field("iters", "integer", 1000, "[0, inf)")
+SEED = Field("seed", "integer", 0, "[0, 2**64)")
+REPETITIONS = Field("repetitions", "integer", 10, "[1, inf)")
+C1 = Field("c1", "number", 0.25, "[0, 1)")
+
+SPEC = Table("the spec", (
+    Field("problem", "path or object"),
+    ITERS,
+    Field("schedule", "object", {}),
+    REPETITIONS,
+    SEED._replace(name="base_seed"),
+    Field("reference", "object", {}),
+    Field("configs", "list"),
+    Field("out", "string", ""),
+))
+SCHEDULE = Table("schedule", (SCHEDULE_TYPE, TAU, WORKERS))
+CONFIG = Table("configs[i]", (
+    Field("label", "string", None),
+    Field("variant", "string", "piag", tuple(RUN_VARIANTS)),
+    Field("alpha", "number or auto", "auto", "(0, inf)"),
+    Field("eta1", "number or auto", "auto", "[0, 1]"),
+    Field("eta2", "number or auto", "auto", "[0, 1]"),
+    C1,
+))
+REFERENCE = Table("reference", (
+    Field("alpha", "number", None, "(0, inf)"),
+    Field("iters", "integer", 200000, "[0, inf)"),
+    Field("tol", "number", 1e-10, "[0, inf)"),
+))
+RUN_FLAGS = Table("ipiag run flags", (TAU, WORKERS, ITERS, SEED, C1))
+
+DOCUMENT = Table("the problem document", (
+    Field("dimension", "integer", None, "[1, inf)"),
+    Field("num_components", "integer", None, "[1, inf)"),
+    Field("generator", "object"),
+    Field("L_n", "list or null", None),
+    Field("beta", "number or null", None, "(0, inf)"),
+    Field("prox", "object or null", None),
+    Field("known_optimum", "object or null", None),
+))
+GENERATOR = Table("generator", (
+    Field("name", "string", REQUIRED, ("toy", "lasso")),
+    Field("params", "object", {}),
+    SEED._replace(types="integer or null", default=None),
+))
+TOY_PARAMS = Table("generator.params (toy)", (
+    Field("num_components", "integer", REQUIRED, "[2, inf)"),
+    Field("offset", "number", 3.0, "(0, inf)"),
+    Field("l1_weight", "number", 1.0, "[0, inf)"),
+))
+LASSO_PARAMS = Table("generator.params (lasso)", (
+    Field("rows", "integer", 60, "[1, inf)"),
+    Field("cols", "integer", 200, "[1, inf)"),
+    Field("sparsity", "number", 0.1, "(0, 1]"),
+    Field("l1_weight", "number", 0.2, "[0, inf)"),
+    SEED,
+))
+
+# line k of a JSONL delay schedule
+RECORD = Table("records[k]", (
+    Field("k", "integer", REQUIRED, "[0, inf)"),
+    Field("refreshed", "list"),
+    Field("source_iter", "list"),
+))

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Array, CompositeProblem, block_range
+from .inputs import DOCUMENT, GENERATOR, LASSO_PARAMS, TOY_PARAMS, read
 from .prox import ProxSpec
 from .rng import SplitMix64
 from .schedules import schedule_synchronous
@@ -30,21 +30,17 @@ from .solver import SolverParams, run
 
 @dataclass(frozen=True)
 class ToySpec:
-    """Chain-coupled quadratic: N components over N coordinates."""
+    """Chain-coupled quadratic: N components over N coordinates (fields: ``TOY_PARAMS``)."""
 
     num_components: int
     offset: float = 3.0
     l1_weight: float = 1.0
 
     def __post_init__(self):
-        if self.num_components < 2:
-            raise ValueError("need at least two components")
-        if not 0.0 < self.offset < math.inf:
-            raise ValueError("offset must be positive and finite")
-        if not 0.0 <= self.l1_weight < math.inf:
-            raise ValueError("l1_weight must be nonnegative and finite")
+        read(vars(self), TOY_PARAMS, "generator.params")
         if math.isinf(1.5 * self.num_components * self.offset * self.offset):
-            raise ValueError("offset is so large that the objective overflows")
+            message = f"offset is so large that the objective overflows, got {self.offset!r}"
+            raise ValueError("generator.params." + message)
 
     @property
     def regularizer(self) -> ProxSpec:
@@ -114,22 +110,13 @@ def make_toy(spec: ToySpec) -> CompositeProblem:
 
 
 def toy_document(spec: ToySpec) -> dict:
-    problem = make_toy(spec)
-    generator = {
-        "name": "toy",
-        "params": {
-            "num_components": spec.num_components,
-            "offset": spec.offset,
-            "l1_weight": spec.l1_weight,
-        },
-        "seed": None,
-    }
-    return problem_to_document(problem, generator, spec.regularizer.to_json())
+    generator = {"name": "toy", "params": dict(vars(spec)), "seed": None}
+    return problem_to_document(make_toy(spec), generator, spec.regularizer.to_json())
 
 
 @dataclass(frozen=True)
 class LassoSpec:
-    """Row-separable least squares with an l1 penalty."""
+    """Row-separable least squares with an l1 penalty (fields: ``LASSO_PARAMS``)."""
 
     rows: int = 60
     cols: int = 200
@@ -138,14 +125,7 @@ class LassoSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("rows and cols must be positive")
-        if not 0.0 < self.sparsity <= 1.0:
-            raise ValueError("sparsity must lie in (0, 1]")
-        if not 0.0 <= self.l1_weight < math.inf:
-            raise ValueError("l1_weight must be nonnegative and finite")
-        if not isinstance(self.seed, numbers.Integral):  # int() truncates 1.5 and overflows on inf
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        read(vars(self), LASSO_PARAMS, "generator.params")
 
     @property
     def regularizer(self) -> ProxSpec:
@@ -202,18 +182,9 @@ def make_lasso(spec: LassoSpec) -> CompositeProblem:
 
 
 def lasso_document(spec: LassoSpec) -> dict:
-    problem = make_lasso(spec)
-    generator = {
-        "name": "lasso",
-        "params": {
-            "rows": spec.rows,
-            "cols": spec.cols,
-            "sparsity": spec.sparsity,
-            "l1_weight": spec.l1_weight,
-        },
-        "seed": spec.seed,
-    }
-    return problem_to_document(problem, generator, spec.regularizer.to_json())
+    params = {name: value for name, value in vars(spec).items() if name != "seed"}
+    generator = {"name": "lasso", "params": params, "seed": spec.seed}
+    return problem_to_document(make_lasso(spec), generator, spec.regularizer.to_json())
 
 
 def spectral_norm_sq(a: Array) -> float:
@@ -247,33 +218,16 @@ def reference_solution(
 
 
 def _generate(name: str, params: dict, seed) -> tuple:
-    """(spec, problem) for the generator name and parameters of a document."""
+    """(spec, problem) for the generator name, params and seed of a document."""
     if name == "toy":
-        spec = ToySpec(**params)
+        spec = ToySpec(**read(params, TOY_PARAMS, "generator.params"))
         return spec, make_toy(spec)
-    if name == "lasso":
-        merged = dict(params)
-        if seed is not None:
-            merged.setdefault("seed", seed)
-        spec = LassoSpec(**merged)
-        return spec, make_lasso(spec)
-    raise ValueError(f"unknown problem generator {name!r}")
+    merged = params if seed is None else {"seed": seed, **params}
+    spec = LassoSpec(**read(merged, LASSO_PARAMS, "generator.params"))
+    return spec, make_lasso(spec)
 
 
-# ---------------------------------------------------------------------------
-# JSON problem documents
-#
-# Schema (all floats plain JSON numbers):
-#   {
-#     "dimension": int,
-#     "num_components": int,
-#     "generator": {"name": str, "params": {...}, "seed": int | null},
-#     "L_n": [float, ...],
-#     "beta": float | null,
-#     "prox": {"kind": str, "lambda": float},
-#     "known_optimum": {"x": [...], "phi": float} | null
-#   }
-# ---------------------------------------------------------------------------
+# JSON problem documents: ``inputs.DOCUMENT`` and ``inputs.GENERATOR`` declare the fields.
 
 def problem_to_document(
     problem: CompositeProblem,
@@ -302,54 +256,36 @@ def _close(stored, value) -> bool:
     return stored.shape == np.shape(value) and np.allclose(stored, value, rtol=1e-12, atol=0.0)
 
 
-def _document_beta(value) -> float:
-    """A document's beta as a float: a number, not a bool or a string, positive and finite."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            beta = float(value)
-        except OverflowError:  # a JSON integer beyond the float range
-            beta = math.inf
-        if 0.0 < beta < math.inf:
-            return beta
-    raise ValueError(
-        f"document beta must be a positive finite number, got {json.dumps(value, default=repr)}"
-    )
-
-
 def problem_from_document(doc: dict) -> CompositeProblem:
     """Rebuild a problem from its document via the generator registry.
 
     The generator is re-run once from its recorded params/seed; every stored
     field (dimension, num_components, L_n, beta, prox, known_optimum) is
-    checked against the rebuilt instance.  L_n, beta, prox and
-    known_optimum may be absent or null.
+    checked against the rebuilt instance.  Every stored field may be absent,
+    and all but dimension and num_components may be null.
     """
-    if not isinstance(doc, dict):
-        raise ValueError(f"a problem document is a JSON object, not {type(doc).__name__}")
-    gen = doc.get("generator")
-    if not isinstance(gen, dict) or "name" not in gen:
-        raise ValueError("document lacks a generator block")
-    spec, problem = _generate(gen["name"], gen.get("params", {}), gen.get("seed"))
-    if "dimension" in doc and doc["dimension"] != problem.dimension:
+    fields = read(doc, DOCUMENT)
+    gen = read(fields["generator"], GENERATOR, "generator")
+    spec, problem = _generate(gen["name"], gen["params"], gen["seed"])
+    if fields["dimension"] is not None and fields["dimension"] != problem.dimension:
         raise ValueError("document dimension does not match the generator output")
-    if "num_components" in doc and doc["num_components"] != problem.num_components:
+    if fields["num_components"] is not None and fields["num_components"] != problem.num_components:
         raise ValueError("document num_components does not match the generator output")
-    if doc.get("L_n") is not None and not _close(doc["L_n"], problem.component_lipschitz):
+    if fields["L_n"] is not None and not _close(fields["L_n"], problem.component_lipschitz):
         raise ValueError("document L_n does not match the generator output")
-    if doc.get("beta") is not None:
-        beta = _document_beta(doc["beta"])
+    beta = fields["beta"]
+    if beta is not None:
         if problem.growth_constant is None:
             problem.growth_constant = beta
         elif not math.isclose(beta, problem.growth_constant, rel_tol=1e-12):
             raise ValueError("document beta does not match the generator output")
-    if doc.get("prox") is not None and doc["prox"] != spec.regularizer.to_json():
+    if fields["prox"] is not None and fields["prox"] != spec.regularizer.to_json():
         raise ValueError("document prox does not match the generator output")
-    stored = doc.get("known_optimum")
+    stored = fields["known_optimum"]
     if stored is not None:
         opt = problem.known_optimum
         if not (
-            isinstance(stored, dict)
-            and opt is not None
+            opt is not None
             and _close(stored.get("x"), opt[0])
             and _close(stored.get("phi"), opt[1])
         ):

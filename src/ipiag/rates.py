@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .core import Array, CompositeProblem, evaluate_objective
-from .solver import Trace
+
+if TYPE_CHECKING:  # at run time rates -> solver -> schedules -> inputs -> rates would cycle
+    from .solver import Trace
 
 VARIANTS = ("t1", "t1tight", "cor1", "cor2")
 

@@ -16,7 +16,7 @@ Conventions
   transit delay, as long as staleness stays within ``tau``.
 
 Wire format: one JSON object per line, ``{"k": k, "refreshed": [...],
-"source_iter": [...]}``.
+"source_iter": [...]}``; ``inputs.RECORD`` declares its fields.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from itertools import chain
 
 import numpy as np
 
+from .inputs import RECORD, read
 from .rng import SplitMix64
 
 
@@ -125,15 +126,17 @@ class DelaySchedule:
 
     @classmethod
     def from_jsonl(cls, path: str, num_workers: int, tau: int) -> "DelaySchedule":
+        """The schedule of a JSONL file; ``inputs.RECORD`` declares a line's fields."""
         refreshed, sources = [], []
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
+                section = f"records[{len(refreshed)}]"
+                rec = read(json.loads(line), RECORD, section)
                 if rec["k"] != len(refreshed):
-                    raise ScheduleError("iteration records out of order")
+                    raise ScheduleError(f"{section}.k must be {len(refreshed)}, got {rec['k']}")
                 # as parsed: from_lists rejects 1.5 rather than truncating it to 1
                 refreshed.append(rec["refreshed"])
                 sources.append(rec["source_iter"])

@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import pathlib
 import tempfile
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from ipiag import ToySpec, toy_document, lasso_document, LassoSpec
+from ipiag import DelaySchedule, ToySpec, inputs, toy_document, lasso_document, LassoSpec
 from ipiag.cli import EXIT_BOUND, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from ipiag.plotting import _escape, log_line_plot
 from ipiag.rates import BoundReport
@@ -217,7 +219,7 @@ class TestRun:
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
         assert err.splitlines() == [err.strip()] and err.startswith("error: cannot load problem")
-        assert f"unexpected keyword argument '{shown}'" in err
+        assert f'generator.params has no field "{shown}"' in err
 
     def test_plot_text_is_escaped(self, tmp_path):
         path = tmp_path / "a&b<1>.json"
@@ -296,7 +298,8 @@ class TestRun:
         rc = main(["run", "--problem", str(path), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
-        assert err.splitlines() == [err.strip()] and "a problem document is a JSON object" in err
+        assert err.splitlines() == [err.strip()]
+        assert f"the problem document must be a JSON object, got {content}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("below", ["sub", ""], ids=["under-a-file", "a-file"])
@@ -483,6 +486,170 @@ class TestRun:
 COMPARE_HEADER = "label,variant,alpha,eta1,eta2,rho,iters_to_1e-4,iters_to_1e-6,final_gap"
 
 
+# Where each declared table is read, as (input, section, table): a compare spec by
+# ``ipiag compare``, a toy or lasso document by ``ipiag run`` and a JSONL schedule record
+# by ``DelaySchedule.from_jsonl``; FLAGS_AT holds the flags ``ipiag run`` reads.
+READ_AT = [
+    ("spec", "", inputs.SPEC),
+    ("spec", "schedule", inputs.SCHEDULE),
+    ("spec", "reference", inputs.REFERENCE),
+    ("spec", "configs[1]", inputs.CONFIG),
+    ("toy", "", inputs.DOCUMENT),
+    ("toy", "generator", inputs.GENERATOR),
+    ("toy", "generator.params", inputs.TOY_PARAMS),
+    ("lasso", "generator.params", inputs.LASSO_PARAMS),
+    ("jsonl", "records[0]", inputs.RECORD),
+]
+FLAGS_AT = [("run", "", inputs.RUN_FLAGS)]
+# how a message names each declared combination of JSON types
+WANTED = {
+    "integer": "an integer",
+    "integer or null": "an integer or null",
+    "number": "a number",
+    "number or null": "a number or null",
+    "number or auto": 'a number or "auto"',
+}
+MISSING = object()
+
+
+def _declared(places):
+    """(input, path, field) for every field of the tables read at ``places``."""
+    for source, section, table in places:
+        for field in table.fields:
+            yield source, f"{section}.{field.name}" if section else field.name, field
+
+
+def _case_id(source, path, value):
+    # spec fields keep the ids of the lists these cases replaced
+    return f"{path}-{value}" if source == "spec" else f"{source}:{path}-{value}"
+
+
+def _type_cases(kind, values):
+    """(input, path, types, value) for each value that a field whose first type is ``kind`` refuses."""
+    return [
+        pytest.param(source, path, field.types, value, id=_case_id(source, path, value))
+        for source, path, field in _declared(READ_AT)
+        if field.types.split(" or ")[0] == kind
+        for value in values
+        if not (value is None and field.types.endswith("or null"))
+    ]
+
+
+def _shape_cases():
+    """(input, path, value, message): each table's object replaced by 5, given an undeclared
+    key, and missing each required field."""
+    cases = []
+    for source, section, table in READ_AT:
+        where = section or table.title
+        cases.append(pytest.param(source, section, 5, f"{where} must be a JSON object, got 5",
+                                  id=f"{source}:{where}-not-an-object"))
+        cases.append(pytest.param(source, f"{section}.bogus" if section else "bogus", 1,
+                                  f'{where} has no field "bogus"', id=f"{source}:{where}-unknown"))
+    for source, path, field in _declared(READ_AT):
+        if field.default is inputs.REQUIRED:
+            cases.append(pytest.param(source, path, MISSING, f"{path} is required",
+                                      id=f"{source}:{path}-missing"))
+    return cases
+
+
+def _outside(field):
+    """Values just outside a field's interval; NaN and the infinities where it has no top."""
+    interval = field.allowed
+    low, high = interval[1:-1].split(", ")
+    kind, step = (int, 1) if field.types.startswith("integer") else (float, 0.5)
+    values = [kind(low) if interval[0] == "(" else kind(low) - step]
+    if high == "inf":
+        return values if kind is int else values + [math.inf, math.nan]
+    base, _, power = high.partition("**")
+    high = kind(int(base) ** int(power or 1))
+    return values + [high if interval[-1] == ")" else high + step]
+
+
+def _range_cases():
+    """(input, path, interval, value) for each declared interval and each value outside it."""
+    return [
+        pytest.param(source, path, field.allowed, value, id=f"{source}:{path}-{value}")
+        for source, path, field in _declared(READ_AT + FLAGS_AT)
+        if isinstance(field.allowed, str)
+        for value in _outside(field)
+    ]
+
+
+def _keys(path):
+    """``"configs[1].alpha"`` as the keys ``["configs", 1, "alpha"]``."""
+    keys = []
+    for part in path.split(".") if path else []:
+        name, _, index = part.partition("[")
+        keys += [name, int(index[:-1])] if index else [name]
+    return keys
+
+
+def _refusal(tmp_path, capsys, monkeypatch, source, path, value):
+    """The error message of reading a valid input whose field at ``path`` is ``value``.
+
+    MISSING deletes the field; an empty path replaces the whole input.  Spec and
+    document errors must be the call's one ``error:`` line, and no solve or run starts.
+    """
+    lasso = lasso_document(LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1))
+    data = {
+        "spec": {
+            "problem": lasso,
+            "iters": 500,
+            "schedule": {"type": "uniform1", "tau": 2, "workers": 3},
+            "repetitions": 2,
+            "base_seed": 0,
+            "reference": {"alpha": 2e-3, "iters": 100},
+            "configs": [{"label": "a", "variant": "piag", "alpha": 1e-3},
+                        {"label": "b", "variant": "ipiag", "alpha": 2e-3, "eta1": 0.0,
+                         "eta2": 0.0}],
+        },
+        "toy": toy_document(ToySpec(num_components=12)),
+        "lasso": lasso,
+        "jsonl": {"records": [{"k": k, "refreshed": [0], "source_iter": [k]} for k in range(3)]},
+        "run": {},
+    }[source]
+    keys = _keys(path)
+    if not keys:
+        data = value
+    else:
+        owner = data
+        for key in keys[:-1]:
+            owner = owner[key]
+        if value is MISSING:
+            del owner[keys[-1]]
+        else:
+            owner[keys[-1]] = value
+    if source == "jsonl":
+        file = tmp_path / "schedule.jsonl"
+        file.write_text("".join(json.dumps(record) + "\n" for record in data["records"]))
+        with pytest.raises(ValueError) as info:
+            DelaySchedule.from_jsonl(str(file), num_workers=1, tau=5)
+        return str(info.value)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr("ipiag.problems.reference_solution", no_solve)
+    monkeypatch.setattr("ipiag.cli.run", no_solve)
+    file = tmp_path / "input.json"
+    out = str(tmp_path / "o")
+    if source == "spec":
+        file.write_text(json.dumps(data))
+        argv, prefix = ["compare", "--spec", str(file)], "error: "
+    elif source == "run":
+        file.write_text(json.dumps(toy_document(ToySpec(num_components=12))))
+        argv = ["run", "--problem", str(file), f"--{path}", str(value), "--out", out]
+        prefix = "error: "
+    else:
+        file.write_text(json.dumps(data))
+        argv = ["run", "--problem", str(file), "--alpha", "1e-3", "--out", out]
+        prefix = "error: cannot load problem: "
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err[len(prefix):-1]
+
+
 class TestCompare:
     def _spec(self, tmp_path, configs, **overrides):
         spec = {
@@ -606,18 +773,18 @@ class TestCompare:
         assert rc == EXIT_DIVERGED
         assert capsys.readouterr().err.startswith("error: config 'huge' diverged:")
 
-    @pytest.mark.parametrize("overrides", [
-        {"iters": -1},
+    @pytest.mark.parametrize("overrides, field", [
+        ({"iters": -1}, "iters"),
         # a lasso problem has no growth modulus, so no certificate rejects tau = -1 first
-        {
+        ({
             "schedule": {"type": "uniform1", "tau": -1, "workers": 2},
             "problem": lasso_document(
                 LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1)
             ),
             "reference": {"alpha": 2e-3, "iters": 100},
-        },
+        }, "schedule.tau"),
     ], ids=["iters", "tau"])
-    def test_negative_tau_or_iters_is_a_config_error(self, tmp_path, capsys, overrides):
+    def test_negative_tau_or_iters_is_a_config_error(self, tmp_path, capsys, overrides, field):
         spec = self._spec(
             tmp_path,
             [{"label": "a", "variant": "piag", "alpha": 1e-3},
@@ -625,32 +792,17 @@ class TestCompare:
             **overrides,
         )
         assert main(["compare", "--spec", spec]) == EXIT_CONFIG
-        assert capsys.readouterr().err == "error: tau and iters must be nonnegative\n"
+        assert capsys.readouterr().err == f"error: {field} must lie in [0, inf), got -1\n"
 
-    @pytest.mark.parametrize("value", [1.5, "100", 2.0, True])
-    @pytest.mark.parametrize("field", [
-        "iters", "schedule.tau", "schedule.workers", "repetitions", "base_seed", "reference.iters",
-    ])
-    def test_spec_counts_must_be_json_integers(self, tmp_path, capsys, field, value):
-        # refused, not truncated to an int; a lasso problem has a reference block to read
-        section, _, key = field.rpartition(".")
-        overrides = {
-            "schedule": {"type": "uniform1", "tau": 2, "workers": 3},
-            "problem": lasso_document(
-                LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1)
-            ),
-            "reference": {"alpha": 2e-3, "iters": 100},
-        }
-        (overrides[section] if section else overrides)[key] = value
-        spec = self._spec(
-            tmp_path,
-            [{"label": "a", "variant": "piag", "alpha": 1e-3},
-             {"label": "b", "variant": "piag", "alpha": 2e-3}],
-            **overrides,
-        )
-        assert main(["compare", "--spec", spec]) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            f"error: {field} must be an integer, got {json.dumps(value)}\n"
+    @pytest.mark.parametrize(
+        "source, path, types, value", _type_cases("integer", [1.5, "100", 2.0, True])
+    )
+    def test_spec_counts_must_be_json_integers(
+        self, tmp_path, capsys, monkeypatch, source, path, types, value
+    ):
+        # refused, not truncated to an int; the cases are drawn from the declared tables
+        assert _refusal(tmp_path, capsys, monkeypatch, source, path, value) == (
+            f"{path} must be {WANTED[types]}, got {json.dumps(value)}"
         )
 
     def test_a_problem_that_is_a_number_is_not_a_file_descriptor(self, tmp_path, capsys):
@@ -699,34 +851,16 @@ class TestCompare:
         assert main(["compare", "--spec", spec]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("value", ["0.25", True, None])
-    @pytest.mark.parametrize("field", [
-        "configs[1].c1", "configs[1].alpha", "configs[1].eta1", "configs[1].eta2",
-        "reference.alpha", "reference.tol",
-    ])
-    def test_spec_numbers_must_be_json_numbers(self, tmp_path, capsys, monkeypatch, field, value):
+    @pytest.mark.parametrize(
+        "source, path, types, value", _type_cases("number", ["0.25", True, None])
+    )
+    def test_spec_numbers_must_be_json_numbers(
+        self, tmp_path, capsys, monkeypatch, source, path, types, value
+    ):
         # refused, not read with float(): "c1": "0.25" and "alpha": true (alpha = 1) used to
         # run; every number is read before the reference solve
-        def no_solve(*args, **kwargs):
-            raise AssertionError("the reference solve ran")
-
-        monkeypatch.setattr("ipiag.problems.reference_solution", no_solve)
-        configs = [{"label": "a", "variant": "piag", "alpha": 1e-3},
-                   {"label": "b", "variant": "ipiag", "alpha": 2e-3, "eta1": 0.0, "eta2": 0.0}]
-        reference = {"alpha": 2e-3, "iters": 100}
-        section, _, key = field.rpartition(".")
-        (configs[1] if section == "configs[1]" else reference)[key] = value
-        spec = self._spec(
-            tmp_path,
-            configs,
-            problem=lasso_document(
-                LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1)
-            ),
-            reference=reference,
-        )
-        assert main(["compare", "--spec", spec]) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            f"error: {field} must be a number, got {json.dumps(value)}\n"
+        assert _refusal(tmp_path, capsys, monkeypatch, source, path, value) == (
+            f"{path} must be {WANTED[types]}, got {json.dumps(value)}"
         )
 
     def test_spec_integer_beyond_the_float_range_is_a_config_error(self, tmp_path, capsys):
@@ -769,8 +903,11 @@ class TestCompare:
         assert not (tmp_path / "cmp").exists()
 
     @pytest.mark.parametrize("kind, message", [
-        ("sync", "the sync schedule has no staleness; tau must be 0"),
-        ("cyclic", "unknown schedule kind 'cyclic'"),
+        pytest.param("sync", "the sync schedule has no staleness; tau must be 0, got 2",
+                     id="sync-the sync schedule has no staleness; tau must be 0"),
+        pytest.param(
+            "cyclic", 'schedule.type must be one of "sync", "uniform1", got "cyclic"', id="cyclic"
+        ),
     ])
     def test_bad_schedule_fails_before_the_reference_solve(
         self, tmp_path, capsys, monkeypatch, kind, message
@@ -813,7 +950,76 @@ class TestCompare:
         )
         assert main(["compare", "--spec", spec]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: iters is too large for the arrays it sizes, got {10**30} (")
+        assert err.count("\n") == 1
+
+    # 10**30 is beyond numpy's index range (ValueError), 10**15 int64s beyond the address
+    # space (MemoryError); either way numpy refuses before it allocates anything
+    @pytest.mark.parametrize("iters", [10**15, 10**30])
+    @pytest.mark.parametrize("call", ["run", "run-sync", "compare", "compare-reference"])
+    def test_an_iters_numpy_cannot_allocate_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, call, iters
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr("ipiag.cli.run", no_solve)
+        problem = tmp_path / "toy.json"
+        problem.write_text(json.dumps(toy_document(ToySpec(num_components=12))))
+        field = "iters"
+        if call.startswith("run"):
+            sync = ["--schedule", "sync", "--tau", "0"] if call == "run-sync" else []
+            argv = ["run", "--problem", str(problem), "--iters", str(iters), *sync,
+                    "--out", str(tmp_path / "o")]
+        else:
+            lasso = lasso_document(LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2,
+                                             seed=1))
+            overrides = {"iters": iters}
+            if call == "compare-reference":
+                field = "reference.iters"
+                overrides = {"problem": lasso, "reference": {"alpha": 2e-3, "iters": iters}}
+            spec = self._spec(
+                tmp_path, [{"variant": "piag", "alpha": 1e-3}, {"variant": "piag", "alpha": 2e-3}],
+                **overrides,
+            )
+            argv = ["compare", "--spec", spec]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} is too large for the arrays it sizes, got {iters} (")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("base_seed, reps, rc", [
+        (2**64 - 2, 2, EXIT_OK), (2**64 - 2, 3, EXIT_CONFIG), (2**64 - 1, 1, EXIT_OK),
+    ])
+    def test_every_repetition_seed_lies_in_the_seed_range(
+        self, tmp_path, capsys, base_seed, reps, rc
+    ):
+        # SplitMix64 masks its seed to 64 bits, so 2**64 would silently rerun seed 0
+        spec = self._spec(
+            tmp_path, [{"variant": "piag"}, {"variant": "ipiag"}],
+            iters=20, base_seed=base_seed, repetitions=reps,
+        )
+        assert main(["compare", "--spec", spec]) == rc
+        if rc == EXIT_CONFIG:
+            assert capsys.readouterr().err == (
+                f"error: base_seed + repetitions - 1 must lie in [0, 2**64), got {2**64}\n"
+            )
+
+    def test_labels_are_quoted_where_a_csv_reader_needs_it(self, tmp_path, capsys):
+        # "a,b" used to write a 10-cell row under the 9-column header
+        labels = ["a,b", 'say "hi"', "plain"]
+        spec = self._spec(
+            tmp_path, [{"label": label, "variant": "piag"} for label in labels], iters=20
+        )
+        out = tmp_path / "cmp"
+        assert main(["compare", "--spec", spec, "--out", str(out)]) == EXIT_OK
+        text = (out / "compare.csv").read_text()
+        assert capsys.readouterr().out == text
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == COMPARE_HEADER.split(",")
+        assert [row[0] for row in rows[1:]] == labels
+        assert {len(row) for row in rows} == {9}
+        assert text.splitlines()[3].startswith("plain,piag,")  # unquoted where it may be
 
     @pytest.mark.parametrize(
         "spec_reps, flag", [(0, []), (2, ["--repetitions", "-1"])], ids=["spec", "flag"]
@@ -825,10 +1031,29 @@ class TestCompare:
             repetitions=spec_reps,
         )
         assert main(["compare", "--spec", spec, *flag]) == EXIT_CONFIG
-        assert capsys.readouterr().err == "error: repetitions must be at least 1\n"
+        value = flag[1] if flag else spec_reps
+        assert capsys.readouterr().err == f"error: repetitions must lie in [1, inf), got {value}\n"
 
     def test_missing_spec_file(self, tmp_path):
         assert main(["compare", "--spec", str(tmp_path / "none.json")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("source, path, value, message", _shape_cases())
+def test_every_table_refuses_a_missing_field_an_unknown_key_and_a_non_object(
+    tmp_path, capsys, monkeypatch, source, path, value, message
+):
+    # a JSONL record without source_iter raised KeyError, and one that is not an object
+    # TypeError; an undeclared key in a spec or document was ignored
+    assert _refusal(tmp_path, capsys, monkeypatch, source, path, value) == message
+
+
+@pytest.mark.parametrize("source, path, interval, value", _range_cases())
+def test_every_declared_range_is_enforced(
+    tmp_path, capsys, monkeypatch, source, path, interval, value
+):
+    assert _refusal(tmp_path, capsys, monkeypatch, source, path, value) == (
+        f"{path} must lie in {interval}, got {json.dumps(value)}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -857,20 +1082,21 @@ def _mostly(draw, common, rare):
     return draw(rare if draw(st.randoms(use_true_random=True)).random() < 0.25 else common)
 
 
-def _mutate(draw, root, paths):
+def _mutate(draw, root, tables):
     """Set up to two fields of ``root`` to random JSON values.
 
-    Each field is an existing or a new key of the JSON object at one of ``paths``
-    (key sequences from the root); a path that an earlier mutation broke is skipped.
+    ``tables`` pairs key sequences from the root with the table declaring the JSON object
+    there.  Each field is one the table declares or, one time in four, a new key, so a
+    newly declared field is fuzzed; a path that an earlier mutation broke is skipped.
     """
     for _ in range(draw(_mostly(st.integers(0, 1), st.just(2)))):
+        path, table = draw(st.sampled_from(tables))
         owner = root
-        for key in draw(st.sampled_from(paths)):
+        for key in path:
             owner = owner.get(key) if isinstance(owner, dict) else None
         if isinstance(owner, dict):
-            new_key = st.text(max_size=4)
-            keys = _mostly(st.sampled_from(sorted(owner)), new_key) if owner else new_key
-            owner[draw(keys)] = draw(json_values)
+            declared = st.sampled_from([field.name for field in table.fields])
+            owner[draw(_mostly(declared, st.text(max_size=4)))] = draw(json_values)
 
 
 @st.composite
@@ -882,10 +1108,12 @@ def problem_documents(draw):
             offset=draw(_mostly(st.sampled_from([1.0, 3.0, 1e-300]), st.floats(1e-300, 10.0))),
             l1_weight=draw(_mostly(st.sampled_from([0.0, 1.0, 3.0]), st.floats(0.0, 10.0))),
         )
-        doc = toy_document(spec)
+        doc, params = toy_document(spec), inputs.TOY_PARAMS
     else:
         doc = lasso_document(LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1))
-    _mutate(draw, doc, [(), ("generator",), ("generator", "params")])
+        params = inputs.LASSO_PARAMS
+    _mutate(draw, doc, [((), inputs.DOCUMENT), (("generator",), inputs.GENERATOR),
+                        (("generator", "params"), params)])
     return doc
 
 
@@ -904,8 +1132,9 @@ def compare_specs(draw):
             "inertial": {"label": "inertial", "variant": "ipiag", "alpha": 1e-3, "c1": 0.25},
         },
     }
-    _mutate(draw, spec, [(), ("schedule",), ("reference",), ("configs", "plain"),
-                         ("configs", "inertial")])
+    _mutate(draw, spec, [((), inputs.SPEC), (("schedule",), inputs.SCHEDULE),
+                         (("reference",), inputs.REFERENCE), (("configs", "plain"), inputs.CONFIG),
+                         (("configs", "inertial"), inputs.CONFIG)])
     if isinstance(spec["configs"], dict):
         spec["configs"] = list(spec["configs"].values())
     return spec

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,16 +173,20 @@ class TestToy:
             ToySpec(**kwargs)
 
     @pytest.mark.parametrize("kwargs, message", [
-        (dict(offset=math.inf), "offset must be positive and finite"),
-        (dict(l1_weight=math.nan), "l1_weight must be nonnegative and finite"),
-        (dict(l1_weight=math.inf), "l1_weight must be nonnegative and finite"),
+        pytest.param(dict(offset=math.inf),
+                     "generator.params.offset must lie in (0, inf), got Infinity", id="offset-inf"),
+        pytest.param(dict(l1_weight=math.nan),
+                     "generator.params.l1_weight must lie in [0, inf), got NaN", id="l1_weight-nan"),
+        pytest.param(dict(l1_weight=math.inf),
+                     "generator.params.l1_weight must lie in [0, inf), got Infinity",
+                     id="l1_weight-inf"),
         # 1.5 N c^2 bounds the objective at the origin
         (dict(offset=1e154), "offset is so large that the objective overflows"),
     ])
     def test_spec_refuses_values_without_a_finite_objective(self, kwargs, message):
         # these used to build problems whose optimal value is inf or NaN, and loading
         # their documents printed numpy overflow warnings
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             ToySpec(num_components=5, **kwargs)
         assert np.isfinite(make_toy(ToySpec(num_components=5, offset=1e153)).known_optimum[1])
 
@@ -366,26 +371,32 @@ class TestDocuments:
         toy = {"generator": {"name": "toy", "params": {"num_components": 9}}}
         prob = problem_from_document(toy)
         assert prob.dimension == 9
-        with pytest.raises(ValueError, match="unknown problem generator 'mystery'"):
+        message = 'generator.name must be one of "toy", "lasso", got "mystery"'
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             problem_from_document({"generator": {"name": "mystery", "params": {}, "seed": 0}})
 
     def test_toy_params_are_the_spec_fields(self):
         doc = toy_document(ToySpec(num_components=6, offset=2.0, l1_weight=0.5))
         assert doc["generator"]["params"] == {"num_components": 6, "offset": 2.0, "l1_weight": 0.5}
         doc["generator"]["params"]["num_workers"] = 4  # a param ToySpec no longer takes
-        with pytest.raises(TypeError, match="num_workers"):
+        with pytest.raises(ValueError, match='^generator.params has no field "num_workers"$'):
             problem_from_document(doc)
 
     @pytest.mark.parametrize(
-        "beta",
-        [True, -1, "2", float("nan"), float("inf"), 10**400],
+        "beta, message",
+        [(True, "beta must be a number or null, got true"),
+         (-1, "beta must lie in (0, inf), got -1"),
+         ("2", 'beta must be a number or null, got "2"'),
+         (float("nan"), "beta must lie in (0, inf), got NaN"),
+         (float("inf"), "beta must lie in (0, inf), got Infinity"),
+         (10**400, f"beta is too large for a float, got {10**400}")],
         ids=["true", "-1", "string", "nan", "inf", "beyond-float"],
     )
-    def test_a_lasso_beta_must_be_a_positive_finite_number(self, beta):
+    def test_a_lasso_beta_must_be_a_positive_finite_number(self, beta, message):
         # these used to load as a float, or (beyond-float) raise OverflowError
         doc = lasso_document(LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1))
         doc["beta"] = beta
-        with pytest.raises(ValueError, match="beta must be a positive finite number"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             problem_from_document(doc)
 
     @pytest.mark.parametrize("beta", [0.5, 3])
