@@ -20,6 +20,7 @@ import numpy as np
 from ipiag import (
     SolverParams,
     ToySpec,
+    inputs,
     make_toy,
     run,
     schedule_uniform_single,
@@ -52,9 +53,8 @@ def variant_comparison(args, out_dir):
     curves = []
     envelope = None
     for tag, label in LABELS.items():
-        alpha, eta1, eta2, cert, _ = resolve_parameters(
-            prob, tag, "auto", "auto", "auto", args.tau, C1
-        )
+        config = inputs.read({"variant": tag, "c1": C1}, inputs.CONFIG)
+        alpha, eta1, eta2, cert, _ = resolve_parameters(prob, config, args.tau)
         params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=args.iters)
         trace = run(prob, params, schedule, np.zeros(args.components), store_iterates=False)
         write_trace_csv(os.path.join(out_dir, f"toy_{label.replace('-', '_')}.csv"), trace)
@@ -82,7 +82,7 @@ def variant_comparison(args, out_dir):
 
 def step_size_sweep(args, out_dir):
     prob = make_toy(ToySpec(num_components=args.components))
-    base = resolve_parameters(prob, "piag", "auto", "auto", "auto", args.tau, C1)[0]
+    base = resolve_parameters(prob, inputs.read({"variant": "piag"}, inputs.CONFIG), args.tau)[0]
     schedule = schedule_uniform_single(args.workers, args.tau, args.iters, args.seed)
     curves = []
     for mult in (1.0, 4.0, 16.0):

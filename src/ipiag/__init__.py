@@ -23,9 +23,6 @@ from .rates import (
     RecurrenceReport,
     TwoTermRecurrence,
     certificate_for,
-    ipiag_certificate,
-    momentum_certificate,
-    nesterov_certificate,
     one_term_condition,
     verify_descent,
     verify_linear_bound,
@@ -88,7 +85,6 @@ __all__ = [
     "evaluate_objective",
     "full_gradient",
     "gradient_consistency_check",
-    "ipiag_certificate",
     "iterations_to_threshold",
     "lasso_arrays",
     "lasso_document",
@@ -97,8 +93,6 @@ __all__ = [
     "make_lasso",
     "make_toy",
     "max_observed_staleness",
-    "momentum_certificate",
-    "nesterov_certificate",
     "one_term_condition",
     "problem_from_document",
     "problem_to_document",

@@ -40,7 +40,7 @@ import numpy as np
 from . import inputs, problems, rates
 from .core import CompositeProblem, NumericError
 from .problems import load_problem, problem_from_document
-from .rates import RateInputs, certificate_for, ipiag_certificate, verify_linear_bound
+from .rates import RateInputs, certificate_for, verify_linear_bound
 from .schedules import DelaySchedule, ScheduleError, schedule_synchronous, schedule_uniform_single
 from .solver import FLOAT_FORMAT, SolverParams, iterations_to_threshold, run
 
@@ -59,26 +59,9 @@ def _error(message: str) -> None:
     print("error: " + "\\n".join(message.splitlines()), file=sys.stderr)
 
 
-def _parse_value(text, name: str):
-    """'auto' stays a sentinel; anything else must parse as a float."""
-    if text == "auto":
-        return "auto"
-    try:
-        return float(text)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number or 'auto', got {text!r}") from None
-
-
-def resolve_parameters(
-    problem: CompositeProblem,
-    variant: str,
-    alpha_arg,
-    eta1_arg,
-    eta2_arg,
-    tau: int,
-    c1: float,
-):
-    """Turn flag values into concrete (alpha, eta1, eta2, certificate, error).
+def resolve_parameters(problem: CompositeProblem, config: dict, tau: int):
+    """Turn a config, as ``inputs.read`` gives it for ``inputs.CONFIG``, into concrete
+    (alpha, eta1, eta2, certificate, error).
 
     The certificate is built at the resolved values so its contraction
     factor describes the run that will actually execute.  It is None when
@@ -86,12 +69,8 @@ def resolve_parameters(
     error is None) or when no certificate covers the resolved values (then
     error says why, and the run is uncertified).
     """
-    if variant not in rates.RUN_VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}")
-    alpha_arg = _parse_value(alpha_arg, "alpha")
-    eta1_arg = _parse_value(eta1_arg, "eta1")
-    eta2_arg = _parse_value(eta2_arg, "eta2")
-
+    variant = config["variant"]
+    alpha_arg, eta1_arg, eta2_arg = config["alpha"], config["eta1"], config["eta2"]
     cert_variant, uses_eta1, uses_eta2 = rates.RUN_VARIANTS[variant]
     beta = problem.growth_constant
     L = problem.total_lipschitz
@@ -104,15 +83,12 @@ def resolve_parameters(
             raise ConfigError(
                 "auto parameters need the growth modulus; the problem metadata has none"
             )
-        # eta defaults are computed at the alpha that will run; a nonpositive
-        # alpha is rejected below, so the certificate never sees it
-        given = alpha_arg if alpha_arg != "auto" and alpha_arg > 0 else None
-        inputs = RateInputs(L, beta, tau, c1 if uses_eta1 else 0.0)
+        # eta defaults are computed at the alpha that will run
+        given = None if alpha_arg == "auto" else alpha_arg
+        inputs = RateInputs(L, beta, tau, config["c1"] if uses_eta1 else 0.0)
         auto_cert = certificate_for(cert_variant, inputs, alpha=given)
 
     alpha = auto_cert.alpha if alpha_arg == "auto" else alpha_arg
-    if not alpha > 0:
-        raise ConfigError("alpha must be positive")
 
     if uses_eta1:
         eta1 = auto_cert.eta1 if eta1_arg == "auto" else eta1_arg
@@ -126,13 +102,12 @@ def resolve_parameters(
         if eta2_arg not in ("auto", 0.0):
             raise ConfigError(f"variant {variant} has no post-prox inertia; leave eta2 at 0")
         eta2 = 0.0
-    # an auto eta2 is at most 0.25 (the bracket's numerator), so only an auto eta1 can leave [0, 1]
+    # the rows check a given weight, and an auto eta2 is at most 0.25 (the bracket's
+    # numerator), so only an auto eta1 can leave [0, 1]
     if uses_eta1 and eta1_arg == "auto" and not 0.0 <= eta1 <= 1.0:
         raise ConfigError(
             f"auto eta1 = C1*alpha*beta = {eta1!r} leaves [0, 1]; lower --c1 or --alpha"
         )
-    if not 0.0 <= eta1 <= 1.0 or not 0.0 <= eta2 <= 1.0:
-        raise ConfigError("inertial weights must lie in [0, 1]")
 
     cert = error = None
     if beta is not None:
@@ -187,17 +162,36 @@ def _make_output_dir(path: str) -> None:
         raise ConfigError(f"cannot write to the output directory {path!r}")
 
 
+def _flag_value(text: str):
+    """A flag's text as the JSON value it spells: an integer, a number, else the text itself."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _read_flags(args) -> dict:
+    """The ``run`` flags that rows declare, each read by its row; an absent flag takes the
+    row's default (``--schedule`` is the ``type`` row of ``inputs.SCHEDULE``)."""
+    given = vars(args)
+    rows = inputs.CONFIG.fields + inputs.SCHEDULE.fields + (inputs.ITERS, inputs.SEED)
+    return {
+        row.name: inputs.check(row, given[row.name], row.name) if row.name in given else row.default
+        for row in rows
+    }
+
+
 def cmd_run(args) -> int:
     t0 = time.perf_counter()
     try:
-        flags = {field.name: getattr(args, field.name) for field in inputs.RUN_FLAGS.fields}
-        inputs.read(flags, inputs.RUN_FLAGS)
-        problem = _load_problem_arg(args.problem, args.workers, "workers")
-        alpha, eta1, eta2, cert, cert_error = resolve_parameters(
-            problem, args.variant, args.alpha, args.eta1, args.eta2, args.tau, args.c1
-        )
-        schedule = build_schedule(args.schedule, args.workers, args.tau, args.iters, args.seed)
-        params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=args.iters)
+        flags = _read_flags(args)
+        variant, tau, workers = flags["variant"], flags["tau"], flags["workers"]
+        problem = _load_problem_arg(args.problem, workers, "workers")
+        alpha, eta1, eta2, cert, cert_error = resolve_parameters(problem, flags, tau)
+        schedule = build_schedule(flags["type"], workers, tau, flags["iters"], flags["seed"])
+        params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=flags["iters"])
         _make_output_dir(args.out)
     except (ConfigError, ValueError, OSError) as exc:
         _error(str(exc))
@@ -232,15 +226,15 @@ def cmd_run(args) -> int:
 
     summary = {
         "status": status,
-        "variant": args.variant,
+        "variant": variant,
         "alpha": alpha,
         "eta1": eta1,
         "eta2": eta2,
         "schedule": {
-            "type": args.schedule,
-            "tau": args.tau,
-            "workers": args.workers,
-            "seed": args.seed,
+            "type": flags["type"],
+            "tau": tau,
+            "workers": workers,
+            "seed": flags["seed"],
         },
         "iters_executed": None if trace is None else trace.records - 1,
         "final_phi": None if trace is None else float(trace.phi[-1]),
@@ -266,11 +260,11 @@ def cmd_run(args) -> int:
         fh.write("\n")
 
     if args.plot and trace is not None and trace.records >= 2:
-        _plot_run(args, trace, report)
+        _plot_run(args, variant, trace, report)
 
     checks = ",".join(f"{k}={v}" for k, v in verdicts.items())
     print(
-        f"{args.variant}: status={status} iters={summary['iters_executed']} "
+        f"{variant}: status={status} iters={summary['iters_executed']} "
         f"final_phi={summary['final_phi']} checks[{checks}] -> {args.out}"
     )
     return exit_code
@@ -281,7 +275,7 @@ def _positive(values) -> bool:
     return bool(np.any(np.isfinite(values) & (values > 0)))
 
 
-def _plot_run(args, trace, report) -> None:
+def _plot_run(args, variant, trace, report) -> None:
     """plot.svg of a run: dist2 and its envelope, else the objective, else a warning."""
     if _positive(trace.dist2):
         curves = [{"label": "dist^2", "x": trace.k, "y": trace.dist2}]
@@ -302,7 +296,7 @@ def _plot_run(args, trace, report) -> None:
     log_line_plot(
         os.path.join(args.out, "plot.svg"),
         curves,
-        title=f"{args.variant} on {os.path.basename(str(args.problem))}",
+        title=f"{variant} on {os.path.basename(str(args.problem))}",
         ylabel=ylabel,
     )
 
@@ -347,9 +341,7 @@ def cmd_compare(args) -> int:
         resolved = []
         for cfg in configs:
             variant = cfg["variant"]
-            alpha, eta1, eta2, cert, cert_error = resolve_parameters(
-                problem, variant, cfg["alpha"], cfg["eta1"], cfg["eta2"], tau, cfg["c1"]
-            )
+            alpha, eta1, eta2, cert, cert_error = resolve_parameters(problem, cfg, tau)
             label = variant if cfg["label"] is None else cfg["label"]
             if cert_error is not None:
                 print(f"warning: config {label!r} is uncertified: {cert_error}", file=sys.stderr)
@@ -434,12 +426,11 @@ def cmd_certify(args) -> int:
         inputs = RateInputs(args.L, args.beta, args.tau, args.c1)
         cert = certificate_for(args.variant, inputs)
         doc = cert.to_json_dict()
-        if args.variant in ("t1", "t1tight"):
-            doc["alpha0_stated"] = ipiag_certificate(inputs, tight=False).alpha_max
-            doc["alpha0_tight"] = ipiag_certificate(inputs, tight=True).alpha_max
-        else:
-            doc["alpha0_stated"] = cert.alpha_max
-            doc["alpha0_tight"] = cert.alpha_max
+        # the doubly inertial certificate has two thresholds, the others one
+        doubly = args.variant in ("t1", "t1tight")
+        stated, tight = ("t1", "t1tight") if doubly else (args.variant, args.variant)
+        doc["alpha0_stated"] = certificate_for(stated, inputs).alpha_max
+        doc["alpha0_tight"] = certificate_for(tight, inputs).alpha_max
         text = json.dumps(doc, indent=2, allow_nan=False)  # a non-finite field is a ValueError
     except ValueError as exc:
         _error(str(exc))
@@ -455,24 +446,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one configuration and write artifacts")
+    # no defaults here: _read_flags gives an absent flag the default of its row
+    p_run = sub.add_parser(
+        "run", help="run one configuration and write artifacts", argument_default=argparse.SUPPRESS
+    )
     p_run.add_argument("--problem", required=True, help="problem document (JSON file)")
-    p_run.add_argument("--variant", choices=tuple(rates.RUN_VARIANTS), default="piag")
-    p_run.add_argument("--alpha", default="auto", help="step size, or 'auto'")
-    p_run.add_argument("--eta1", default="auto", help="pre-prox inertia, or 'auto'")
-    p_run.add_argument("--eta2", default="auto", help="post-prox inertia, or 'auto'")
-    p_run.add_argument("--tau", type=int, default=inputs.TAU.default, help="staleness bound")
-    p_run.add_argument("--workers", type=int, default=inputs.WORKERS.default)
-    p_run.add_argument(
-        "--schedule", choices=inputs.SCHEDULE_TYPE.allowed, default=inputs.SCHEDULE_TYPE.default
-    )
-    p_run.add_argument("--seed", type=int, default=inputs.SEED.default)
-    p_run.add_argument("--iters", type=int, default=inputs.ITERS.default)
+    p_run.add_argument("--variant", type=_flag_value)
+    p_run.add_argument("--alpha", type=_flag_value, help="step size, or 'auto'")
+    p_run.add_argument("--eta1", type=_flag_value, help="pre-prox inertia, or 'auto'")
+    p_run.add_argument("--eta2", type=_flag_value, help="post-prox inertia, or 'auto'")
+    p_run.add_argument("--tau", type=_flag_value, help="staleness bound")
+    p_run.add_argument("--workers", type=_flag_value)
+    p_run.add_argument("--schedule", dest="type", metavar="SCHEDULE", type=_flag_value)
+    p_run.add_argument("--seed", type=_flag_value)
+    p_run.add_argument("--iters", type=_flag_value)
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--plot", action="store_true", help="also write plot.svg")
-    p_run.add_argument(
-        "--c1", type=float, default=inputs.C1.default, help="momentum fraction behind auto eta1"
-    )
+    p_run.add_argument("--plot", action="store_true", default=False, help="also write plot.svg")
+    p_run.add_argument("--c1", type=_flag_value, help="momentum fraction behind auto eta1")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run several configs and tabulate")

@@ -100,14 +100,10 @@ def _show(value) -> str:
     return json.dumps(value, default=repr)
 
 
-# rows that two tables share, or that the command line reads
-SCHEDULE_TYPE = Field("type", "string", "uniform1", ("sync", "uniform1"))
-TAU = Field("tau", "integer", 0, "[0, inf)")
-WORKERS = Field("workers", "integer", 4, "[1, inf)")
+# rows that two tables share, or that ``ipiag run`` reads alone
 ITERS = Field("iters", "integer", 1000, "[0, inf)")
 SEED = Field("seed", "integer", 0, "[0, 2**64)")
 REPETITIONS = Field("repetitions", "integer", 10, "[1, inf)")
-C1 = Field("c1", "number", 0.25, "[0, 1)")
 
 SPEC = Table("the spec", (
     Field("problem", "path or object"),
@@ -119,21 +115,25 @@ SPEC = Table("the spec", (
     Field("configs", "list"),
     Field("out", "string", ""),
 ))
-SCHEDULE = Table("schedule", (SCHEDULE_TYPE, TAU, WORKERS))
+# ``ipiag run`` reads its flags through the SCHEDULE and CONFIG rows, ITERS and SEED
+SCHEDULE = Table("schedule", (
+    Field("type", "string", "uniform1", ("sync", "uniform1")),
+    Field("tau", "integer", 0, "[0, inf)"),
+    Field("workers", "integer", 4, "[1, inf)"),
+))
 CONFIG = Table("configs[i]", (
     Field("label", "string", None),
     Field("variant", "string", "piag", tuple(RUN_VARIANTS)),
     Field("alpha", "number or auto", "auto", "(0, inf)"),
     Field("eta1", "number or auto", "auto", "[0, 1]"),
     Field("eta2", "number or auto", "auto", "[0, 1]"),
-    C1,
+    Field("c1", "number", 0.25, "[0, 1)"),
 ))
 REFERENCE = Table("reference", (
     Field("alpha", "number", None, "(0, inf)"),
     Field("iters", "integer", 200000, "[0, inf)"),
     Field("tol", "number", 1e-10, "[0, inf)"),
 ))
-RUN_FLAGS = Table("ipiag run flags", (TAU, WORKERS, ITERS, SEED, C1))
 
 DOCUMENT = Table("the problem document", (
     Field("dimension", "integer", None, "[1, inf)"),

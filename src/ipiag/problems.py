@@ -218,13 +218,28 @@ def reference_solution(
 
 
 def _generate(name: str, params: dict, seed) -> tuple:
-    """(spec, problem) for the generator name, params and seed of a document."""
+    """(spec, problem) for the generator name, params and seed of a document.
+
+    A size param that no array can hold, one numpy cannot allocate or beyond the float
+    range (an OverflowError in the toy's objective bound), is a ValueError naming it.
+    """
     if name == "toy":
-        spec = ToySpec(**read(params, TOY_PARAMS, "generator.params"))
-        return spec, make_toy(spec)
-    merged = params if seed is None else {"seed": seed, **params}
-    spec = LassoSpec(**read(merged, LASSO_PARAMS, "generator.params"))
-    return spec, make_lasso(spec)
+        params = read(params, TOY_PARAMS, "generator.params")
+        spec_type, make, sizes = ToySpec, make_toy, ("num_components",)
+    else:
+        merged = params if seed is None else {"seed": seed, **params}
+        params = read(merged, LASSO_PARAMS, "generator.params")
+        spec_type, make, sizes = LassoSpec, make_lasso, ("rows", "cols")
+    try:
+        spec = spec_type(**params)
+        return spec, make(spec)
+    except (MemoryError, OverflowError) as exc:
+        fields = " and ".join(f"generator.params.{size}" for size in sizes)
+        values = " and ".join(str(params[size]) for size in sizes)
+        sized = "is too large for the arrays it sizes" if len(sizes) == 1 else (
+            "are too large for the arrays they size"
+        )
+        raise ValueError(f"{fields} {sized}, got {values} ({exc})") from None
 
 
 # JSON problem documents: ``inputs.DOCUMENT`` and ``inputs.GENERATOR`` declare the fields.

@@ -153,91 +153,6 @@ def _certificate(variant, inputs, alpha_max, alpha, eta1, eta2_max, eta2, simpli
     )
 
 
-def ipiag_certificate(
-    inputs: RateInputs,
-    tight: bool = False,
-    alpha: Optional[float] = None,
-    eta1: Optional[float] = None,
-    eta2: Optional[float] = None,
-) -> RateCertificate:
-    """Certificate for the doubly inertial variant.
-
-    ``tight=False`` uses the stated threshold exponent 1/(tau+3); with
-    ``tight=True`` the exponent drops to 1/(tau+2) for tau >= 1 (the two
-    agree at tau = 0).  eta1 defaults to min(C1 alpha beta, 1); eta2
-    defaults to the largest admissible value.
-    """
-    L = inputs.total_lipschitz
-    beta = inputs.growth_constant
-    tau = inputs.delay
-    c1 = inputs.momentum_fraction
-    if not c1 < 0.5:
-        raise ValueError("momentum_fraction must be below 0.5 for this variant")
-
-    alpha_max = _threshold(L, beta, tau, c1, tau + 2 if tight and tau >= 1 else tau + 3)
-    if alpha is None:
-        alpha = alpha_max
-    if eta1 is None:
-        eta1 = min(c1 * alpha * beta, 1.0)
-    if tau >= 1:
-        weight = (L * (tau + 2) + 8.0 * c1 * beta) / (2.0 * beta)
-        eta2_max = _eta2_max(alpha, beta, eta1, weight, tau + 2)
-    else:  # not 2 L (tau + 2) / (2 beta): 2 L overflows for L >= 2**1023
-        eta2_max = _eta2_max(alpha, beta, eta1, (L + 4.0 * c1 * beta) / beta, 3)
-    variant = "t1tight" if tight else "t1"
-    return _certificate(variant, inputs, alpha_max, alpha, eta1, eta2_max, eta2)
-
-
-def momentum_certificate(
-    inputs: RateInputs,
-    alpha: Optional[float] = None,
-    eta1: Optional[float] = None,
-) -> RateCertificate:
-    """Certificate for pre-prox inertia alone (eta2 = 0).
-
-    Allows the full weight range C1 in [0, 1) and uses the dedicated
-    threshold, which is larger than the doubly inertial one.  eta1
-    defaults to C1 alpha beta.  Also reports the closed-form simplified
-    contraction factor valid at alpha_max.
-    """
-    L = inputs.total_lipschitz
-    beta = inputs.growth_constant
-    tau = inputs.delay
-    c1 = inputs.momentum_fraction
-
-    base = 1.0 + (1.0 - c1) * beta / (L * (tau + 1) + c1 * beta)
-    alpha_max = (base ** (1.0 / (tau + 1)) - 1.0) / ((1.0 - c1) * beta)
-    if alpha is None:
-        alpha = alpha_max
-    if eta1 is None:
-        eta1 = c1 * alpha * beta
-    q = L / beta
-    simplified = 1.0 - (1.0 - c1) / ((1.0 + q * (tau + 1)) * (tau + 1))
-    return _certificate("cor1", inputs, alpha_max, alpha, eta1, 0.0, 0.0, simplified)
-
-
-def nesterov_certificate(
-    inputs: RateInputs,
-    alpha: Optional[float] = None,
-    eta2: Optional[float] = None,
-) -> RateCertificate:
-    """Certificate for post-prox inertia alone (eta1 = 0).
-
-    The step-size threshold is open: alpha must stay strictly below
-    alpha_max so that the eta2 bracket keeps room.  momentum_fraction is
-    ignored (treated as 0).
-    """
-    L = inputs.total_lipschitz
-    beta = inputs.growth_constant
-    tau = inputs.delay
-
-    alpha_max = _threshold(L, beta, tau, 0.0, tau + 2)
-    if alpha is None:
-        alpha = alpha_max * 0.999
-    eta2_max = _eta2_max(alpha, beta, 0.0, L * (tau + 2) / (2.0 * beta), tau + 2)
-    return _certificate("cor2", inputs, alpha_max, alpha, 0.0, eta2_max, eta2)
-
-
 def certificate_for(
     variant: str,
     inputs: RateInputs,
@@ -245,17 +160,61 @@ def certificate_for(
     eta1: Optional[float] = None,
     eta2: Optional[float] = None,
 ) -> RateCertificate:
-    """Dispatch on the variant tag; ``cor1`` accepts no nonzero eta2, ``cor2`` no nonzero eta1."""
+    """Certificate of the variant tag at (alpha, eta1, eta2); alpha defaults to alpha_max
+    (``cor2``: 0.999 alpha_max) and eta2 to the largest admissible value.
+
+    ``t1`` and ``t1tight`` (both inertial weights) need C1 below 0.5.  ``t1`` uses the
+    stated threshold exponent 1/(tau+3); ``t1tight`` drops it to 1/(tau+2) for tau >= 1
+    (the two agree at tau = 0).  eta1 defaults to min(C1 alpha beta, 1).
+
+    ``cor1`` (pre-prox inertia alone, eta2 = 0, a nonzero eta2 refused) allows the full
+    weight range C1 in [0, 1) and uses the dedicated threshold, which is larger than the
+    doubly inertial one.  eta1 defaults to C1 alpha beta.  Also reports the closed-form
+    simplified contraction factor valid at alpha_max.
+
+    ``cor2`` (post-prox inertia alone, eta1 = 0, a nonzero eta1 refused) has an open
+    threshold: alpha must stay strictly below alpha_max so that the eta2 bracket keeps
+    room.  momentum_fraction is ignored (treated as 0).
+    """
+    L = inputs.total_lipschitz
+    beta = inputs.growth_constant
+    tau = inputs.delay
+    c1 = inputs.momentum_fraction
     if variant in ("t1", "t1tight"):
-        return ipiag_certificate(inputs, variant == "t1tight", alpha=alpha, eta1=eta1, eta2=eta2)
+        if not c1 < 0.5:
+            raise ValueError("momentum_fraction must be below 0.5 for this variant")
+        exponent = tau + 2 if variant == "t1tight" and tau >= 1 else tau + 3
+        alpha_max = _threshold(L, beta, tau, c1, exponent)
+        if alpha is None:
+            alpha = alpha_max
+        if eta1 is None:
+            eta1 = min(c1 * alpha * beta, 1.0)
+        if tau >= 1:
+            weight = (L * (tau + 2) + 8.0 * c1 * beta) / (2.0 * beta)
+            eta2_max = _eta2_max(alpha, beta, eta1, weight, tau + 2)
+        else:  # not 2 L (tau + 2) / (2 beta): 2 L overflows for L >= 2**1023
+            eta2_max = _eta2_max(alpha, beta, eta1, (L + 4.0 * c1 * beta) / beta, 3)
+        return _certificate(variant, inputs, alpha_max, alpha, eta1, eta2_max, eta2)
     if variant == "cor1":
         if eta2:
             raise ValueError("cor1 has no post-prox inertia; eta2 must be 0")
-        return momentum_certificate(inputs, alpha=alpha, eta1=eta1)
+        base = 1.0 + (1.0 - c1) * beta / (L * (tau + 1) + c1 * beta)
+        alpha_max = (base ** (1.0 / (tau + 1)) - 1.0) / ((1.0 - c1) * beta)
+        if alpha is None:
+            alpha = alpha_max
+        if eta1 is None:
+            eta1 = c1 * alpha * beta
+        q = L / beta
+        simplified = 1.0 - (1.0 - c1) / ((1.0 + q * (tau + 1)) * (tau + 1))
+        return _certificate("cor1", inputs, alpha_max, alpha, eta1, 0.0, 0.0, simplified)
     if variant == "cor2":
         if eta1:
             raise ValueError("cor2 has no pre-prox inertia; eta1 must be 0")
-        return nesterov_certificate(inputs, alpha=alpha, eta2=eta2)
+        alpha_max = _threshold(L, beta, tau, 0.0, tau + 2)
+        if alpha is None:
+            alpha = alpha_max * 0.999
+        eta2_max = _eta2_max(alpha, beta, 0.0, L * (tau + 2) / (2.0 * beta), tau + 2)
+        return _certificate("cor2", inputs, alpha_max, alpha, 0.0, eta2_max, eta2)
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 

@@ -25,7 +25,6 @@ from ipiag import (
     make_lasso,
     make_toy,
     max_observed_staleness,
-    momentum_certificate,
     one_term_condition,
     reference_solution,
     run,
@@ -347,7 +346,7 @@ def test_criterion_10_simplified_factor_upper_bounds_the_exact_one():
         for beta in (0.1, 0.5, 1.0, 2.0, 5.0):
             for tau in range(0, 7):
                 for c1 in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
-                    cert = momentum_certificate(RateInputs(L, beta, tau, c1))
+                    cert = certificate_for("cor1", RateInputs(L, beta, tau, c1))
                     exact = 1.0 / (1.0 + (1.0 - c1) * cert.alpha_max * beta)
                     if cert.simplified_factor - exact < -1e-12:
                         violations.append((L, beta, tau, c1))

@@ -347,11 +347,21 @@ class TestRun:
         )
         assert rc == EXIT_CONFIG
 
-    def test_explicit_alpha_must_be_positive(self, toy_file, tmp_path):
+    def test_explicit_alpha_must_be_positive(self, toy_file, tmp_path, capsys):
         rc = main(
             ["run", "--problem", toy_file, "--alpha", "-0.1", "--out", str(tmp_path / "o")]
         )
         assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: alpha must lie in (0, inf), got -0.1\n"
+
+    @pytest.mark.parametrize("alpha", ["inf", "1e400"])
+    def test_an_infinite_alpha_is_a_config_error(self, toy_file, tmp_path, capsys, alpha):
+        # it ran, and exited 3 with "diverged: iterate became non-finite"
+        out = tmp_path / "o"
+        rc = main(["run", "--problem", toy_file, "--alpha", alpha, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: alpha must lie in (0, inf), got Infinity\n"
+        assert not out.exists()
 
     def test_auto_parameters_need_a_growth_modulus(self, lasso_file, tmp_path, capsys):
         rc = main(
@@ -452,9 +462,13 @@ class TestRun:
         assert summary["certificate"] is None and summary["certificate_error"] is None
         assert set(summary["bound_checks"].values()) == {"skipped"}
 
-    def test_unknown_variant_is_an_argparse_error(self, toy_file, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["run", "--problem", toy_file, "--variant", "sgd", "--out", str(tmp_path / "o")])
+    def test_unknown_variant_is_a_config_error(self, toy_file, tmp_path, capsys):
+        # argparse refused it, exiting 2 with its usage text; the variant row words it now
+        rc = main(["run", "--problem", toy_file, "--variant", "sgd", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            'error: variant must be one of "piag", "piag-m", "piag-nel", "ipiag", got "sgd"\n'
+        )
 
     def test_failed_bound_check_changes_the_exit_code(self, toy_file, tmp_path, monkeypatch):
         red = BoundReport(
@@ -488,7 +502,7 @@ COMPARE_HEADER = "label,variant,alpha,eta1,eta2,rho,iters_to_1e-4,iters_to_1e-6,
 
 # Where each declared table is read, as (input, section, table): a compare spec by
 # ``ipiag compare``, a toy or lasso document by ``ipiag run`` and a JSONL schedule record
-# by ``DelaySchedule.from_jsonl``; FLAGS_AT holds the flags ``ipiag run`` reads.
+# by ``DelaySchedule.from_jsonl``.
 READ_AT = [
     ("spec", "", inputs.SPEC),
     ("spec", "schedule", inputs.SCHEDULE),
@@ -500,7 +514,19 @@ READ_AT = [
     ("lasso", "generator.params", inputs.LASSO_PARAMS),
     ("jsonl", "records[0]", inputs.RECORD),
 ]
-FLAGS_AT = [("run", "", inputs.RUN_FLAGS)]
+# The rows ``ipiag run`` reads its flags through, as ("run", flag, row): every CONFIG row
+# but label, the SCHEDULE rows (``--schedule`` is ``type``), ITERS and SEED.
+FLAGS_AT = [
+    ("run", "schedule" if row.name == "type" else row.name, row)
+    for row in inputs.CONFIG.fields[1:] + inputs.SCHEDULE.fields + (inputs.ITERS, inputs.SEED)
+]
+# the compare spec field that each of those rows reads
+SPEC_FIELD = {
+    **{row.name: f"configs[1].{row.name}" for row in inputs.CONFIG.fields},
+    **{row.name: f"schedule.{row.name}" for row in inputs.SCHEDULE.fields},
+    "iters": "iters",
+    "seed": "base_seed",
+}
 # how a message names each declared combination of JSON types
 WANTED = {
     "integer": "an integer",
@@ -553,23 +579,23 @@ def _shape_cases():
 
 
 def _outside(field):
-    """Values just outside a field's interval; NaN and the infinities where it has no top."""
+    """Values just outside a field's interval, and NaN and both infinities for a number."""
     interval = field.allowed
     low, high = interval[1:-1].split(", ")
     kind, step = (int, 1) if field.types.startswith("integer") else (float, 0.5)
     values = [kind(low) if interval[0] == "(" else kind(low) - step]
-    if high == "inf":
-        return values if kind is int else values + [math.inf, math.nan]
-    base, _, power = high.partition("**")
-    high = kind(int(base) ** int(power or 1))
-    return values + [high if interval[-1] == ")" else high + step]
+    if high != "inf":
+        base, _, power = high.partition("**")
+        high = kind(int(base) ** int(power or 1))
+        values.append(high if interval[-1] == ")" else high + step)
+    return values if kind is int else values + [-math.inf, math.inf, math.nan]
 
 
 def _range_cases():
     """(input, path, interval, value) for each declared interval and each value outside it."""
     return [
         pytest.param(source, path, field.allowed, value, id=f"{source}:{path}-{value}")
-        for source, path, field in _declared(READ_AT + FLAGS_AT)
+        for source, path, field in list(_declared(READ_AT)) + FLAGS_AT
         if isinstance(field.allowed, str)
         for value in _outside(field)
     ]
@@ -587,8 +613,9 @@ def _keys(path):
 def _refusal(tmp_path, capsys, monkeypatch, source, path, value):
     """The error message of reading a valid input whose field at ``path`` is ``value``.
 
-    MISSING deletes the field; an empty path replaces the whole input.  Spec and
-    document errors must be the call's one ``error:`` line, and no solve or run starts.
+    MISSING deletes the field; an empty path replaces the whole input; for ``run`` the
+    path is a flag and ``value`` its text.  Spec and document errors must be the call's
+    one ``error:`` line, and no solve or run starts.
     """
     lasso = lasso_document(LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1))
     data = {
@@ -638,7 +665,7 @@ def _refusal(tmp_path, capsys, monkeypatch, source, path, value):
         argv, prefix = ["compare", "--spec", str(file)], "error: "
     elif source == "run":
         file.write_text(json.dumps(toy_document(ToySpec(num_components=12))))
-        argv = ["run", "--problem", str(file), f"--{path}", str(value), "--out", out]
+        argv = ["run", "--problem", str(file), f"--{path}={value}", "--out", out]
         prefix = "error: "
     else:
         file.write_text(json.dumps(data))
@@ -1054,6 +1081,54 @@ def test_every_declared_range_is_enforced(
     assert _refusal(tmp_path, capsys, monkeypatch, source, path, value) == (
         f"{path} must lie in {interval}, got {json.dumps(value)}"
     )
+
+
+@pytest.mark.parametrize("value", [-1, -0.5, math.inf, math.nan, "x"])
+@pytest.mark.parametrize("flag, row", [
+    pytest.param(flag, row, id=flag) for _, flag, row in FLAGS_AT
+])
+def test_a_run_flag_and_its_spec_field_get_the_same_message(
+    tmp_path, capsys, monkeypatch, flag, row, value
+):
+    # run read --alpha, --eta1 and --eta2 apart from the rows, and worded its own messages:
+    # "alpha must be positive", "inertial weights must lie in [0, 1]"
+    field = SPEC_FIELD[row.name]
+    in_spec = _refusal(tmp_path, capsys, monkeypatch, "spec", field, value)
+    assert in_spec.startswith(field + " ")
+    assert _refusal(tmp_path, capsys, monkeypatch, "run", flag, value) == (
+        row.name + in_spec[len(field):]
+    )
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("kind, params, message", [
+    pytest.param("toy", {"num_components": 10**13},
+                 "num_components is too large for the arrays it sizes, got 10000000000000 "
+                 "(Unable to allocate 72.8 TiB", id="toy-10**13"),
+    pytest.param("toy", {"num_components": 10**400},
+                 f"num_components is too large for the arrays it sizes, got {10**400} "
+                 "(int too large to convert to float)", id="toy-10**400"),
+    pytest.param("lasso", {"cols": 10**13},
+                 "rows and generator.params.cols are too large for the arrays they size, got "
+                 "8 and 10000000000000 (Unable to allocate", id="lasso-cols-10**13"),
+])
+def test_a_problem_too_large_for_its_arrays_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, kind, params, message
+):
+    # each exited 1 with a traceback: OverflowError in ToySpec's objective guard, or numpy's
+    # MemoryError.  Every size here is one numpy refuses before allocating anything.
+    if kind == "toy":
+        doc = toy_document(ToySpec(num_components=12))
+    else:
+        doc = lasso_document(LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1))
+    doc["generator"]["params"].update(params)
+    if command == "run":
+        got = _refusal(tmp_path, capsys, monkeypatch, kind, "", doc)
+    else:
+        got = _refusal(tmp_path, capsys, monkeypatch, "spec", "problem", doc)
+        assert got.startswith("cannot load problem: "), got
+        got = got[len("cannot load problem: "):]
+    assert got.startswith("generator.params." + message), got
 
 
 # ---------------------------------------------------------------------------

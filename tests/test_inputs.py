@@ -11,7 +11,7 @@ import pytest
 from ipiag import LassoSpec, ToySpec, inputs
 
 TABLES = [
-    inputs.SPEC, inputs.SCHEDULE, inputs.CONFIG, inputs.REFERENCE, inputs.RUN_FLAGS,
+    inputs.SPEC, inputs.SCHEDULE, inputs.CONFIG, inputs.REFERENCE,
     inputs.DOCUMENT, inputs.GENERATOR, inputs.TOY_PARAMS, inputs.LASSO_PARAMS, inputs.RECORD,
 ]
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"

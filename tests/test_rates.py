@@ -12,11 +12,8 @@ from ipiag import (
     ToySpec,
     TwoTermRecurrence,
     certificate_for,
-    ipiag_certificate,
     lyapunov_value,
     make_toy,
-    momentum_certificate,
-    nesterov_certificate,
     one_term_condition,
     run,
     schedule_synchronous,
@@ -50,7 +47,7 @@ class TestInputs:
 
 class TestStepSizeThresholds:
     def test_double_inertia_threshold_unit_case(self):
-        cert = ipiag_certificate(UNIT)
+        cert = certificate_for("t1", UNIT)
         # W = 1/4, threshold (5/4)^(1/3) - 1
         assert cert.alpha_max == pytest.approx(0.07721734501594178, rel=1e-12)
         assert cert.eta1 == 0.0
@@ -60,25 +57,26 @@ class TestStepSizeThresholds:
         assert cert.admissible
 
     def test_tight_exponent_agrees_at_zero_delay(self):
-        stated = ipiag_certificate(UNIT, tight=False)
-        tight = ipiag_certificate(UNIT, tight=True)
+        stated = certificate_for("t1", UNIT)
+        tight = certificate_for("t1tight", UNIT)
         assert tight.alpha_max == stated.alpha_max
 
     def test_tight_exponent_is_larger_with_delay(self):
         inputs = RateInputs(total_lipschitz=3.0, growth_constant=1.0, delay=3)
-        stated = ipiag_certificate(inputs, tight=False)
-        tight = ipiag_certificate(inputs, tight=True)
+        stated = certificate_for("t1", inputs)
+        tight = certificate_for("t1tight", inputs)
         assert tight.alpha_max > stated.alpha_max
 
     def test_post_inertia_threshold_unit_case(self):
-        cert = nesterov_certificate(UNIT)
+        cert = certificate_for("cor2", UNIT)
         # W = 1/4, threshold sqrt(5/4) - 1
         assert cert.alpha_max == pytest.approx(0.11803398874989485, rel=1e-12)
         assert cert.alpha < cert.alpha_max  # strict by default
+        assert cert.alpha == cert.alpha_max * 0.999
         assert cert.admissible
 
     def test_pre_inertia_threshold_unit_case(self):
-        cert = momentum_certificate(UNIT)
+        cert = certificate_for("cor1", UNIT)
         assert cert.alpha_max == pytest.approx(1.0, rel=1e-12)
         assert cert.rho == pytest.approx(0.5, rel=1e-12)
         assert cert.simplified_factor == pytest.approx(0.5, rel=1e-12)
@@ -86,13 +84,14 @@ class TestStepSizeThresholds:
 
     def test_double_inertia_rejects_large_momentum(self):
         with pytest.raises(ValueError):
-            ipiag_certificate(
-                RateInputs(total_lipschitz=1.0, growth_constant=1.0, delay=0, momentum_fraction=0.5)
+            certificate_for(
+                "t1",
+                RateInputs(total_lipschitz=1.0, growth_constant=1.0, delay=0, momentum_fraction=0.5),
             )
 
     def test_pre_inertia_accepts_large_momentum(self):
         inputs = RateInputs(total_lipschitz=1.0, growth_constant=1.0, delay=0, momentum_fraction=0.9)
-        cert = momentum_certificate(inputs)
+        cert = certificate_for("cor1", inputs)
         assert cert.admissible
         assert cert.rho < 1.0
 
@@ -125,17 +124,17 @@ def explicit_certificate_args(draw):
 
 class TestAdmissibility:
     def test_oversized_step_is_flagged(self):
-        cert = ipiag_certificate(UNIT, alpha=2.0 * ipiag_certificate(UNIT).alpha_max)
+        cert = certificate_for("t1", UNIT, alpha=2.0 * certificate_for("t1", UNIT).alpha_max)
         assert not cert.admissible
 
     def test_oversized_post_inertia_is_flagged(self):
-        base = ipiag_certificate(UNIT)
-        cert = ipiag_certificate(UNIT, alpha=base.alpha_max / 2.0, eta2=0.9)
+        base = certificate_for("t1", UNIT)
+        cert = certificate_for("t1", UNIT, alpha=base.alpha_max / 2.0, eta2=0.9)
         assert not cert.admissible
 
     def test_threshold_step_is_inadmissible_for_post_inertia_variant(self):
-        base = nesterov_certificate(UNIT)
-        at_edge = nesterov_certificate(UNIT, alpha=base.alpha_max)
+        base = certificate_for("cor2", UNIT)
+        at_edge = certificate_for("cor2", UNIT, alpha=base.alpha_max)
         assert not at_edge.admissible
 
     @given(
@@ -213,7 +212,7 @@ def test_json_document_fields():
     plain = certificate_for("t1", UNIT).to_json_dict()
     assert "simplified_factor" not in plain
     assert doc["admissible"] is True and plain["admissible"] is True
-    oversized = ipiag_certificate(UNIT, alpha=2.0 * ipiag_certificate(UNIT).alpha_max)
+    oversized = certificate_for("t1", UNIT, alpha=2.0 * certificate_for("t1", UNIT).alpha_max)
     assert oversized.to_json_dict()["admissible"] is False
 
 
@@ -349,7 +348,7 @@ class TestLinearBound:
             growth_constant=prob.growth_constant,
             delay=2,
         )
-        cert = ipiag_certificate(inputs)
+        cert = certificate_for("t1", inputs)
         params = SolverParams(alpha=cert.alpha, eta1=cert.eta1, eta2=cert.eta2, max_iters=K)
         trace = run(prob, params, schedule_uniform_single(3, 2, K, seed=9), np.zeros(12))
         return trace, cert
@@ -373,7 +372,7 @@ class TestLinearBound:
     def test_certificate_of_another_run_is_refused(self):
         # the trace's psi is only the certificate's Lyapunov value at the same weights
         trace, cert = self._toy_trace()
-        other = ipiag_certificate(cert.inputs, alpha=cert.alpha / 2.0)
+        other = certificate_for("t1", cert.inputs, alpha=cert.alpha / 2.0)
         with pytest.raises(ValueError, match="differs from the run's"):
             verify_linear_bound(trace, other)
 
@@ -388,7 +387,7 @@ class TestLinearBound:
         # ipiag's auto eta1 is min(C1 alpha beta, 1): at alpha = 1e200 it is 1, psi loses
         # its distance term and 2 alpha / (1 - eta1) used to raise ZeroDivisionError
         prob = make_toy(ToySpec(num_components=2, offset=1.0, l1_weight=1.0))  # x0 is optimal
-        cert = ipiag_certificate(RateInputs(prob.total_lipschitz, 2.0, 0, 0.25), alpha=1e200)
+        cert = certificate_for("t1", RateInputs(prob.total_lipschitz, 2.0, 0, 0.25), alpha=1e200)
         assert cert.eta1 == 1.0
         params = SolverParams(alpha=cert.alpha, eta1=cert.eta1, eta2=cert.eta2, max_iters=1)
         trace = run(prob, params, schedule_synchronous(1, 1), np.zeros(2))
@@ -406,7 +405,7 @@ class TestLinearBound:
             schedule_synchronous(2, K),
             np.zeros(6),
         )
-        cert = ipiag_certificate(RateInputs(bare.total_lipschitz, 2.0, 0))
+        cert = certificate_for("t1", RateInputs(bare.total_lipschitz, 2.0, 0))
         with pytest.raises(ValueError):
             verify_linear_bound(trace, cert)
 
@@ -416,7 +415,7 @@ class TestDescent:
         prob = make_toy(ToySpec(num_components=12))
         K = 200
         tau = 2
-        cert = ipiag_certificate(RateInputs(prob.total_lipschitz, prob.growth_constant, tau))
+        cert = certificate_for("t1", RateInputs(prob.total_lipschitz, prob.growth_constant, tau))
         params = SolverParams(alpha=cert.alpha, eta1=cert.eta1, eta2=cert.eta2, max_iters=K)
         trace = run(prob, params, schedule_uniform_single(3, tau, K, seed=11), np.zeros(12))
         x_star, _ = prob.known_optimum
