@@ -13,10 +13,10 @@ Three subcommands:
 ``certify``  print the step-size certificate for given (L, beta, tau, C1)
              without running anything.
 
-Exit codes: 0 success, 2 configuration error, 3 the run diverged (the
-divergence guard fired or an iterate became non-finite), 4 a certificate
-bound check ran and failed.  Codes 2 and 3 come with one ``error:`` line on
-stderr.  Floats in ``trace.csv`` and ``compare.csv`` are written with
+Exit codes: 0 success, 2 a refused input or output write (``main`` alone
+maps a ValueError or OSError to it), 3 the run diverged (the divergence guard
+fired or an iterate became non-finite), 4 a certificate bound check ran and
+failed.  Codes 2 and 3 come with one ``error:`` line on stderr.  Floats in ``trace.csv`` and ``compare.csv`` are written with
 ``%.17g``, which reads back to the same double.
 
 The ``compare`` spec file is a JSON object that ``ipiag.inputs.SPEC`` and its
@@ -41,17 +41,13 @@ from . import inputs, problems, rates
 from .core import CompositeProblem, NumericError
 from .problems import load_problem, problem_from_document
 from .rates import RateInputs, certificate_for, verify_linear_bound
-from .schedules import DelaySchedule, ScheduleError, schedule_synchronous, schedule_uniform_single
+from .schedules import DelaySchedule, schedule_synchronous, schedule_uniform_single
 from .solver import FLOAT_FORMAT, SolverParams, iterations_to_threshold, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_BOUND = 4
-
-
-class ConfigError(ValueError):
-    """Invalid combination of flags, spec fields, or problem metadata."""
 
 
 def _error(message: str) -> None:
@@ -80,7 +76,7 @@ def resolve_parameters(problem: CompositeProblem, config: dict, tau: int):
     auto_cert = None
     if needs_auto:
         if beta is None:
-            raise ConfigError(
+            raise ValueError(
                 "auto parameters need the growth modulus; the problem metadata has none"
             )
         # eta defaults are computed at the alpha that will run
@@ -94,18 +90,18 @@ def resolve_parameters(problem: CompositeProblem, config: dict, tau: int):
         eta1 = auto_cert.eta1 if eta1_arg == "auto" else eta1_arg
     else:
         if eta1_arg not in ("auto", 0.0):
-            raise ConfigError(f"variant {variant} has no pre-prox inertia; leave eta1 at 0")
+            raise ValueError(f"variant {variant} has no pre-prox inertia; leave eta1 at 0")
         eta1 = 0.0
     if uses_eta2:
         eta2 = auto_cert.eta2 if eta2_arg == "auto" else eta2_arg
     else:
         if eta2_arg not in ("auto", 0.0):
-            raise ConfigError(f"variant {variant} has no post-prox inertia; leave eta2 at 0")
+            raise ValueError(f"variant {variant} has no post-prox inertia; leave eta2 at 0")
         eta2 = 0.0
     # the rows check a given weight, and an auto eta2 is at most 0.25 (the bracket's
     # numerator), so only an auto eta1 can leave [0, 1]
     if uses_eta1 and eta1_arg == "auto" and not 0.0 <= eta1 <= 1.0:
-        raise ConfigError(
+        raise ValueError(
             f"auto eta1 = C1*alpha*beta = {eta1!r} leaves [0, 1]; lower --c1 or --alpha"
         )
 
@@ -123,22 +119,12 @@ def resolve_parameters(problem: CompositeProblem, config: dict, tau: int):
     return alpha, eta1, eta2, cert, error
 
 
-def _sized_by(name: str, iters: int, make, *args, **kwargs):
-    """``make(*args, **kwargs)``; numpy refusing arrays of ``iters`` rows is a ConfigError."""
-    try:
-        return make(*args, **kwargs)
-    except ScheduleError:
-        raise
-    except (MemoryError, ValueError) as exc:  # beyond numpy's index range, or unallocatable
-        raise ConfigError(f"{name} is too large for the arrays it sizes, got {iters} ({exc})")
-
-
 def build_schedule(kind: str, workers: int, tau: int, iters: int, seed: int) -> DelaySchedule:
     if kind == "sync":
         if tau != 0:
-            raise ConfigError(f"the sync schedule has no staleness; tau must be 0, got {tau}")
-        return _sized_by("iters", iters, schedule_synchronous, workers, iters)
-    return _sized_by("iters", iters, schedule_uniform_single, workers, tau, iters, seed)
+            raise ValueError(f"the sync schedule has no staleness; tau must be 0, got {tau}")
+        return inputs.sized({"iters": iters}, schedule_synchronous, workers, iters)
+    return inputs.sized({"iters": iters}, schedule_uniform_single, workers, tau, iters, seed)
 
 
 def _load_problem_arg(source, workers: int, field: str) -> CompositeProblem:
@@ -149,17 +135,17 @@ def _load_problem_arg(source, workers: int, field: str) -> CompositeProblem:
         else:
             problem = load_problem(source)
     except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
-        raise ConfigError(f"cannot load problem: {exc}") from None
+        raise ValueError(f"cannot load problem: {exc}") from None
     if workers > problem.num_components:
         limit = f"the problem's {problem.num_components} components"
-        raise ConfigError(f"{field} must not exceed {limit}, got {workers}")
+        raise ValueError(f"{field} must not exceed {limit}, got {workers}")
     return problem
 
 
 def _make_output_dir(path: str) -> None:
     os.makedirs(path, exist_ok=True)  # raises OSError, e.g. for a path under a regular file
     if not os.access(path, os.W_OK | os.X_OK):
-        raise ConfigError(f"cannot write to the output directory {path!r}")
+        raise ValueError(f"cannot write to the output directory {path!r}")
 
 
 def _flag_value(text: str):
@@ -172,42 +158,49 @@ def _flag_value(text: str):
     return text
 
 
+# the rows ``run`` reads its flags through, by flag: every CONFIG row but label, the
+# SCHEDULE rows (``--schedule`` is ``type``), ITERS and SEED
+RUN_FLAGS = {
+    "schedule" if row.name == "type" else row.name: row
+    for row in inputs.CONFIG.fields[1:] + inputs.SCHEDULE.fields + (inputs.ITERS, inputs.SEED)
+}
+
+
+def _flag_help(row) -> str:
+    """A ``run`` flag's ``--help`` text: its row's types, allowed values or interval, default."""
+    allowed = row.allowed if isinstance(row.allowed, str) else json.dumps(row.allowed)
+    return f"{row.types} in {allowed}; default {json.dumps(row.default)}"
+
+
 def _read_flags(args) -> dict:
-    """The ``run`` flags that rows declare, each read by its row; an absent flag takes the
-    row's default (``--schedule`` is the ``type`` row of ``inputs.SCHEDULE``)."""
+    """The ``run`` flags by row name, each read by its row under the flag's name; an absent
+    flag takes the row's default."""
     given = vars(args)
-    rows = inputs.CONFIG.fields + inputs.SCHEDULE.fields + (inputs.ITERS, inputs.SEED)
     return {
-        row.name: inputs.check(row, given[row.name], row.name) if row.name in given else row.default
-        for row in rows
+        row.name: inputs.check(row, given[flag], flag) if flag in given else row.default
+        for flag, row in RUN_FLAGS.items()
     }
 
 
 def cmd_run(args) -> int:
     t0 = time.perf_counter()
-    try:
-        flags = _read_flags(args)
-        variant, tau, workers = flags["variant"], flags["tau"], flags["workers"]
-        problem = _load_problem_arg(args.problem, workers, "workers")
-        alpha, eta1, eta2, cert, cert_error = resolve_parameters(problem, flags, tau)
-        schedule = build_schedule(flags["type"], workers, tau, flags["iters"], flags["seed"])
-        params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=flags["iters"])
-        _make_output_dir(args.out)
-    except (ConfigError, ValueError, OSError) as exc:
-        _error(str(exc))
-        return EXIT_CONFIG
+    flags = _read_flags(args)
+    variant, tau, workers = flags["variant"], flags["tau"], flags["workers"]
+    problem = _load_problem_arg(args.problem, workers, "workers")
+    alpha, eta1, eta2, cert, cert_error = resolve_parameters(problem, flags, tau)
+    schedule = build_schedule(flags["type"], workers, tau, flags["iters"], flags["seed"])
+    params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=flags["iters"])
+    _make_output_dir(args.out)
 
     if cert_error is not None:
         print(f"warning: uncertified run: {cert_error}", file=sys.stderr)
-    status = "ok"
-    trace = None
-    exit_code = EXIT_OK
+    trace = divergence = None
     try:
         trace = run(problem, params, schedule, np.zeros(problem.dimension), store_iterates=False)
     except NumericError as exc:
-        _error(f"diverged: {exc}")
-        status = "diverged"
-        exit_code = EXIT_DIVERGED
+        divergence = f"diverged: {exc}"  # printed after the writes, which may refuse instead
+    status = "ok" if divergence is None else "diverged"
+    exit_code = EXIT_OK if divergence is None else EXIT_DIVERGED
 
     unchecked = "skipped" if cert_error is None else "uncertified"
     verdicts = {"psi": unchecked, "phi_gap": unchecked, "dist2": unchecked}
@@ -261,6 +254,8 @@ def cmd_run(args) -> int:
 
     if args.plot and trace is not None and trace.records >= 2:
         _plot_run(args, variant, trace, report)
+    if divergence is not None:
+        _error(divergence)
 
     checks = ",".join(f"{k}={v}" for k, v in verdicts.items())
     print(
@@ -313,59 +308,55 @@ def cmd_compare(args) -> int:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        _error(f"cannot read spec: {exc}")
-        return EXIT_CONFIG
+        raise ValueError(f"cannot read spec: {exc}") from None
 
-    try:
-        spec = inputs.read(spec, inputs.SPEC)
-        sched = inputs.read(spec["schedule"], inputs.SCHEDULE, "schedule")
-        ref = inputs.read(spec["reference"], inputs.REFERENCE, "reference")
-        configs = [
-            inputs.read(cfg, inputs.CONFIG, f"configs[{i}]") for i, cfg in enumerate(spec["configs"])
-        ]
-        if len(configs) < 2:
-            raise ConfigError(f"configs must list at least two configs, got {len(configs)}")
-        kind, tau, workers, iters = sched["type"], sched["tau"], sched["workers"], spec["iters"]
-        reps = spec["repetitions"]
-        if args.repetitions is not None:
-            reps = inputs.check(inputs.REPETITIONS, args.repetitions, "repetitions")
-        if kind == "sync":
-            reps = 1
-        base_seed = spec["base_seed"]
-        inputs.check(inputs.SEED, base_seed + reps - 1, "base_seed + repetitions - 1")
-        problem = _load_problem_arg(spec["problem"], workers, "schedule.workers")
-        # built at full length, so a spec whose schedule cannot be built (iters too large for
-        # an array) fails before any solve
-        first_schedule = build_schedule(kind, workers, tau, iters, base_seed)
+    spec = inputs.read(spec, inputs.SPEC)
+    sched = inputs.read(spec["schedule"], inputs.SCHEDULE, "schedule")
+    ref = inputs.read(spec["reference"], inputs.REFERENCE, "reference")
+    configs = [
+        inputs.read(cfg, inputs.CONFIG, f"configs[{i}]") for i, cfg in enumerate(spec["configs"])
+    ]
+    if len(configs) < 2:
+        raise ValueError(f"configs must list at least two configs, got {len(configs)}")
+    kind, tau, workers, iters = sched["type"], sched["tau"], sched["workers"], spec["iters"]
+    reps = spec["repetitions"]
+    if args.repetitions is not None:
+        reps = inputs.check(inputs.REPETITIONS, args.repetitions, "repetitions")
+    if kind == "sync":
+        reps = 1
+    base_seed = spec["base_seed"]
+    inputs.check(inputs.SEED, base_seed + reps - 1, "base_seed + repetitions - 1")
+    problem = _load_problem_arg(spec["problem"], workers, "schedule.workers")
+    # built at full length, so a spec whose schedule cannot be built (iters too large for
+    # an array) fails before any solve
+    first_schedule = build_schedule(kind, workers, tau, iters, base_seed)
 
-        resolved = []
-        for cfg in configs:
-            variant = cfg["variant"]
-            alpha, eta1, eta2, cert, cert_error = resolve_parameters(problem, cfg, tau)
-            label = variant if cfg["label"] is None else cfg["label"]
-            if cert_error is not None:
-                print(f"warning: config {label!r} is uncertified: {cert_error}", file=sys.stderr)
-            params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=iters)
-            resolved.append((label, variant, params, cert))
-        out_dir = args.out or spec["out"]
-        if out_dir:
-            _make_output_dir(out_dir)
+    resolved = []
+    for cfg in configs:
+        variant = cfg["variant"]
+        alpha, eta1, eta2, cert, cert_error = resolve_parameters(problem, cfg, tau)
+        label = variant if cfg["label"] is None else cfg["label"]
+        if cert_error is not None:
+            print(f"warning: config {label!r} is uncertified: {cert_error}", file=sys.stderr)
+        params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=iters)
+        resolved.append((label, variant, params, cert))
+    out_dir = args.out or spec["out"]
+    if out_dir:
+        _make_output_dir(out_dir)
 
-        if problem.known_optimum is not None:
-            x_ref, phi_star = problem.known_optimum
-        else:
-            if ref["alpha"] is None:
-                raise ConfigError("reference.alpha is required: the problem has no known optimum")
-            x_ref, phi_star = _sized_by(
-                "reference.iters", ref["iters"], problems.reference_solution,
+    if problem.known_optimum is not None:
+        x_ref, phi_star = problem.known_optimum
+    else:
+        if ref["alpha"] is None:
+            raise ValueError("reference.alpha is required: the problem has no known optimum")
+        try:
+            x_ref, phi_star = inputs.sized(
+                {"reference.iters": ref["iters"]}, problems.reference_solution,
                 problem, ref["alpha"], max_iters=ref["iters"], tol=ref["tol"],
             )
-    except (ConfigError, ValueError, OSError) as exc:
-        _error(str(exc))
-        return EXIT_CONFIG
-    except NumericError as exc:
-        _error(f"reference solve diverged: {exc}")
-        return EXIT_DIVERGED
+        except NumericError as exc:
+            _error(f"reference solve diverged: {exc}")
+            return EXIT_DIVERGED
 
     header = [
         "label",
@@ -422,19 +413,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    try:
-        inputs = RateInputs(args.L, args.beta, args.tau, args.c1)
-        cert = certificate_for(args.variant, inputs)
-        doc = cert.to_json_dict()
-        # the doubly inertial certificate has two thresholds, the others one
-        doubly = args.variant in ("t1", "t1tight")
-        stated, tight = ("t1", "t1tight") if doubly else (args.variant, args.variant)
-        doc["alpha0_stated"] = certificate_for(stated, inputs).alpha_max
-        doc["alpha0_tight"] = certificate_for(tight, inputs).alpha_max
-        text = json.dumps(doc, indent=2, allow_nan=False)  # a non-finite field is a ValueError
-    except ValueError as exc:
-        _error(str(exc))
-        return EXIT_CONFIG
+    inputs = RateInputs(args.L, args.beta, args.tau, args.c1)
+    cert = certificate_for(args.variant, inputs)
+    doc = cert.to_json_dict()
+    # the doubly inertial certificate has two thresholds, the others one
+    doubly = args.variant in ("t1", "t1tight")
+    stated, tight = ("t1", "t1tight") if doubly else (args.variant, args.variant)
+    doc["alpha0_stated"] = certificate_for(stated, inputs).alpha_max
+    doc["alpha0_tight"] = certificate_for(tight, inputs).alpha_max
+    text = json.dumps(doc, indent=2, allow_nan=False)  # a non-finite field is a ValueError
     sys.stdout.write(text + "\n")
     return EXIT_OK
 
@@ -451,18 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one configuration and write artifacts", argument_default=argparse.SUPPRESS
     )
     p_run.add_argument("--problem", required=True, help="problem document (JSON file)")
-    p_run.add_argument("--variant", type=_flag_value)
-    p_run.add_argument("--alpha", type=_flag_value, help="step size, or 'auto'")
-    p_run.add_argument("--eta1", type=_flag_value, help="pre-prox inertia, or 'auto'")
-    p_run.add_argument("--eta2", type=_flag_value, help="post-prox inertia, or 'auto'")
-    p_run.add_argument("--tau", type=_flag_value, help="staleness bound")
-    p_run.add_argument("--workers", type=_flag_value)
-    p_run.add_argument("--schedule", dest="type", metavar="SCHEDULE", type=_flag_value)
-    p_run.add_argument("--seed", type=_flag_value)
-    p_run.add_argument("--iters", type=_flag_value)
+    for flag, row in RUN_FLAGS.items():
+        p_run.add_argument(f"--{flag}", type=_flag_value, help=_flag_help(row))
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--plot", action="store_true", default=False, help="also write plot.svg")
-    p_run.add_argument("--c1", type=_flag_value, help="momentum fraction behind auto eta1")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run several configs and tabulate")
@@ -485,7 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # every refusal: a flag, an input or an output write
+        _error(str(exc))
+        return EXIT_CONFIG
 
 
 def console_main() -> None:

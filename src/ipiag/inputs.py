@@ -2,7 +2,7 @@
 
 README.md shows the tables and what ``read`` refuses; every message names
 ``<section>.<field>`` and the value.  Rules that join fields stay with the code
-that knows them.
+that knows them; ``sized`` is the one rule for a size too large for its arrays.
 """
 
 from __future__ import annotations
@@ -89,6 +89,22 @@ def check(field: Field, value, name: str):
         if not (above and below):
             raise ValueError(f"{name} must lie in {field.allowed}, got {_show(value)}")
     return taken
+
+
+def sized(fields: dict, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, whose arrays the ``fields`` (name: value) size; numpy refusing
+    them, or a size beyond the float range, is a ValueError naming each field and value.  A
+    ValueError subclass, such as a ScheduleError, is the callee's own refusal and passes."""
+    try:
+        return make(*args, **kwargs)
+    except (MemoryError, OverflowError, ValueError) as exc:
+        if isinstance(exc, ValueError) and type(exc) is not ValueError:
+            raise
+        verb = "is too large for the arrays it sizes" if len(fields) == 1 else (
+            "are too large for the arrays they size"
+        )
+        names, values = " and ".join(fields), " and ".join(map(str, fields.values()))
+        raise ValueError(f"{names} {verb}, got {values} ({exc})") from None
 
 
 def _bound(text: str):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Array, CompositeProblem, block_range
-from .inputs import DOCUMENT, GENERATOR, LASSO_PARAMS, TOY_PARAMS, read
+from .inputs import DOCUMENT, GENERATOR, LASSO_PARAMS, TOY_PARAMS, read, sized
 from .prox import ProxSpec
 from .rng import SplitMix64
 from .schedules import schedule_synchronous
@@ -38,7 +38,10 @@ class ToySpec:
 
     def __post_init__(self):
         read(vars(self), TOY_PARAMS, "generator.params")
-        if math.isinf(1.5 * self.num_components * self.offset * self.offset):
+        # a num_components beyond the float range (an OverflowError) sizes no array either
+        n = sized({"generator.params.num_components": self.num_components}, float,
+                  self.num_components)
+        if math.isinf(1.5 * n * self.offset * self.offset):
             message = f"offset is so large that the objective overflows, got {self.offset!r}"
             raise ValueError("generator.params." + message)
 
@@ -218,28 +221,15 @@ def reference_solution(
 
 
 def _generate(name: str, params: dict, seed) -> tuple:
-    """(spec, problem) for the generator name, params and seed of a document.
-
-    A size param that no array can hold, one numpy cannot allocate or beyond the float
-    range (an OverflowError in the toy's objective bound), is a ValueError naming it.
-    """
+    """(spec, problem) for the generator name, params and seed of a document."""
     if name == "toy":
-        params = read(params, TOY_PARAMS, "generator.params")
-        spec_type, make, sizes = ToySpec, make_toy, ("num_components",)
+        spec_type, table, make, sizes = ToySpec, TOY_PARAMS, make_toy, ("num_components",)
     else:
-        merged = params if seed is None else {"seed": seed, **params}
-        params = read(merged, LASSO_PARAMS, "generator.params")
-        spec_type, make, sizes = LassoSpec, make_lasso, ("rows", "cols")
-    try:
-        spec = spec_type(**params)
-        return spec, make(spec)
-    except (MemoryError, OverflowError) as exc:
-        fields = " and ".join(f"generator.params.{size}" for size in sizes)
-        values = " and ".join(str(params[size]) for size in sizes)
-        sized = "is too large for the arrays it sizes" if len(sizes) == 1 else (
-            "are too large for the arrays they size"
-        )
-        raise ValueError(f"{fields} {sized}, got {values} ({exc})") from None
+        params = params if seed is None else {"seed": seed, **params}
+        spec_type, table, make, sizes = LassoSpec, LASSO_PARAMS, make_lasso, ("rows", "cols")
+    params = read(params, table, "generator.params")
+    spec = spec_type(**params)
+    return spec, sized({f"generator.params.{size}": params[size] for size in sizes}, make, spec)
 
 
 # JSON problem documents: ``inputs.DOCUMENT`` and ``inputs.GENERATOR`` declare the fields.

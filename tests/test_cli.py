@@ -19,7 +19,7 @@ import pytest
 from ipiag import DelaySchedule, ToySpec, inputs, toy_document, lasso_document, LassoSpec
 from ipiag.cli import EXIT_BOUND, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from ipiag.plotting import _escape, log_line_plot
-from ipiag.rates import BoundReport
+from ipiag.rates import RUN_VARIANTS, BoundReport
 
 from .oracles import svg_polyline_points
 
@@ -981,8 +981,9 @@ class TestCompare:
         assert err.count("\n") == 1
 
     # 10**30 is beyond numpy's index range (ValueError), 10**15 int64s beyond the address
-    # space (MemoryError); either way numpy refuses before it allocates anything
-    @pytest.mark.parametrize("iters", [10**15, 10**30])
+    # space (MemoryError), and 2**63 beyond int64 (an OverflowError in the sync schedule's
+    # arange, once a traceback); either way numpy refuses before it allocates anything
+    @pytest.mark.parametrize("iters", [10**15, 2**63, 10**30])
     @pytest.mark.parametrize("call", ["run", "run-sync", "compare", "compare-reference"])
     def test_an_iters_numpy_cannot_allocate_is_a_config_error(
         self, tmp_path, capsys, monkeypatch, call, iters
@@ -1091,13 +1092,29 @@ def test_a_run_flag_and_its_spec_field_get_the_same_message(
     tmp_path, capsys, monkeypatch, flag, row, value
 ):
     # run read --alpha, --eta1 and --eta2 apart from the rows, and worded its own messages:
-    # "alpha must be positive", "inertial weights must lie in [0, 1]"
+    # "alpha must be positive", "inertial weights must lie in [0, 1]"; a run message names
+    # the flag, so --schedule is not called "type"
     field = SPEC_FIELD[row.name]
     in_spec = _refusal(tmp_path, capsys, monkeypatch, "spec", field, value)
     assert in_spec.startswith(field + " ")
     assert _refusal(tmp_path, capsys, monkeypatch, "run", flag, value) == (
-        row.name + in_spec[len(field):]
+        flag + in_spec[len(field):]
     )
+
+
+def test_run_help_shows_each_flag_row(capsys, monkeypatch):
+    # the argparse choices that listed --variant and --schedule values were dropped when the
+    # rows took over reading the flags, and no flag's help showed its default
+    monkeypatch.setenv("COLUMNS", "200")  # one line per flag
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--help"])
+    assert info.value.code == 0
+    text = capsys.readouterr().out
+    for value in ("sync", "uniform1", *RUN_VARIANTS):
+        assert f'"{value}"' in text
+    for _, flag, row in FLAGS_AT:
+        line = next(line for line in text.splitlines() if line.lstrip().startswith(f"--{flag} "))
+        assert line.endswith(f"; default {json.dumps(row.default)}"), line
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
@@ -1108,15 +1125,25 @@ def test_a_run_flag_and_its_spec_field_get_the_same_message(
     pytest.param("toy", {"num_components": 10**400},
                  f"num_components is too large for the arrays it sizes, got {10**400} "
                  "(int too large to convert to float)", id="toy-10**400"),
+    pytest.param("toy", {"num_components": 10**20},
+                 f"num_components is too large for the arrays it sizes, got {10**20} "
+                 "(Maximum allowed dimension exceeded)", id="toy-10**20"),
     pytest.param("lasso", {"cols": 10**13},
                  "rows and generator.params.cols are too large for the arrays they size, got "
                  "8 and 10000000000000 (Unable to allocate", id="lasso-cols-10**13"),
+    pytest.param("lasso", {"cols": 10**20},
+                 "rows and generator.params.cols are too large for the arrays they size, got "
+                 f"8 and {10**20} (Maximum allowed dimension exceeded)", id="lasso-cols-10**20"),
+    # the objective guard's own refusal, made before any array is sized, keeps its message
+    pytest.param("toy", {"offset": 1e154},
+                 "offset is so large that the objective overflows, got 1e+154", id="toy-offset"),
 ])
 def test_a_problem_too_large_for_its_arrays_is_a_config_error(
     tmp_path, capsys, monkeypatch, command, kind, params, message
 ):
-    # each exited 1 with a traceback: OverflowError in ToySpec's objective guard, or numpy's
-    # MemoryError.  Every size here is one numpy refuses before allocating anything.
+    # 10**400 and 10**13 exited 1 with a traceback: OverflowError in ToySpec's objective
+    # guard, or numpy's MemoryError; 10**20 gave numpy's bare "Maximum allowed dimension
+    # exceeded".  Every size here is one numpy refuses before allocating anything.
     if kind == "toy":
         doc = toy_document(ToySpec(num_components=12))
     else:
@@ -1129,6 +1156,35 @@ def test_a_problem_too_large_for_its_arrays_is_a_config_error(
         assert got.startswith("cannot load problem: "), got
         got = got[len("cannot load problem: "):]
     assert got.startswith("generator.params." + message), got
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("run", "trace.csv"), ("run --plot", "plot.svg"), ("run diverging", "summary.json"),
+    ("compare", "compare.csv"),
+])
+def test_an_output_file_that_cannot_be_written_is_a_config_error(
+    tmp_path, capsys, toy_file, lasso_file, command, blocked
+):
+    # each ended in an IsADirectoryError traceback (exit 1): only the set-up was guarded.  A
+    # run that diverged before its write still prints one error: line, the write's.
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    argv = {
+        "run": ["run", "--problem", toy_file, "--iters", "20"],
+        "run --plot": ["run", "--problem", toy_file, "--iters", "20", "--plot"],
+        "run diverging": ["run", "--problem", lasso_file, "--alpha", "10.0", "--tau", "0",
+                          "--schedule", "sync", "--workers", "2", "--iters", "500"],
+    }.get(command)
+    if argv is None:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"problem": toy_file, "iters": 20, "configs": [{"variant": "piag"}, {"variant": "ipiag"}]}
+        ))
+        argv = ["compare", "--spec", str(spec)]
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(out / blocked) in err
 
 
 # ---------------------------------------------------------------------------
