@@ -5,10 +5,12 @@ Solves one l1-regularized least-squares instance to high accuracy with the
 synchronous method, then runs the no-inertia and double-inertia variants
 under randomized delay schedules and plots the averaged relative error
 curves.  The default instance is small enough for a laptop; --full switches
-to the 300 x 1000 instance with a planted support of 100.
+to the 300 x 1000 instance with a planted support of 100, where the
+default --alpha is too large and is refused before the reference solve.
 
 Example:
     python scripts/lasso_figure.py --out figures/lasso
+    python scripts/lasso_figure.py --full --alpha 2e-4 --out figures/lasso
 """
 
 import argparse
@@ -49,7 +51,7 @@ def mean_relative_error(problem, x_ref, phi_ref, params, args):
     return total / args.seeds
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=int, default=60)
     parser.add_argument("--cols", type=int, default=200)
@@ -64,9 +66,11 @@ def main():
     parser.add_argument("--seeds", type=int, default=10, help="schedule seeds to average over")
     parser.add_argument("--out", default="figures/lasso")
     parser.add_argument(
-        "--full", action="store_true", help="run the large 300 x 1000 instance instead"
+        "--full", action="store_true",
+        help="run the large 300 x 1000 instance instead; its ||A||^2 is 2331, so an --alpha "
+        "at or above 2/||A||^2 = 8.58e-4, the default 1e-3 included, is refused (2e-4 runs)",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     if args.full:
         args.rows, args.cols = 300, 1000
@@ -81,15 +85,21 @@ def main():
     )
     problem = make_lasso(spec)
     a, _, x_true = lasso_arrays(spec)
+    norm2 = spectral_norm_sq(a)
+    # at alpha ||A||^2 >= 2 even the fresh gradient step on the smooth part does not contract;
+    # stale gradients need a smaller alpha still, so passing this check does not promise a run
+    if args.alpha * norm2 >= 2.0:
+        parser.error(
+            f"--alpha {args.alpha:g} is at or above 2/||A||^2 = {2.0 / norm2:.2e} "
+            f"for this {args.rows} x {args.cols} instance; the runs would diverge"
+        )
     print(
         f"instance: {args.rows} x {args.cols}, planted support "
         f"{int(np.count_nonzero(x_true))}, L = {problem.total_lipschitz:.1f}"
     )
 
     t0 = time.time()
-    x_ref, phi_ref = reference_solution(
-        problem, 1.0 / spectral_norm_sq(a), max_iters=400000, tol=1e-12
-    )
+    x_ref, phi_ref = reference_solution(problem, 1.0 / norm2, max_iters=400000, tol=1e-12)
     print(
         f"reference: phi = {phi_ref:.10f}, {int(np.count_nonzero(x_ref))} nonzeros "
         f"({time.time() - t0:.1f}s)"

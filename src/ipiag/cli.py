@@ -13,11 +13,15 @@ Three subcommands:
 ``certify``  print the step-size certificate for given (L, beta, tau, C1)
              without running anything.
 
+``run`` and ``certify`` read each flag through a row (``RUN_FLAGS``,
+``ipiag.inputs.CERTIFY``); argparse only splits the text.
+
 Exit codes: 0 success, 2 a refused input or output write (``main`` alone
 maps a ValueError or OSError to it), 3 the run diverged (the divergence guard
 fired or an iterate became non-finite), 4 a certificate bound check ran and
-failed.  Codes 2 and 3 come with one ``error:`` line on stderr.  Floats in ``trace.csv`` and ``compare.csv`` are written with
-``%.17g``, which reads back to the same double.
+failed.  Codes 2 and 3 come with one ``error:`` line on stderr.  Floats in
+``trace.csv`` and ``compare.csv`` are written with ``%.17g``, which reads back
+to the same double.
 
 The ``compare`` spec file is a JSON object that ``ipiag.inputs.SPEC`` and its
 block tables declare, shown in README.md.  ``reference`` is solved once with the
@@ -134,7 +138,7 @@ def _load_problem_arg(source, workers: int, field: str) -> CompositeProblem:
             problem = problem_from_document(source)
         else:
             problem = load_problem(source)
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError) as exc:  # also JSON nested too deep
         raise ValueError(f"cannot load problem: {exc}") from None
     if workers > problem.num_components:
         limit = f"the problem's {problem.num_components} components"
@@ -158,37 +162,35 @@ def _flag_value(text: str):
     return text
 
 
-# the rows ``run`` reads its flags through, by flag: every CONFIG row but label, the
-# SCHEDULE rows (``--schedule`` is ``type``), ITERS and SEED
-RUN_FLAGS = {
-    "schedule" if row.name == "type" else row.name: row
+# the rows ``run`` reads its flags through, each named by its flag: every CONFIG row but
+# label, the SCHEDULE rows (``--schedule`` is ``type``), ITERS and SEED
+RUN_FLAGS = inputs.Table("ipiag run", tuple(
+    row._replace(name="schedule") if row.name == "type" else row
     for row in inputs.CONFIG.fields[1:] + inputs.SCHEDULE.fields + (inputs.ITERS, inputs.SEED)
-}
+))
 
 
 def _flag_help(row) -> str:
-    """A ``run`` flag's ``--help`` text: its row's types, allowed values or interval, default."""
+    """A flag's ``--help`` text: its row's types, allowed values or interval, and default."""
     allowed = row.allowed if isinstance(row.allowed, str) else json.dumps(row.allowed)
-    return f"{row.types} in {allowed}; default {json.dumps(row.default)}"
+    default = "required" if row.default is inputs.REQUIRED else f"default {json.dumps(row.default)}"
+    return f"{row.types} in {allowed}; {default}"
 
 
-def _read_flags(args) -> dict:
-    """The ``run`` flags by row name, each read by its row under the flag's name; an absent
-    flag takes the row's default."""
+def _read_flags(args, table: inputs.Table) -> dict:
+    """The flags of ``table``'s rows by name, read by ``inputs.read`` as a JSON object is."""
     given = vars(args)
-    return {
-        row.name: inputs.check(row, given[flag], flag) if flag in given else row.default
-        for flag, row in RUN_FLAGS.items()
-    }
+    return inputs.read({row.name: given[row.name] for row in table.fields if row.name in given},
+                       table)
 
 
 def cmd_run(args) -> int:
     t0 = time.perf_counter()
-    flags = _read_flags(args)
+    flags = _read_flags(args, RUN_FLAGS)
     variant, tau, workers = flags["variant"], flags["tau"], flags["workers"]
     problem = _load_problem_arg(args.problem, workers, "workers")
     alpha, eta1, eta2, cert, cert_error = resolve_parameters(problem, flags, tau)
-    schedule = build_schedule(flags["type"], workers, tau, flags["iters"], flags["seed"])
+    schedule = build_schedule(flags["schedule"], workers, tau, flags["iters"], flags["seed"])
     params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=flags["iters"])
     _make_output_dir(args.out)
 
@@ -224,7 +226,7 @@ def cmd_run(args) -> int:
         "eta1": eta1,
         "eta2": eta2,
         "schedule": {
-            "type": flags["type"],
+            "type": flags["schedule"],
             "tau": tau,
             "workers": workers,
             "seed": flags["seed"],
@@ -307,7 +309,7 @@ def cmd_compare(args) -> int:
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # also JSON nested too deep
         raise ValueError(f"cannot read spec: {exc}") from None
 
     spec = inputs.read(spec, inputs.SPEC)
@@ -319,11 +321,7 @@ def cmd_compare(args) -> int:
     if len(configs) < 2:
         raise ValueError(f"configs must list at least two configs, got {len(configs)}")
     kind, tau, workers, iters = sched["type"], sched["tau"], sched["workers"], spec["iters"]
-    reps = spec["repetitions"]
-    if args.repetitions is not None:
-        reps = inputs.check(inputs.REPETITIONS, args.repetitions, "repetitions")
-    if kind == "sync":
-        reps = 1
+    reps = 1 if kind == "sync" else spec["repetitions"]
     base_seed = spec["base_seed"]
     inputs.check(inputs.SEED, base_seed + reps - 1, "base_seed + repetitions - 1")
     problem = _load_problem_arg(spec["problem"], workers, "schedule.workers")
@@ -413,14 +411,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    inputs = RateInputs(args.L, args.beta, args.tau, args.c1)
-    cert = certificate_for(args.variant, inputs)
-    doc = cert.to_json_dict()
+    flags = _read_flags(args, inputs.CERTIFY)
+    variant = flags["variant"]
+    constants = RateInputs(flags["L"], flags["beta"], flags["tau"], flags["c1"])
+    doc = certificate_for(variant, constants).to_json_dict()
     # the doubly inertial certificate has two thresholds, the others one
-    doubly = args.variant in ("t1", "t1tight")
-    stated, tight = ("t1", "t1tight") if doubly else (args.variant, args.variant)
-    doc["alpha0_stated"] = certificate_for(stated, inputs).alpha_max
-    doc["alpha0_tight"] = certificate_for(tight, inputs).alpha_max
+    stated, tight = ("t1", "t1tight") if variant in ("t1", "t1tight") else (variant, variant)
+    doc["alpha0_stated"] = certificate_for(stated, constants).alpha_max
+    doc["alpha0_tight"] = certificate_for(tight, constants).alpha_max
     text = json.dumps(doc, indent=2, allow_nan=False)  # a non-finite field is a ValueError
     sys.stdout.write(text + "\n")
     return EXIT_OK
@@ -438,8 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one configuration and write artifacts", argument_default=argparse.SUPPRESS
     )
     p_run.add_argument("--problem", required=True, help="problem document (JSON file)")
-    for flag, row in RUN_FLAGS.items():
-        p_run.add_argument(f"--{flag}", type=_flag_value, help=_flag_help(row))
+    _add_flags(p_run, RUN_FLAGS)
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--plot", action="store_true", default=False, help="also write plot.svg")
     p_run.set_defaults(func=cmd_run)
@@ -447,19 +444,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="run several configs and tabulate")
     p_cmp.add_argument("--spec", required=True, help="comparison spec (JSON file)")
     p_cmp.add_argument("--out", default=None, help="directory for compare.csv")
-    p_cmp.add_argument(
-        "--repetitions", type=int, default=None, help="override the spec's repetition count"
-    )
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_cert = sub.add_parser("certify", help="print a step-size certificate")
-    p_cert.add_argument("--L", type=float, required=True, help="total smoothness constant")
-    p_cert.add_argument("--beta", type=float, required=True, help="growth modulus")
-    p_cert.add_argument("--tau", type=int, required=True, help="staleness bound")
-    p_cert.add_argument("--c1", type=float, default=0.0, help="momentum fraction")
-    p_cert.add_argument("--variant", choices=rates.VARIANTS, default="t1")
+    p_cert = sub.add_parser(
+        "certify", help="print a step-size certificate", argument_default=argparse.SUPPRESS
+    )
+    _add_flags(p_cert, inputs.CERTIFY)
     p_cert.set_defaults(func=cmd_certify)
     return parser
+
+
+def _add_flags(parser, table: inputs.Table) -> None:
+    """One flag per row of ``table``; argparse only splits the text, the row reads it."""
+    for row in table.fields:
+        parser.add_argument(f"--{row.name}", type=_flag_value, help=_flag_help(row))
 
 
 def main(argv=None) -> int:

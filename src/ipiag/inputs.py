@@ -11,7 +11,7 @@ import json
 import numbers
 from typing import NamedTuple
 
-from .rates import RUN_VARIANTS
+from .rates import RUN_VARIANTS, VARIANTS
 
 REQUIRED = object()
 
@@ -144,6 +144,14 @@ CONFIG = Table("configs[i]", (
     Field("eta1", "number or auto", "auto", "[0, 1]"),
     Field("eta2", "number or auto", "auto", "[0, 1]"),
     Field("c1", "number", 0.25, "[0, 1)"),
+))
+# ``ipiag certify`` reads its flags through these rows
+CERTIFY = Table("ipiag certify", (
+    Field("L", "number", REQUIRED, "(0, inf)"),
+    Field("beta", "number", REQUIRED, "(0, inf)"),
+    Field("tau", "integer", REQUIRED, "[0, inf)"),
+    Field("c1", "number", 0.0, "[0, 1)"),
+    Field("variant", "string", "t1", VARIANTS),
 ))
 REFERENCE = Table("reference", (
     Field("alpha", "number", None, "(0, inf)"),

@@ -197,12 +197,7 @@ def spectral_norm_sq(a: Array) -> float:
     return float(np.linalg.eigvalsh(gram)[-1])
 
 
-def reference_solution(
-    problem: CompositeProblem,
-    alpha: float,
-    max_iters: int = 200000,
-    tol: float = 1e-10,
-) -> tuple:
+def reference_solution(problem: CompositeProblem, alpha: float, max_iters: int, tol: float):
     """High-accuracy solution via the synchronous method without inertia.
 
     Runs with a single always-fresh worker until the step norm drops below

@@ -26,12 +26,18 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .core import Array, CompositeProblem, evaluate_objective
+from .core import Array, CompositeProblem
 
 if TYPE_CHECKING:  # at run time rates -> solver -> schedules -> inputs -> rates would cycle
     from .solver import Trace
 
 VARIANTS = ("t1", "t1tight", "cor1", "cor2")
+
+# relative tolerances of the checks below: a recurrence's data residual, the envelopes
+# of ``verify_linear_bound`` and the residuals of ``verify_descent``
+RECURRENCE_SLACK = 1e-12
+BOUND_SLACK = 1e-8
+DESCENT_SLACK = 1e-9
 
 # run tag -> (certificate tag, uses eta1, uses eta2); plain PIAG is t1 at eta1 = eta2 = 0
 RUN_VARIANTS = {
@@ -182,7 +188,7 @@ def certificate_for(
     c1 = inputs.momentum_fraction
     if variant in ("t1", "t1tight"):
         if not c1 < 0.5:
-            raise ValueError("momentum_fraction must be below 0.5 for this variant")
+            raise ValueError(f"momentum_fraction (c1) must be below 0.5 for {variant}, got {c1!r}")
         exponent = tau + 2 if variant == "t1tight" and tau >= 1 else tau + 3
         alpha_max = _threshold(L, beta, tau, c1, exponent)
         if alpha is None:
@@ -306,8 +312,9 @@ def _window_sums(w: Array, k0: int) -> Array:
     return cs[hi] - cs[lo]
 
 
-def _replay(condition, V_next, rhs, V, envelope, start, slack) -> RecurrenceReport:
-    """Residual (V_next - rhs) / (1 + |rhs|) <= slack; V under the envelope from ``start`` on."""
+def _replay(condition, V_next, rhs, V, envelope, start) -> RecurrenceReport:
+    """Residual (V_next - rhs) / (1 + |rhs|) <= RECURRENCE_SLACK; V under the envelope from
+    ``start`` on."""
     lhs, cond_rhs, cond_ok = condition
     data_max = float(((V_next - rhs) / (1.0 + np.abs(rhs))).max())
     _, first, _ = _envelope_check(V[start:], envelope[start:], 1e-9)
@@ -315,7 +322,7 @@ def _replay(condition, V_next, rhs, V, envelope, start, slack) -> RecurrenceRepo
         condition_lhs=lhs,
         condition_rhs=cond_rhs,
         condition_ok=bool(cond_ok),
-        data_consistent=bool(data_max <= slack),
+        data_consistent=bool(data_max <= RECURRENCE_SLACK),
         data_max_violation=data_max,
         bound_ok=first is None,
         bound_first_violation=None if first is None else first + start,
@@ -323,15 +330,7 @@ def _replay(condition, V_next, rhs, V, envelope, start, slack) -> RecurrenceRepo
     )
 
 
-def verify_one_term(
-    V: Array,
-    w: Array,
-    a: float,
-    b: float,
-    c: float,
-    k0: int,
-    slack: float = 1e-12,
-) -> RecurrenceReport:
+def verify_one_term(V: Array, w: Array, a: float, b: float, c: float, k0: int) -> RecurrenceReport:
     """Check data against V_{k+1} <= a V_k - b w_k + c S_k and the decay bound.
 
     Requires len(w) >= len(V) - 1.  When the admissibility condition holds
@@ -347,15 +346,10 @@ def verify_one_term(
     condition = one_term_condition(a, b, c, k0)
     S = _window_sums(w, k0)
     rhs = a * V[:-1] - b * w[: n - 1] + c * S[: n - 1]
-    return _replay(condition, V[1:], rhs, V, V[0] * a ** np.arange(n), 0, slack)
+    return _replay(condition, V[1:], rhs, V, V[0] * a ** np.arange(n), 0)
 
 
-def verify_two_term(
-    V: Array,
-    w: Array,
-    rec: TwoTermRecurrence,
-    slack: float = 1e-12,
-) -> RecurrenceReport:
+def verify_two_term(V: Array, w: Array, rec: TwoTermRecurrence) -> RecurrenceReport:
     """Check data against the two-term recurrence and the decay bound.
 
     The recurrence needs V_{k-1}, so data consistency is checked from
@@ -386,7 +380,7 @@ def verify_two_term(
     envelope = np.empty(n)
     envelope[0] = max(V[0], head)  # bound speaks from k = 1 on
     envelope[1:] = head * a ** np.arange(n - 1)
-    return _replay(rec.condition(), V[ks + 1], rhs, V, envelope, 1, slack)
+    return _replay(rec.condition(), V[ks + 1], rhs, V, envelope, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -424,20 +418,16 @@ def _envelope_check(values: Array, envelope: Array, slack: float) -> tuple:
     return first is None, first, float(np.fmax.reduce(ratio))  # nanmax without its all-NaN warning
 
 
-def verify_linear_bound(
-    trace: Trace,
-    cert: RateCertificate,
-    slack: float = 1e-8,
-) -> BoundReport:
+def verify_linear_bound(trace: Trace, cert: RateCertificate) -> BoundReport:
     """Check the geometric envelopes rho^k * C on a traced run.
 
     C is assembled from the first two records: Psi(z_1) + rho Psi(z_0)
     plus ||z_1 - z_0||^2 / (4 alpha).  Three envelopes are checked with
-    relative slack: the Lyapunov value, the objective gap, and the squared
-    distance (scaled by 2 alpha / (1 - eta1), +inf at eta1 = 1).  The
-    certificate must be the run's own: its alpha, eta1 and eta2 equal the
-    trace's, so the trace's psi is the Lyapunov value the certificate
-    speaks of.
+    relative slack BOUND_SLACK: the Lyapunov value, the objective gap, and
+    the squared distance (scaled by 2 alpha / (1 - eta1), +inf at
+    eta1 = 1).  The certificate must be the run's own: its alpha, eta1 and
+    eta2 equal the trace's, so the trace's psi is the Lyapunov value the
+    certificate speaks of.
     """
     if trace.phi_star is None or trace.x_ref is None:
         raise ValueError("trace lacks a reference point / optimal value")
@@ -453,11 +443,11 @@ def verify_linear_bound(
     env = constant * rho ** k
     gap = trace.phi - trace.phi_star
 
-    psi_ok, psi_first, psi_ratio = _envelope_check(psi, env, slack)
-    phi_ok, phi_first, phi_ratio = _envelope_check(gap, env, slack)
+    psi_ok, psi_first, psi_ratio = _envelope_check(psi, env, BOUND_SLACK)
+    phi_ok, phi_first, phi_ratio = _envelope_check(gap, env, BOUND_SLACK)
     # at eta1 = 1 psi has no distance term, so the certificate bounds dist2 nowhere
     dist_env = np.full(trace.records, np.inf) if eta1 == 1.0 else 2.0 * alpha / (1.0 - eta1) * env
-    dist_ok, dist_first, dist_ratio = _envelope_check(trace.dist2, dist_env, slack)
+    dist_ok, dist_first, dist_ratio = _envelope_check(trace.dist2, dist_env, BOUND_SLACK)
     return BoundReport(
         rho=rho,
         constant=constant,
@@ -488,32 +478,26 @@ class DescentReport:
         return self.first_violation is None
 
 
-def verify_descent(
-    problem: CompositeProblem,
-    trace: Trace,
-    tau: int,
-    x_probe: Array,
-    slack: float = 1e-9,
-) -> DescentReport:
-    """Check the one-step descent inequality at a fixed probe point.
+def verify_descent(problem: CompositeProblem, trace: Trace, tau: int) -> DescentReport:
+    """Check the one-step descent inequality at the run's reference point x*.
 
     For every executed step k the inequality bounds Phi(z_{k+1}) by
-    Phi(x) plus weighted squared distances to x, minus the fresh squared
+    Phi(x*) plus weighted squared distances to x*, minus the fresh squared
     step, plus trailing-window correction terms scaled by the total
-    Lipschitz constant and the inertial weights.  Residual = rhs - lhs
-    must stay above -slack * (1 + |Phi(x)|).
+    Lipschitz constant and the inertial weights.  Phi(x*) is the trace's
+    phi_star and the squared distances its dist2.  Residual = rhs - lhs
+    must stay above -DESCENT_SLACK * (1 + |Phi(x*)|).
     """
-    if trace.z is None:
-        raise ValueError("trace must store iterates (store_iterates=True)")
-    x_probe = np.asarray(x_probe, dtype=float)
-    phi_x = evaluate_objective(problem, x_probe)
+    if trace.phi_star is None:
+        raise ValueError("trace lacks a reference point / optimal value")
+    phi_x = trace.phi_star
     L = problem.total_lipschitz
     alpha, eta1, eta2 = trace.alpha, trace.eta1, trace.eta2
     n = trace.records
     if n < 2:
         raise ValueError("need at least one executed step")
 
-    d2 = ((trace.z - x_probe) ** 2).sum(axis=1)
+    d2 = trace.dist2
     s = trace.step_norm2  # s[j] = ||z_j - z_{j-1}||^2, s[0] = 0
     ks = np.arange(n - 1)
     # sum_{j = k - tau - 1}^{k} ||z_{j+1} - z_j||^2  ->  s[m], m in [k - tau, k + 1]
@@ -534,7 +518,7 @@ def verify_descent(
         + eta1 * (1.0 + eta2) ** 2 / alpha * window2
     )
     residuals = rhs - trace.phi[1:]
-    tol = slack * (1.0 + abs(phi_x))
+    tol = DESCENT_SLACK * (1.0 + abs(phi_x))
     bad = np.nonzero(residuals < -tol)[0]
     first = int(bad[0]) if bad.size else None
     return DescentReport(

@@ -111,6 +111,25 @@ class TestCertify:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("given, message", [
+        ({"tau": "1.5"}, "tau must be an integer, got 1.5"),
+        ({"L": "abc"}, 'L must be a number, got "abc"'),
+        ({"variant": "bogus"}, 'variant must be one of "t1", "t1tight", "cor1", "cor2", '
+                               'got "bogus"'),
+        ({"L": None}, "L is required"),
+        ({"beta": None}, "beta is required"),
+        ({"tau": None}, "tau is required"),
+        ({"c1": "0.6"}, "momentum_fraction (c1) must be below 0.5 for t1, got 0.6"),
+    ], ids=["tau-1.5", "L-abc", "variant-bogus", "no-L", "no-beta", "no-tau", "c1-0.6"])
+    def test_each_refusal_is_one_line_naming_the_flag(self, capsys, given, message):
+        # argparse refused the first six itself, with its usage text and a second line
+        flags = {"L": "101", "beta": "2", "tau": "4", **given}
+        rc = main(["certify", *(arg for flag, text in flags.items() if text is not None
+                                for arg in (f"--{flag}", text))])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
 
 class TestRun:
     def test_writes_trace_and_summary(self, toy_file, tmp_path, capsys):
@@ -520,7 +539,9 @@ FLAGS_AT = [
     ("run", "schedule" if row.name == "type" else row.name, row)
     for row in inputs.CONFIG.fields[1:] + inputs.SCHEDULE.fields + (inputs.ITERS, inputs.SEED)
 ]
-# the compare spec field that each of those rows reads
+# The rows ``ipiag certify`` reads its flags through, as ("certify", flag, row).
+CERTIFY_AT = [("certify", row.name, row) for row in inputs.CERTIFY.fields]
+# the compare spec field that each of the run rows reads
 SPEC_FIELD = {
     **{row.name: f"configs[1].{row.name}" for row in inputs.CONFIG.fields},
     **{row.name: f"schedule.{row.name}" for row in inputs.SCHEDULE.fields},
@@ -595,7 +616,7 @@ def _range_cases():
     """(input, path, interval, value) for each declared interval and each value outside it."""
     return [
         pytest.param(source, path, field.allowed, value, id=f"{source}:{path}-{value}")
-        for source, path, field in list(_declared(READ_AT)) + FLAGS_AT
+        for source, path, field in list(_declared(READ_AT)) + FLAGS_AT + CERTIFY_AT
         if isinstance(field.allowed, str)
         for value in _outside(field)
     ]
@@ -613,9 +634,9 @@ def _keys(path):
 def _refusal(tmp_path, capsys, monkeypatch, source, path, value):
     """The error message of reading a valid input whose field at ``path`` is ``value``.
 
-    MISSING deletes the field; an empty path replaces the whole input; for ``run`` the
-    path is a flag and ``value`` its text.  Spec and document errors must be the call's
-    one ``error:`` line, and no solve or run starts.
+    MISSING deletes the field; an empty path replaces the whole input; for ``run`` and
+    ``certify`` the path is a flag and ``value`` its text.  Spec and document errors must be
+    the call's one ``error:`` line, and no solve or run starts.
     """
     lasso = lasso_document(LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1))
     data = {
@@ -634,6 +655,7 @@ def _refusal(tmp_path, capsys, monkeypatch, source, path, value):
         "lasso": lasso,
         "jsonl": {"records": [{"k": k, "refreshed": [0], "source_iter": [k]} for k in range(3)]},
         "run": {},
+        "certify": {"L": 101, "beta": 2, "tau": 4},
     }[source]
     keys = _keys(path)
     if not keys:
@@ -667,6 +689,8 @@ def _refusal(tmp_path, capsys, monkeypatch, source, path, value):
         file.write_text(json.dumps(toy_document(ToySpec(num_components=12))))
         argv = ["run", "--problem", str(file), f"--{path}={value}", "--out", out]
         prefix = "error: "
+    elif source == "certify":
+        argv, prefix = ["certify", *(f"--{flag}={text}" for flag, text in data.items())], "error: "
     else:
         file.write_text(json.dumps(data))
         argv = ["run", "--problem", str(file), "--alpha", "1e-3", "--out", out]
@@ -1049,21 +1073,33 @@ class TestCompare:
         assert {len(row) for row in rows} == {9}
         assert text.splitlines()[3].startswith("plain,piag,")  # unquoted where it may be
 
-    @pytest.mark.parametrize(
-        "spec_reps, flag", [(0, []), (2, ["--repetitions", "-1"])], ids=["spec", "flag"]
-    )
-    def test_nonpositive_repetitions_is_a_config_error(self, tmp_path, capsys, spec_reps, flag):
+    def test_nonpositive_repetitions_is_a_config_error(self, tmp_path, capsys):
         spec = self._spec(
             tmp_path,
             [{"variant": "piag", "alpha": "auto"}, {"variant": "ipiag", "alpha": "auto"}],
-            repetitions=spec_reps,
+            repetitions=0,
         )
-        assert main(["compare", "--spec", spec, *flag]) == EXIT_CONFIG
-        value = flag[1] if flag else spec_reps
-        assert capsys.readouterr().err == f"error: repetitions must lie in [1, inf), got {value}\n"
+        assert main(["compare", "--spec", spec]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: repetitions must lie in [1, inf), got 0\n"
 
     def test_missing_spec_file(self, tmp_path):
         assert main(["compare", "--spec", str(tmp_path / "none.json")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, prefix", [
+    ("run", "cannot load problem: "), ("compare", "cannot read spec: ")
+])
+@pytest.mark.parametrize("opener", ["[", '{"a": '])
+def test_json_nested_beyond_the_decoder_is_a_config_error(tmp_path, capsys, command, prefix,
+                                                          opener):
+    # json.load raised RecursionError, which ended in a traceback with exit 1
+    path = tmp_path / "nested.json"
+    path.write_text(opener * 100000)
+    flag = "--problem" if command == "run" else "--spec"
+    assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + prefix + "maximum recursion depth exceeded"), err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("source, path, value, message", _shape_cases())
@@ -1102,19 +1138,28 @@ def test_a_run_flag_and_its_spec_field_get_the_same_message(
     )
 
 
-def test_run_help_shows_each_flag_row(capsys, monkeypatch):
+@pytest.mark.parametrize("command, flags_at, values", [
+    ("run", FLAGS_AT, ("sync", "uniform1", *RUN_VARIANTS)),
+    ("certify", CERTIFY_AT, ("t1", "t1tight", "cor1", "cor2")),
+])
+def test_help_shows_each_flag_row(capsys, monkeypatch, command, flags_at, values):
     # the argparse choices that listed --variant and --schedule values were dropped when the
-    # rows took over reading the flags, and no flag's help showed its default
+    # rows took over reading the flags, and no flag's help showed its default; certify's
+    # help named each flag's meaning but no type, range or default
     monkeypatch.setenv("COLUMNS", "200")  # one line per flag
     with pytest.raises(SystemExit) as info:
-        main(["run", "--help"])
+        main([command, "--help"])
     assert info.value.code == 0
     text = capsys.readouterr().out
-    for value in ("sync", "uniform1", *RUN_VARIANTS):
+    for value in values:
         assert f'"{value}"' in text
-    for _, flag, row in FLAGS_AT:
+    for _, flag, row in flags_at:
         line = next(line for line in text.splitlines() if line.lstrip().startswith(f"--{flag} "))
-        assert line.endswith(f"; default {json.dumps(row.default)}"), line
+        default = "required" if row.default is inputs.REQUIRED else (
+            f"default {json.dumps(row.default)}"
+        )
+        assert line.endswith(f"; {default}"), line
+        assert f"{row.types} in " in line, line
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
@@ -1298,18 +1343,20 @@ def cli_calls(draw):
     if command == "compare":
         content = draw(_mostly(compare_specs(), json_values))
         flags = ["--out", out] if draw(st.booleans()) else []
-        if draw(st.booleans()):
-            flags += ["--repetitions", str(draw(st.integers(-1, 3)))]
         return lambda d: ["compare", "--spec", _write_json(d / "spec.json", content),
                           *[str(d / f) if f == out else f for f in flags]]
-    rare = st.floats() | st.sampled_from([5e-324, 1e308])
-    flags = [
-        f"--L={draw(_mostly(st.just(101.0), rare))!r}",
-        f"--beta={draw(_mostly(st.just(2.0), rare))!r}",
-        f"--c1={draw(_mostly(st.sampled_from([0.0, 0.25]), rare))!r}",
-        f"--tau={draw(_mostly(st.integers(0, 8), st.integers(-2, 1000)))}",
-        "--variant", draw(st.sampled_from(["t1", "t1tight", "cor1", "cor2"])),
-    ]
+    rare = (st.floats() | st.sampled_from([5e-324, 1e308])).map(repr)
+    text = st.sampled_from(["abc", "1.5", "", "bogus", "[1]"])  # no flag's value
+    values = {
+        "L": draw(_mostly(st.just("101.0"), rare | text)),
+        "beta": draw(_mostly(st.just("2.0"), rare | text)),
+        "c1": draw(_mostly(st.sampled_from(["0.0", "0.25"]), rare | text)),
+        "tau": draw(_mostly(st.integers(0, 8).map(str), st.integers(-2, 1000).map(str) | text)),
+        "variant": draw(_mostly(st.sampled_from(["t1", "t1tight", "cor1", "cor2"]), text)),
+    }
+    # any flag may be left out, a required one too
+    flags = [f"--{flag}={value}" for flag, value in values.items()
+             if draw(_mostly(st.just(True), st.just(False)))]
     return lambda d: ["certify", *flags]
 
 
@@ -1324,6 +1371,11 @@ def cli_calls(draw):
     d / "p.json", toy_document(ToySpec(2, offset=1.0, l1_weight=1.0))),
     "--variant", "ipiag", "--alpha", "1e200", "--workers", "1", "--iters", "1",
     "--out", str(d / "out")])
+# argparse refused these itself, with its usage text and a second error line
+@example(lambda d: ["certify", "--L", "101", "--beta", "2", "--tau", "1.5"])
+@example(lambda d: ["certify", "--L", "abc", "--beta", "2", "--tau", "4"])
+@example(lambda d: ["certify", "--L", "101", "--beta", "2", "--tau", "4", "--variant", "bogus"])
+@example(lambda d: ["certify", "--L", "101", "--tau", "4"])
 @settings(max_examples=150)
 def test_every_call_keeps_the_exit_code_contract(make_argv):
     cwd = os.getcwd()

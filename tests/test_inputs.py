@@ -13,6 +13,7 @@ from ipiag import LassoSpec, ToySpec, inputs
 TABLES = [
     inputs.SPEC, inputs.SCHEDULE, inputs.CONFIG, inputs.REFERENCE,
     inputs.DOCUMENT, inputs.GENERATOR, inputs.TOY_PARAMS, inputs.LASSO_PARAMS, inputs.RECORD,
+    inputs.CERTIFY,
 ]
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
