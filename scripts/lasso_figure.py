@@ -67,8 +67,8 @@ def main(argv=None):
     parser.add_argument("--out", default="figures/lasso")
     parser.add_argument(
         "--full", action="store_true",
-        help="run the large 300 x 1000 instance instead; its ||A||^2 is 2331, so an --alpha "
-        "at or above 2/||A||^2 = 8.58e-4, the default 1e-3 included, is refused (2e-4 runs)",
+        help="run the large 300 x 1000 instance instead; an --alpha at or above 2/||A||^2 of "
+        "the instance, which the refusal prints, is refused before the reference solve",
     )
     args = parser.parse_args(argv)
 

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .core import Array, CompositeProblem
+from .core import Array, CompositeProblem, evaluate_objective
 
 if TYPE_CHECKING:  # at run time rates -> solver -> schedules -> inputs -> rates would cycle
     from .solver import Trace
@@ -484,13 +484,14 @@ def verify_descent(problem: CompositeProblem, trace: Trace, tau: int) -> Descent
     For every executed step k the inequality bounds Phi(z_{k+1}) by
     Phi(x*) plus weighted squared distances to x*, minus the fresh squared
     step, plus trailing-window correction terms scaled by the total
-    Lipschitz constant and the inertial weights.  Phi(x*) is the trace's
-    phi_star and the squared distances its dist2.  Residual = rhs - lhs
+    Lipschitz constant and the inertial weights.  x* is the trace's x_ref:
+    Phi(x*) is evaluated there, whatever phi_star the run was given, and
+    the squared distances are the trace's dist2.  Residual = rhs - lhs
     must stay above -DESCENT_SLACK * (1 + |Phi(x*)|).
     """
-    if trace.phi_star is None:
-        raise ValueError("trace lacks a reference point / optimal value")
-    phi_x = trace.phi_star
+    if trace.x_ref is None:
+        raise ValueError("trace lacks a reference point")
+    phi_x = evaluate_objective(problem, trace.x_ref)
     L = problem.total_lipschitz
     alpha, eta1, eta2 = trace.alpha, trace.eta1, trace.eta2
     n = trace.records

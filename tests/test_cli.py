@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ipiag import DelaySchedule, ToySpec, inputs, toy_document, lasso_document, LassoSpec
-from ipiag.cli import EXIT_BOUND, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
+from ipiag.cli import EXIT_BOUND, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, RUN_FLAGS, main
 from ipiag.plotting import _escape, log_line_plot
 from ipiag.rates import RUN_VARIANTS, BoundReport
 
@@ -533,18 +533,15 @@ READ_AT = [
     ("lasso", "generator.params", inputs.LASSO_PARAMS),
     ("jsonl", "records[0]", inputs.RECORD),
 ]
-# The rows ``ipiag run`` reads its flags through, as ("run", flag, row): every CONFIG row
-# but label, the SCHEDULE rows (``--schedule`` is ``type``), ITERS and SEED.
-FLAGS_AT = [
-    ("run", "schedule" if row.name == "type" else row.name, row)
-    for row in inputs.CONFIG.fields[1:] + inputs.SCHEDULE.fields + (inputs.ITERS, inputs.SEED)
-]
+# The rows ``ipiag run`` reads its flags through, as ("run", flag, row).
+FLAGS_AT = [("run", row.name, row) for row in RUN_FLAGS.fields]
 # The rows ``ipiag certify`` reads its flags through, as ("certify", flag, row).
 CERTIFY_AT = [("certify", row.name, row) for row in inputs.CERTIFY.fields]
-# the compare spec field that each of the run rows reads
+# the compare spec field that each run flag reads
 SPEC_FIELD = {
     **{row.name: f"configs[1].{row.name}" for row in inputs.CONFIG.fields},
     **{row.name: f"schedule.{row.name}" for row in inputs.SCHEDULE.fields},
+    "schedule": "schedule.type",
     "iters": "iters",
     "seed": "base_seed",
 }

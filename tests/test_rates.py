@@ -435,3 +435,26 @@ class TestDescent:
         )
         with pytest.raises(ValueError):
             verify_descent(bare, trace, 0)
+
+    def test_phi_star_without_a_reference_point_is_refused(self):
+        prob = make_toy(ToySpec(num_components=6))
+        bare = dataclasses.replace(prob, known_optimum=None)
+        params = SolverParams(alpha=1e-3, max_iters=10)
+        trace = run(bare, params, schedule_synchronous(2, 10), np.zeros(6), phi_star=-1.5)
+        assert trace.phi_star == -1.5 and np.isnan(trace.dist2).all()
+        with pytest.raises(ValueError):
+            verify_descent(bare, trace, 0)
+
+    def test_phi_is_taken_at_the_reference_point_not_from_phi_star(self):
+        prob = make_toy(ToySpec(num_components=12))
+        x_star, _ = prob.known_optimum
+        K, tau = 50, 1
+        cert = certificate_for("t1", RateInputs(prob.total_lipschitz, prob.growth_constant, tau))
+        params = SolverParams(alpha=cert.alpha, eta1=cert.eta1, eta2=cert.eta2, max_iters=K)
+        schedule = schedule_uniform_single(3, tau, K, seed=5)
+        own = run(prob, params, schedule, np.zeros(12))
+        other = run(prob, params, schedule, np.zeros(12), x_ref=x_star, phi_star=-1e6)
+        assert np.array_equal(
+            verify_descent(prob, own, tau).residuals,
+            verify_descent(prob, other, tau).residuals,
+        )
