@@ -419,8 +419,10 @@ def cmd_certify(args) -> int:
     stated, tight = ("t1", "t1tight") if variant in ("t1", "t1tight") else (variant, variant)
     doc["alpha0_stated"] = certificate_for(stated, constants).alpha_max
     doc["alpha0_tight"] = certificate_for(tight, constants).alpha_max
-    text = json.dumps(doc, indent=2, allow_nan=False)  # a non-finite field is a ValueError
-    sys.stdout.write(text + "\n")
+    for field, value in doc.items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"certificate field {field} is not finite, got {value}")
+    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
 

@@ -69,27 +69,33 @@ def make_toy(spec: ToySpec) -> CompositeProblem:
     c = spec.offset
     prox_spec = spec.regularizer
 
+    shifts = np.array([[c], [-c]])  # x - c is x + (-c) bit for bit
+
     def smooth_value(x: Array) -> float:
         x = np.asarray(x, dtype=float)
         # the scalar head keeps numpy's pow, which differs from d * d in the last bit
         head = float((x[0] - c) ** 2)
-        minus = x[1:] - c
-        plus = x + c
-        plus_sq = plus * plus
-        self_sq = head + 0.5 * float(np.add.reduce(minus * minus))
-        left_sq = 0.5 * float(np.add.reduce(plus_sq[:-1]))
-        right_sq = 0.5 * float(np.add.reduce(plus_sq[1:]))
-        return self_sq + left_sq + right_sq
+        # rows x[1:] + c, x[1:] - c, x[:-1] + c, squared in place; a reduce along
+        # the contiguous last axis sums each row pairwise, as a 1-D reduce would
+        table = np.empty((3, n - 1))
+        np.add(x[1:], shifts, table[:2])
+        np.add(x[:-1], c, table[2])
+        np.multiply(table, table, table)
+        right_sq, minus_sq, left_sq = np.add.reduce(table, 1).tolist()
+        return (head + 0.5 * minus_sq) + 0.5 * left_sq + 0.5 * right_sq
 
     def block_gradient(indices: Array, x: Array) -> Array:
         lo, hi = block_range(indices, n)
         g = np.zeros(n)
-        g[lo:hi] = x[lo:hi] - c
+        np.subtract(x[lo:hi], c, g[lo:hi])
         if lo == 0:
             g[0] += x[0] - c
         a = max(lo, 1) - 1
-        g[a : hi - 1] += x[a : hi - 1] + c  # left neighbours; empty for the block [0, 1)
-        g[lo + 1 : hi + 1] += x[lo + 1 : hi + 1] + c  # right neighbours, clipped at n
+        plus = x[a : hi + 1] + c  # x + c over [a, hi + 1), clipped at n
+        left = g[a : hi - 1]  # left neighbours; empty for the block [0, 1)
+        np.add(left, plus[: hi - 1 - a], left)
+        right = g[lo + 1 : hi + 1]  # right neighbours
+        np.add(right, plus[lo + 1 - a :], right)
         return g
 
     lipschitz = np.ones(n)

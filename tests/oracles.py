@@ -176,6 +176,19 @@ def toy_smooth_value(x, c):
     return float(self_sq + left_sq + right_sq)
 
 
+def toy_block_gradient(lo, hi, x, c):
+    """Toy gradient of the components lo..hi-1, one slice per stencil term."""
+    n = len(x)
+    g = np.zeros(n)
+    g[lo:hi] = x[lo:hi] - c
+    if lo == 0:
+        g[0] += x[0] - c
+    a = max(lo, 1) - 1
+    g[a : hi - 1] += x[a : hi - 1] + c  # left neighbours; empty for the block [0, 1)
+    g[lo + 1 : hi + 1] += x[lo + 1 : hi + 1] + c  # right neighbours, clipped at n
+    return g
+
+
 def regularizer_value(kind, weight, x):
     """h(x) for the ProxSpec kinds, +inf off the nonnegative orthant."""
     x = np.asarray(x, dtype=float)

@@ -111,6 +111,16 @@ class TestCertify:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("beta", ["5e-324", "1e308"])
+    def test_the_refusal_names_the_first_field_that_is_not_finite(self, capsys, beta):
+        # json.dumps refused these with "Out of range float values are not JSON compliant"
+        rc = main(["certify", "--L", "5e-324", "--beta", beta, "--tau", "0"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert (captured.out, captured.err) == (
+            "", "error: certificate field alpha0 is not finite, got inf\n"
+        )
+
     @pytest.mark.parametrize("given, message", [
         ({"tau": "1.5"}, "tau must be an integer, got 1.5"),
         ({"L": "abc"}, 'L must be a number, got "abc"'),

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ipiag import (
@@ -31,7 +31,13 @@ from ipiag import (
 )
 import ipiag.problems
 
-from .oracles import same_bits, toy_aggregated_gradient, toy_component_gradient, toy_smooth_value
+from .oracles import (
+    same_bits,
+    toy_aggregated_gradient,
+    toy_block_gradient,
+    toy_component_gradient,
+    toy_smooth_value,
+)
 
 # wide finite entries (squares stay finite), signed zeros and subnormals included
 entries = st.one_of(
@@ -57,8 +63,11 @@ class TestToy:
         assert same_bits(value, toy_smooth_value(xs, c))
 
     @given(st.integers(min_value=2, max_value=1500), st.integers(0, 2**32 - 1), offsets)
+    @example(n=8193, seed=1, c=3.0)
+    @example(n=20000, seed=2, c=0.37)
     def test_smooth_value_bits_on_long_vectors(self, n, seed, c):
-        # lengths past numpy's 128-element pairwise block, mixed signs and -0.0
+        # lengths past numpy's 128-element pairwise block, mixed signs and -0.0;
+        # 8193 and 20000 lie past its 8192-element reduction buffer as well
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
         x[rng.random(n) < 0.1] = -0.0
@@ -149,6 +158,26 @@ class TestToy:
         for idx in (np.array([0, 2, 5, 12]), np.array([], dtype=int)):  # scattered, empty
             with pytest.raises(ValueError):
                 prob.block_gradient(idx, x)
+
+    @given(st.lists(entries, min_size=2, max_size=40), offsets)
+    @example(xs=[0.0, -0.0, 5e-324, -5e-324, 1e150, -1e150, 3.0, -3.0, 0.1, 0.7, -0.3, 1e150],
+             c=3.0)
+    def test_block_gradient_equals_the_slice_form_bit_for_bit(self, xs, c):
+        x = np.array(xs)
+        prob = make_toy(ToySpec(num_components=len(xs), offset=c))
+        for lo in range(len(xs)):
+            for hi in range(lo + 1, len(xs) + 1):
+                got = prob.block_gradient(np.arange(lo, hi), x)
+                assert same_bits(got, toy_block_gradient(lo, hi, x, c)), (lo, hi)
+
+    def test_block_gradient_bits_on_the_partition_of_a_long_chain(self):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal(1000) * 10.0 ** rng.integers(-3, 4, size=1000)
+        x[rng.random(1000) < 0.1] = -0.0
+        prob = make_toy(ToySpec(num_components=1000, offset=0.37))
+        for part in contiguous_partition(1000, 4):
+            lo, hi = int(part[0]), int(part[-1]) + 1
+            assert same_bits(prob.block_gradient(part, x), toy_block_gradient(lo, hi, x, 0.37))
 
     def test_partition_blocks_sum_to_the_full_gradient(self):
         prob = make_toy(ToySpec(num_components=21))
