@@ -5,9 +5,10 @@ Solves one l1-regularized least-squares instance to high accuracy with the
 synchronous method, then runs the no-inertia and double-inertia variants
 under randomized delay schedules and plots the averaged relative error
 curves.  The default instance is small enough for a laptop; --full switches
-to the 300 x 1000 instance with a planted support of 100 and a default
---alpha of 2e-4, since 5e-4 and 8e-4 pass the 2/||A||^2 check there yet
-diverge under stale gradients.
+to the 300 x 1000 instance with a planted support of 100, a default
+--iters of 60000 (35000 otherwise) and a default --alpha of 2e-4, since
+5e-4 and 8e-4 pass the 2/||A||^2 check there yet diverge under stale
+gradients.  A given --iters or --alpha is used as given.
 
 Example:
     python scripts/lasso_figure.py --out figures/lasso
@@ -27,29 +28,11 @@ from ipiag import (
     lasso_arrays,
     make_lasso,
     reference_solution,
-    run,
     schedule_uniform_single,
     spectral_norm_sq,
+    sweep,
 )
 from ipiag.plotting import log_line_plot
-
-
-def mean_relative_error(problem, x_ref, phi_ref, params, args):
-    total = np.zeros(args.iters + 1)
-    nrm = float(np.linalg.norm(x_ref))
-    for seed in range(args.seeds):
-        schedule = schedule_uniform_single(args.workers, args.tau, args.iters, seed)
-        trace = run(
-            problem,
-            params,
-            schedule,
-            np.zeros(problem.dimension),
-            x_ref=x_ref,
-            phi_star=phi_ref,
-            store_iterates=False,
-        )
-        total += np.sqrt(trace.dist2) / nrm
-    return total / args.seeds
 
 
 def main(argv=None):
@@ -63,7 +46,7 @@ def main(argv=None):
     parser.add_argument("--eta", type=float, default=0.25)
     parser.add_argument("--tau", type=int, default=4)
     parser.add_argument("--workers", type=int, default=3)
-    parser.add_argument("--iters", type=int, default=35000)
+    parser.add_argument("--iters", type=int, default=None, help="default 35000, 60000 with --full")
     parser.add_argument("--seeds", type=int, default=10, help="schedule seeds to average over")
     parser.add_argument("--out", default="figures/lasso")
     parser.add_argument(
@@ -75,9 +58,10 @@ def main(argv=None):
 
     if args.full:
         args.rows, args.cols = 300, 1000
-        args.iters = max(args.iters, 60000)
     if args.alpha is None:
         args.alpha = 2e-4 if args.full else 1e-3
+    if args.iters is None:
+        args.iters = 60000 if args.full else 35000
 
     spec = LassoSpec(
         rows=args.rows,
@@ -115,14 +99,22 @@ def main(argv=None):
         ),
     }
     os.makedirs(args.out, exist_ok=True)
+    t0 = time.time()
+    nrm = float(np.linalg.norm(x_ref))
+    totals = [np.zeros(args.iters + 1) for _ in runs]
+    schedules = (
+        schedule_uniform_single(args.workers, args.tau, args.iters, seed)
+        for seed in range(args.seeds)
+    )
+    for traces in sweep(problem, list(runs.values()), schedules, x_ref, phi_ref):
+        for total, trace in zip(totals, traces):
+            total += np.sqrt(trace.dist2) / nrm
+    means = {label: total / args.seeds for label, total in zip(runs, totals)}
     curves = []
-    means = {}
-    for label, params in runs.items():
-        t0 = time.time()
-        means[label] = mean_relative_error(problem, x_ref, phi_ref, params, args)
-        print(f"{label:15s} final mean rel err = {means[label][-1]:.3e} "
-              f"({time.time() - t0:.1f}s)")
-        curves.append({"label": label, "x": np.arange(args.iters + 1), "y": means[label]})
+    for label, mean in means.items():
+        print(f"{label:15s} final mean rel err = {mean[-1]:.3e}")
+        curves.append({"label": label, "x": np.arange(args.iters + 1), "y": mean})
+    print(f"runs: {time.time() - t0:.1f}s")
 
     with open(os.path.join(args.out, "lasso_mean_error.csv"), "w", newline="",
               encoding="utf-8") as fh:

@@ -3,8 +3,8 @@
 
 Runs the four method variants at their certified parameters on one shared
 delay schedule and writes per-variant trace CSVs plus a combined SVG with
-the certified envelope overlaid.  A second sweep varies the step size for
-the no-inertia method to show how far past the threshold the iteration
+the certified envelope overlaid.  On the same schedule, a step-size sweep
+of the no-inertia method shows how far past the threshold the iteration
 stays stable.
 
 Example:
@@ -15,18 +15,16 @@ import argparse
 import csv
 import os
 
-import numpy as np
-
 from ipiag import (
     SolverParams,
     ToySpec,
     inputs,
     make_toy,
-    run,
+    resolve_parameters,
     schedule_uniform_single,
+    sweep,
     verify_linear_bound,
 )
-from ipiag.cli import resolve_parameters
 from ipiag.plotting import log_line_plot
 
 # figure label of each run tag, at momentum fraction C1 = 0.25
@@ -37,6 +35,8 @@ LABELS = {
     "ipiag": "double-inertia",
 }
 C1 = 0.25
+# step sizes of the no-inertia sweep, as multiples of its certified step
+MULTIPLIERS = (1.0, 4.0, 16.0)
 
 
 def write_trace_csv(path, trace):
@@ -47,31 +47,18 @@ def write_trace_csv(path, trace):
             writer.writerow([k, trace.dist2[k], trace.phi[k] - trace.phi_star])
 
 
-def variant_comparison(args, out_dir):
-    prob = make_toy(ToySpec(num_components=args.components))
-    schedule = schedule_uniform_single(args.workers, args.tau, args.iters, args.seed)
+def variant_comparison(args, out_dir, resolved, traces):
     curves = []
-    envelope = None
-    for tag, label in LABELS.items():
-        config = inputs.read({"variant": tag, "c1": C1}, inputs.CONFIG)
-        alpha, eta1, eta2, cert, _ = resolve_parameters(prob, config, args.tau)
-        params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=args.iters)
-        trace = run(prob, params, schedule, np.zeros(args.components), store_iterates=False)
+    for label, (alpha, eta1, eta2, _, _), trace in zip(LABELS.values(), resolved, traces):
         write_trace_csv(os.path.join(out_dir, f"toy_{label.replace('-', '_')}.csv"), trace)
         curves.append({"label": label, "x": trace.k, "y": trace.dist2})
-        if label == "plain":
-            envelope = {
-                "label": "certified envelope",
-                "x": trace.k,
-                "y": verify_linear_bound(trace, cert).dist_envelope,
-                "dashed": True,
-            }
         print(
             f"{label:15s} alpha={alpha:.4e} eta1={eta1:.4e} "
             f"eta2={eta2:.4e} final dist2={trace.dist2[-1]:.3e}"
         )
-    if envelope is not None:
-        curves.append(envelope)
+    # the envelope of the plain method's certificate, on its own run
+    envelope = verify_linear_bound(traces[0], resolved[0][3]).dist_envelope
+    curves.append({"label": "certified envelope", "x": traces[0].k, "y": envelope, "dashed": True})
     log_line_plot(
         os.path.join(out_dir, "toy_variants.svg"),
         curves,
@@ -80,14 +67,9 @@ def variant_comparison(args, out_dir):
     )
 
 
-def step_size_sweep(args, out_dir):
-    prob = make_toy(ToySpec(num_components=args.components))
-    base = resolve_parameters(prob, inputs.read({"variant": "piag"}, inputs.CONFIG), args.tau)[0]
-    schedule = schedule_uniform_single(args.workers, args.tau, args.iters, args.seed)
+def step_size_sweep(out_dir, traces):
     curves = []
-    for mult in (1.0, 4.0, 16.0):
-        params = SolverParams(alpha=base * mult, max_iters=args.iters)
-        trace = run(prob, params, schedule, np.zeros(args.components), store_iterates=False)
+    for mult, trace in zip(MULTIPLIERS, traces):
         curves.append({"label": f"{mult:g}x certified step", "x": trace.k, "y": trace.dist2})
         print(f"alpha multiplier {mult:4g}: final dist2={trace.dist2[-1]:.3e}")
     log_line_plot(
@@ -109,8 +91,20 @@ def main():
     args = parser.parse_args()
 
     os.makedirs(args.out, exist_ok=True)
-    variant_comparison(args, args.out)
-    step_size_sweep(args, args.out)
+    prob = make_toy(ToySpec(num_components=args.components))
+    resolved = [
+        resolve_parameters(prob, inputs.read({"variant": tag, "c1": C1}, inputs.CONFIG), args.tau)
+        for tag in LABELS
+    ]
+    # the step sweep scales the plain method's certified step, which C1 does not enter
+    configs = [
+        SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=args.iters)
+        for alpha, eta1, eta2, _, _ in resolved
+    ] + [SolverParams(alpha=resolved[0][0] * m, max_iters=args.iters) for m in MULTIPLIERS]
+    schedule = schedule_uniform_single(args.workers, args.tau, args.iters, args.seed)
+    (traces,) = sweep(prob, configs, [schedule])
+    variant_comparison(args, args.out, resolved, traces[: len(LABELS)])
+    step_size_sweep(args.out, traces[len(LABELS):])
     print(f"artifacts in {args.out}")
 
 

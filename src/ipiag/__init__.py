@@ -24,6 +24,7 @@ from .rates import (
     TwoTermRecurrence,
     certificate_for,
     one_term_condition,
+    resolve_parameters,
     verify_descent,
     verify_linear_bound,
     verify_one_term,
@@ -44,6 +45,7 @@ from .solver import (
     iterations_to_threshold,
     lyapunov_value,
     run,
+    sweep,
 )
 from .problems import (
     LassoSpec,
@@ -100,10 +102,12 @@ __all__ = [
     "prox_nonneg_l1",
     "prox_zero",
     "reference_solution",
+    "resolve_parameters",
     "run",
     "schedule_synchronous",
     "schedule_uniform_single",
     "spectral_norm_sq",
+    "sweep",
     "toy_document",
     "verify_descent",
     "verify_linear_bound",

@@ -26,7 +26,8 @@ to the same double.
 The ``compare`` spec file is a JSON object that ``ipiag.inputs.SPEC`` and its
 block tables declare, shown in README.md.  ``reference`` is solved once with the
 synchronous method when the problem carries no known optimum, and shared by all
-rows.  Repetitions collapse to 1 for the deterministic sync schedule.
+rows.  Each repetition's schedule is drawn once and every config runs on it
+(``sweep``); repetitions collapse to 1 for the deterministic sync schedule.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -41,12 +43,14 @@ import time
 
 import numpy as np
 
-from . import inputs, problems, rates
+from . import inputs, problems
 from .core import CompositeProblem, NumericError
 from .problems import load_problem, problem_from_document
-from .rates import RateInputs, certificate_for, verify_linear_bound
+from .rates import RateInputs, certificate_for, resolve_parameters, verify_linear_bound
+# perfbench/tracing.py patches run and schedule_uniform_single in this module, so cmd_run
+# and build_schedule call them through these names
 from .schedules import DelaySchedule, schedule_synchronous, schedule_uniform_single
-from .solver import FLOAT_FORMAT, SolverParams, iterations_to_threshold, run
+from .solver import FLOAT_FORMAT, SolverParams, iterations_to_threshold, run, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,70 +61,6 @@ EXIT_BOUND = 4
 def _error(message: str) -> None:
     """Print the one ``error:`` line of a failed call; line breaks in quoted input are escaped."""
     print("error: " + "\\n".join(message.splitlines()), file=sys.stderr)
-
-
-def resolve_parameters(problem: CompositeProblem, config: dict, tau: int):
-    """Turn a config, as ``inputs.read`` gives it for ``inputs.CONFIG``, into concrete
-    (alpha, eta1, eta2, certificate, error).
-
-    The certificate is built at the resolved values so its contraction
-    factor describes the run that will actually execute.  It is None when
-    the problem has no growth modulus (then bound checks are skipped, and
-    error is None) or when no certificate covers the resolved values (then
-    error says why, and the run is uncertified).
-    """
-    variant = config["variant"]
-    alpha_arg, eta1_arg, eta2_arg = config["alpha"], config["eta1"], config["eta2"]
-    cert_variant, uses_eta1, uses_eta2 = rates.RUN_VARIANTS[variant]
-    beta = problem.growth_constant
-    L = problem.total_lipschitz
-    needs_auto = alpha_arg == "auto" or (uses_eta1 and eta1_arg == "auto") or (
-        uses_eta2 and eta2_arg == "auto"
-    )
-    auto_cert = None
-    if needs_auto:
-        if beta is None:
-            raise ValueError(
-                "auto parameters need the growth modulus; the problem metadata has none"
-            )
-        # eta defaults are computed at the alpha that will run
-        given = None if alpha_arg == "auto" else alpha_arg
-        inputs = RateInputs(L, beta, tau, config["c1"] if uses_eta1 else 0.0)
-        auto_cert = certificate_for(cert_variant, inputs, alpha=given)
-
-    alpha = auto_cert.alpha if alpha_arg == "auto" else alpha_arg
-
-    if uses_eta1:
-        eta1 = auto_cert.eta1 if eta1_arg == "auto" else eta1_arg
-    else:
-        if eta1_arg not in ("auto", 0.0):
-            raise ValueError(f"variant {variant} has no pre-prox inertia; leave eta1 at 0")
-        eta1 = 0.0
-    if uses_eta2:
-        eta2 = auto_cert.eta2 if eta2_arg == "auto" else eta2_arg
-    else:
-        if eta2_arg not in ("auto", 0.0):
-            raise ValueError(f"variant {variant} has no post-prox inertia; leave eta2 at 0")
-        eta2 = 0.0
-    # the rows check a given weight, and an auto eta2 is at most 0.25 (the bracket's
-    # numerator), so only an auto eta1 can leave [0, 1]
-    if uses_eta1 and eta1_arg == "auto" and not 0.0 <= eta1 <= 1.0:
-        raise ValueError(
-            f"auto eta1 = C1*alpha*beta = {eta1!r} leaves [0, 1]; lower --c1 or --alpha"
-        )
-
-    cert = error = None
-    if beta is not None:
-        implied_c1 = eta1 / (alpha * beta) if uses_eta1 and alpha * beta > 0 else 0.0
-        try:
-            inputs = RateInputs(L, beta, tau, implied_c1)
-            cert = certificate_for(cert_variant, inputs, alpha=alpha, eta1=eta1, eta2=eta2)
-        except ValueError as exc:
-            error = (
-                f"no {cert_variant} certificate covers alpha={alpha!r}, eta1={eta1!r}, "
-                f"eta2={eta2!r} (C1 = eta1/(alpha beta) = {implied_c1!r}): {exc}"
-            )
-    return alpha, eta1, eta2, cert, error
 
 
 def build_schedule(kind: str, workers: int, tau: int, iters: int, seed: int) -> DelaySchedule:
@@ -298,13 +238,6 @@ def _plot_run(args, variant, trace, report) -> None:
     )
 
 
-def _mean_or_none(values) -> float:
-    vals = [v for v in values if v is not None]
-    if len(vals) != len(values) or not vals:
-        return None
-    return float(np.mean(vals))
-
-
 def cmd_compare(args) -> int:
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
@@ -325,9 +258,12 @@ def cmd_compare(args) -> int:
     base_seed = spec["base_seed"]
     inputs.check(inputs.SEED, base_seed + reps - 1, "base_seed + repetitions - 1")
     problem = _load_problem_arg(spec["problem"], workers, "schedule.workers")
-    # built at full length, so a spec whose schedule cannot be built (iters too large for
-    # an array) fails before any solve
-    first_schedule = build_schedule(kind, workers, tau, iters, base_seed)
+    # the first is built at once, so a spec whose schedule cannot be built (iters too large
+    # for an array) fails before any solve; the other repetitions differ only in the seed
+    schedules = itertools.chain(
+        [build_schedule(kind, workers, tau, iters, base_seed)],
+        (build_schedule(kind, workers, tau, iters, base_seed + r) for r in range(1, reps)),
+    )
 
     resolved = []
     for cfg in configs:
@@ -356,50 +292,35 @@ def cmd_compare(args) -> int:
             _error(f"reference solve diverged: {exc}")
             return EXIT_DIVERGED
 
-    header = [
-        "label",
-        "variant",
-        "alpha",
-        "eta1",
-        "eta2",
-        "rho",
-        "iters_to_1e-4",
-        "iters_to_1e-6",
-        "final_gap",
-    ]
+    # per config, one (first hit of 1e-4, first hit of 1e-6, final gap) per repetition
+    results = [[] for _ in resolved]
+    try:
+        for traces in sweep(problem, [params for _, _, params, _ in resolved], schedules,
+                            x_ref, phi_star):
+            for per_config, trace in zip(results, traces):
+                per_config.append((
+                    iterations_to_threshold(trace.dist2, 1e-4),
+                    iterations_to_threshold(trace.dist2, 1e-6),
+                    float(trace.phi[-1] - phi_star),
+                ))
+    except NumericError as exc:
+        _error(f"config {resolved[exc.config][0]!r} diverged: {exc}")
+        return EXIT_DIVERGED
+
     buffer = io.StringIO()
     table = csv.writer(buffer, lineterminator="\n")  # quotes only the cells that need it
-    table.writerow(header)
-    for label, variant, params, cert in resolved:
-        hits4, hits6, gaps = [], [], []
-        for r in range(reps):
-            # the other repetitions differ from the first only in the seed
-            schedule = first_schedule if r == 0 else build_schedule(
-                kind, workers, tau, iters, base_seed + r
-            )
-            try:
-                trace = run(
-                    problem,
-                    params,
-                    schedule,
-                    np.zeros(problem.dimension),
-                    x_ref=x_ref,
-                    phi_star=phi_star,
-                    store_iterates=False,
-                )
-            except NumericError as exc:
-                _error(f"config {label!r} diverged: {exc}")
-                return EXIT_DIVERGED
-            hits4.append(iterations_to_threshold(trace.dist2, 1e-4))
-            hits6.append(iterations_to_threshold(trace.dist2, 1e-6))
-            gaps.append(float(trace.phi[-1] - phi_star))
+    table.writerow(["label", "variant", "alpha", "eta1", "eta2", "rho", "iters_to_1e-4",
+                    "iters_to_1e-6", "final_gap"])
+    for (label, variant, params, cert), per_config in zip(resolved, results):
+        hits4, hits6, gaps = zip(*per_config)
         row = [
             params.alpha,
             params.eta1,
             params.eta2,
             None if cert is None else cert.rho,
-            _mean_or_none(hits4),
-            _mean_or_none(hits6),
+            # a mean hit only when every repetition reached the threshold
+            None if None in hits4 else float(np.mean(hits4)),
+            None if None in hits6 else float(np.mean(hits6)),
             float(np.mean(gaps)),
         ]
         table.writerow([label, variant] + [None if v is None else FLOAT_FORMAT % v for v in row])

@@ -224,6 +224,70 @@ def certificate_for(
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
+def resolve_parameters(problem: CompositeProblem, config: dict, tau: int):
+    """Turn a config, as ``ipiag.inputs.read`` gives it for ``ipiag.inputs.CONFIG``, into
+    concrete (alpha, eta1, eta2, certificate, error).
+
+    The certificate is built at the resolved values so its contraction
+    factor describes the run that will actually execute.  It is None when
+    the problem has no growth modulus (then bound checks are skipped, and
+    error is None) or when no certificate covers the resolved values (then
+    error says why, and the run is uncertified).
+    """
+    variant = config["variant"]
+    alpha_arg, eta1_arg, eta2_arg = config["alpha"], config["eta1"], config["eta2"]
+    cert_variant, uses_eta1, uses_eta2 = RUN_VARIANTS[variant]
+    beta = problem.growth_constant
+    L = problem.total_lipschitz
+    needs_auto = alpha_arg == "auto" or (uses_eta1 and eta1_arg == "auto") or (
+        uses_eta2 and eta2_arg == "auto"
+    )
+    auto_cert = None
+    if needs_auto:
+        if beta is None:
+            raise ValueError(
+                "auto parameters need the growth modulus; the problem metadata has none"
+            )
+        # eta defaults are computed at the alpha that will run
+        given = None if alpha_arg == "auto" else alpha_arg
+        inputs = RateInputs(L, beta, tau, config["c1"] if uses_eta1 else 0.0)
+        auto_cert = certificate_for(cert_variant, inputs, alpha=given)
+
+    alpha = auto_cert.alpha if alpha_arg == "auto" else alpha_arg
+
+    if uses_eta1:
+        eta1 = auto_cert.eta1 if eta1_arg == "auto" else eta1_arg
+    else:
+        if eta1_arg not in ("auto", 0.0):
+            raise ValueError(f"variant {variant} has no pre-prox inertia; leave eta1 at 0")
+        eta1 = 0.0
+    if uses_eta2:
+        eta2 = auto_cert.eta2 if eta2_arg == "auto" else eta2_arg
+    else:
+        if eta2_arg not in ("auto", 0.0):
+            raise ValueError(f"variant {variant} has no post-prox inertia; leave eta2 at 0")
+        eta2 = 0.0
+    # the rows check a given weight, and an auto eta2 is at most 0.25 (the bracket's
+    # numerator), so only an auto eta1 can leave [0, 1]
+    if uses_eta1 and eta1_arg == "auto" and not 0.0 <= eta1 <= 1.0:
+        raise ValueError(
+            f"auto eta1 = C1*alpha*beta = {eta1!r} leaves [0, 1]; lower --c1 or --alpha"
+        )
+
+    cert = error = None
+    if beta is not None:
+        implied_c1 = eta1 / (alpha * beta) if uses_eta1 and alpha * beta > 0 else 0.0
+        try:
+            inputs = RateInputs(L, beta, tau, implied_c1)
+            cert = certificate_for(cert_variant, inputs, alpha=alpha, eta1=eta1, eta2=eta2)
+        except ValueError as exc:
+            error = (
+                f"no {cert_variant} certificate covers alpha={alpha!r}, eta1={eta1!r}, "
+                f"eta2={eta2!r} (C1 = eta1/(alpha beta) = {implied_c1!r}): {exc}"
+            )
+    return alpha, eta1, eta2, cert, error
+
+
 # ---------------------------------------------------------------------------
 # scalar recurrence verifiers
 

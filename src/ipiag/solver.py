@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -271,3 +271,26 @@ def run(
         x_ref=None if x_ref is None else np.asarray(x_ref, dtype=float).copy(),
         z=None if zs is None else zs[:n],
     )
+
+
+def sweep(problem: CompositeProblem, configs: Sequence[SolverParams],
+          schedules: Iterable[DelaySchedule], x_ref: Optional[Array] = None,
+          phi_star: Optional[float] = None) -> Iterator[list]:
+    """Run every config on each schedule in turn and yield that schedule's traces.
+
+    ``schedules`` is read lazily, one schedule at a time, and each list of
+    traces follows ``configs`` order.  Every run starts from x0 = 0 without
+    stored iterates; ``x_ref`` and ``phi_star`` are passed to ``run``.  A
+    ``NumericError`` of config i is re-raised with ``config = i`` set on it,
+    so the first divergence in (schedule, config) order is the one reported.
+    """
+    for schedule in schedules:
+        traces = []
+        for i, params in enumerate(configs):
+            try:
+                traces.append(run(problem, params, schedule, np.zeros(problem.dimension),
+                                  x_ref=x_ref, phi_star=phi_star, store_iterates=False))
+            except NumericError as exc:
+                exc.config = i
+                raise
+        yield traces

@@ -30,6 +30,7 @@ from ipiag import (
     run,
     schedule_uniform_single,
     spectral_norm_sq,
+    sweep,
     verify_descent,
     verify_linear_bound,
     verify_one_term,
@@ -136,16 +137,11 @@ def test_criterion_02_inertia_never_slows_the_baseline_down(toy100):
 
     K = 20000
     hits = {name: [] for name in settings}
-    for seed in range(10):
-        schedule = schedule_uniform_single(4, tau, K, seed)
-        for name, (e1, e2) in settings.items():
-            trace = run(
-                toy100,
-                SolverParams(alpha=alpha, eta1=e1, eta2=e2, max_iters=K),
-                schedule,
-                np.zeros(100),
-                store_iterates=False,
-            )
+    configs = [SolverParams(alpha=alpha, eta1=e1, eta2=e2, max_iters=K)
+               for e1, e2 in settings.values()]
+    schedules = (schedule_uniform_single(4, tau, K, seed) for seed in range(10))
+    for seed, traces in enumerate(sweep(toy100, configs, schedules)):
+        for name, trace in zip(settings, traces):
             hit = iterations_to_threshold(trace.dist2, 1e-6)
             assert hit is not None, f"{name} missed the threshold on seed {seed}"
             hits[name].append(hit)
@@ -305,26 +301,10 @@ def test_criterion_09_inertia_helps_on_the_planted_regression(lasso_desk):
 
     rel_both = np.zeros(K + 1)
     rel_plain = np.zeros(K + 1)
-    for seed in range(10):
-        schedule = schedule_uniform_single(3, tau, K, seed)
-        tr_both = run(
-            prob,
-            SolverParams(alpha=alpha, eta1=eta, eta2=eta, max_iters=K),
-            schedule,
-            np.zeros(200),
-            x_ref=x_ref,
-            phi_star=phi_ref,
-            store_iterates=False,
-        )
-        tr_plain = run(
-            prob,
-            SolverParams(alpha=alpha, max_iters=K),
-            schedule,
-            np.zeros(200),
-            x_ref=x_ref,
-            phi_star=phi_ref,
-            store_iterates=False,
-        )
+    configs = [SolverParams(alpha=alpha, eta1=eta, eta2=eta, max_iters=K),
+               SolverParams(alpha=alpha, max_iters=K)]
+    schedules = (schedule_uniform_single(3, tau, K, seed) for seed in range(10))
+    for seed, (tr_both, tr_plain) in enumerate(sweep(prob, configs, schedules, x_ref, phi_ref)):
         seed_rel = np.sqrt(tr_both.dist2) / nrm
         assert seed_rel[-1] < 1e-3, f"seed {seed} ended at {seed_rel[-1]:.3e}"
         rel_both += seed_rel

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -686,7 +687,9 @@ def _refusal(tmp_path, capsys, monkeypatch, source, path, value):
         raise AssertionError("a solve ran")
 
     monkeypatch.setattr("ipiag.problems.reference_solution", no_solve)
+    # ipiag run solves through ipiag.cli.run, compare through ipiag.solver.sweep
     monkeypatch.setattr("ipiag.cli.run", no_solve)
+    monkeypatch.setattr("ipiag.solver.run", no_solve)
     file = tmp_path / "input.json"
     out = str(tmp_path / "o")
     if source == "spec":
@@ -741,6 +744,29 @@ class TestCompare:
         assert table[2].startswith("inertial,ipiag,")
         # stdout carries the same table
         assert capsys.readouterr().out.strip().splitlines()[0] == COMPARE_HEADER
+
+    def test_four_configs_keep_the_bytes_of_their_table(self, tmp_path, capsys):
+        # the SHA-256 of this compare.csv before compare ran its repetitions through
+        # ipiag.solver.sweep; a label with a comma is quoted
+        spec = self._spec(
+            tmp_path,
+            [
+                {"label": "a,b", "variant": "piag", "alpha": "auto"},
+                {"variant": "piag-m", "alpha": "auto", "c1": 0.25},
+                {"variant": "piag-nel", "alpha": "auto"},
+                {"label": "both", "variant": "ipiag", "alpha": "auto", "c1": 0.25},
+            ],
+            iters=1500,
+            repetitions=3,
+        )
+        out = tmp_path / "cmp"
+        assert main(["compare", "--spec", spec, "--out", str(out)]) == EXIT_OK
+        table = (out / "compare.csv").read_bytes()
+        assert table.decode().startswith(COMPARE_HEADER + '\n"a,b",piag,')
+        assert hashlib.sha256(table).hexdigest() == (
+            "7b50e2c98859d975ab13205ba3c31d1b74f0faf6f390f1c2ff0deb53399fbe4f"
+        )
+        assert capsys.readouterr().out.encode() == table
 
     def test_duplicate_configs_give_identical_rows(self, tmp_path, capsys):
         spec = self._spec(
@@ -942,7 +968,9 @@ class TestCompare:
             raise AssertionError("a solve ran")
 
         monkeypatch.setattr("ipiag.problems.reference_solution", no_solve)
+        # ipiag run solves through ipiag.cli.run, compare through ipiag.solver.sweep
         monkeypatch.setattr("ipiag.cli.run", no_solve)
+        monkeypatch.setattr("ipiag.solver.run", no_solve)
         monkeypatch.chdir(tmp_path)
         spec = self._spec(
             tmp_path,
@@ -1022,7 +1050,9 @@ class TestCompare:
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve ran")
 
+        # ipiag run solves through ipiag.cli.run, compare through ipiag.solver.sweep
         monkeypatch.setattr("ipiag.cli.run", no_solve)
+        monkeypatch.setattr("ipiag.solver.run", no_solve)
         problem = tmp_path / "toy.json"
         problem.write_text(json.dumps(toy_document(ToySpec(num_components=12))))
         field = "iters"

@@ -20,6 +20,7 @@ from ipiag import (
     run,
     schedule_synchronous,
     schedule_uniform_single,
+    sweep,
 )
 
 from .oracles import inertial_replay, same_bits, toy_prox_grad_reference, trace_csv
@@ -553,3 +554,60 @@ def test_iterations_to_threshold_basics():
     values = np.array([1.0, 0.5, 0.2, 0.05])
     assert iterations_to_threshold(values, 0.2) == 2
     assert iterations_to_threshold(values, 1e-9) is None
+
+
+def _sweep_configs(prob, K):
+    alpha = 0.5 / prob.total_lipschitz
+    return [SolverParams(alpha=alpha, max_iters=K),
+            SolverParams(alpha=alpha, eta1=0.3, eta2=0.2, max_iters=K)]
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_PROBLEMS))
+def test_sweep_equals_a_loop_of_runs_bit_for_bit(name):
+    prob = REPLAY_PROBLEMS[name]()
+    K, W = 60, 4
+    configs = _sweep_configs(prob, K)
+    schedules = [schedule_uniform_single(W, 3, K, seed=5), transit_schedule(W, 3, K)]
+    rng = np.random.default_rng(11)
+    x_ref, phi_star = rng.standard_normal(prob.dimension), -1.5
+    rows = list(sweep(prob, configs, schedules, x_ref, phi_star))
+    assert [len(traces) for traces in rows] == [len(configs)] * len(schedules)
+    for schedule, traces in zip(schedules, rows):
+        for params, got in zip(configs, traces):
+            want = run(prob, params, schedule, np.zeros(prob.dimension), x_ref=x_ref,
+                       phi_star=phi_star, store_iterates=False)
+            for field in dataclasses.fields(Trace):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype and a.shape == b.shape, field.name
+                    assert a.tobytes() == b.tobytes(), field.name
+                else:
+                    assert a == b, field.name
+
+
+def test_sweep_reads_a_generator_of_schedules_one_at_a_time():
+    prob = make_toy(ToySpec(num_components=20))
+    K = 30
+    drawn = []
+
+    def schedules():
+        for seed in range(3):
+            drawn.append(seed)
+            yield schedule_uniform_single(4, 3, K, seed)
+
+    rows = sweep(prob, _sweep_configs(prob, K), schedules())
+    assert drawn == []
+    assert len(next(rows)) == 2 and drawn == [0]
+    assert len(list(rows)) == 2 and drawn == [0, 1, 2]
+
+
+def test_a_diverging_config_raises_with_its_index():
+    # steps far past 2/L diverge; the first diverging config in order is the one reported
+    prob = REPLAY_PROBLEMS["lasso8x12"]()
+    K, L = 100, prob.total_lipschitz
+    configs = [SolverParams(alpha=c / L, max_iters=K) for c in (0.5, 50.0, 100.0)]
+    rows = sweep(prob, configs, (schedule_synchronous(4, K) for _ in range(2)))
+    with pytest.raises(DivergenceError) as info:
+        next(rows)
+    assert info.value.config == 1
+    assert info.value.iteration is not None
