@@ -23,6 +23,8 @@ _TYPES = {
     "path": (lambda v: isinstance(v, str), "a path"),
     "object": (lambda v: isinstance(v, dict), "a JSON object"),
     "list": (lambda v: isinstance(v, list), "a JSON list"),
+    "list of integers": (lambda v: isinstance(v, list) and all(map(_TYPES["integer"][0], v)),
+                         "a JSON list of integers"),
     "null": (lambda v: v is None, "null"),
     "auto": (lambda v: v == "auto", '"auto"'),
 }
@@ -134,7 +136,7 @@ SPEC = Table("the spec", (
 # ``ipiag run`` reads its flags through the SCHEDULE and CONFIG rows, ITERS and SEED
 SCHEDULE = Table("schedule", (
     Field("type", "string", "uniform1", ("sync", "uniform1")),
-    Field("tau", "integer", 0, "[0, inf)"),
+    Field("tau", "integer", 0, "[0, 2**63)"),
     Field("workers", "integer", 4, "[1, inf)"),
 ))
 CONFIG = Table("configs[i]", (
@@ -149,7 +151,7 @@ CONFIG = Table("configs[i]", (
 CERTIFY = Table("ipiag certify", (
     Field("L", "number", REQUIRED, "(0, inf)"),
     Field("beta", "number", REQUIRED, "(0, inf)"),
-    Field("tau", "integer", REQUIRED, "[0, inf)"),
+    Field("tau", "integer", REQUIRED, "[0, 2**63)"),
     Field("c1", "number", 0.0, "[0, 1)"),
     Field("variant", "string", "t1", VARIANTS),
 ))
@@ -189,6 +191,6 @@ LASSO_PARAMS = Table("generator.params (lasso)", (
 # line k of a JSONL delay schedule
 RECORD = Table("records[k]", (
     Field("k", "integer", REQUIRED, "[0, inf)"),
-    Field("refreshed", "list"),
-    Field("source_iter", "list"),
+    Field("refreshed", "list of integers"),
+    Field("source_iter", "list of integers"),
 ))

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -43,9 +42,9 @@ class DelaySchedule:
     The schedule is three int64 arrays: the refreshes of iteration k are
     entries ``offsets[k]:offsets[k + 1]`` of ``workers`` (the worker ids) and
     ``sources`` (the iterate each refresh reads).  Construction checks them
-    once and keeps read-only copies; the schedule is frozen.  Per-iteration
-    lists go in through ``from_lists``; ``refreshed`` and ``source_iter``
-    give them back as tuples derived from the arrays.
+    once and keeps read-only copies; the schedule is frozen.  This is the
+    only constructor: the generators and ``from_jsonl`` build the arrays and
+    call it.
     """
 
     num_workers: int
@@ -77,38 +76,14 @@ class DelaySchedule:
         for name, array in (("offsets", offsets), ("workers", workers), ("sources", sources)):
             object.__setattr__(self, name, array)
 
-    @classmethod
-    def from_lists(
-        cls, num_workers: int, tau: int, refreshed: list, source_iter: list
-    ) -> DelaySchedule:
-        """The schedule refreshing workers ``refreshed[k]`` at iterates ``source_iter[k]``.
-
-        Every entry must be an integer before any is checked to be in range, and a bad entry
-        before the first iteration whose two lists differ in length is reported first.
-        """
-        _check_sizes(num_workers, tau)
-        K = len(refreshed)
-        if len(source_iter) != K:
-            raise ScheduleError("refreshed and source_iter must align")
-        counts = np.fromiter(map(len, refreshed), np.int64, K)
-        offsets = np.zeros(K + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        workers, sources = _flatten(refreshed), _flatten(source_iter)
-        misaligned = np.flatnonzero(counts != np.fromiter(map(len, source_iter), np.int64, K))
-        if misaligned.size:
-            k = misaligned[0]
-            cls(num_workers, tau, offsets[: k + 1], workers[: offsets[k]], sources[: offsets[k]])
-            raise ScheduleError(f"iteration {k}: refresh lists must align")
-        return cls(num_workers, tau, offsets, workers, sources)
-
     @cached_property
     def refreshed(self) -> tuple:
-        """Read-only per-iteration worker ids, derived from the arrays."""
+        """Read-only per-iteration worker ids from the arrays, kept for ``perfbench/``."""
         return _per_step(self.offsets, self.workers)
 
     @cached_property
     def source_iter(self) -> tuple:
-        """Read-only per-iteration sources, derived from the arrays."""
+        """Read-only per-iteration sources from the arrays, kept for ``perfbench/``."""
         return _per_step(self.offsets, self.sources)
 
     @property
@@ -126,21 +101,39 @@ class DelaySchedule:
 
     @classmethod
     def from_jsonl(cls, path: str, num_workers: int, tau: int) -> "DelaySchedule":
-        """The schedule of a JSONL file; ``inputs.RECORD`` declares a line's fields."""
-        refreshed, sources = [], []
+        """The schedule of a JSONL file; ``inputs.RECORD`` declares a line's fields.
+
+        Every line is read and typed before any entry is checked to be in range, and a bad
+        entry ahead of the first record whose two lists differ in length is reported first.
+        """
+        counts, workers, sources = [], [], []
+        misaligned = None
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
-                section = f"records[{len(refreshed)}]"
-                rec = read(json.loads(line), RECORD, section)
-                if rec["k"] != len(refreshed):
-                    raise ScheduleError(f"{section}.k must be {len(refreshed)}, got {rec['k']}")
-                # as parsed: from_lists rejects 1.5 rather than truncating it to 1
-                refreshed.append(rec["refreshed"])
-                sources.append(rec["source_iter"])
-        return cls.from_lists(num_workers, tau, refreshed, sources)
+                k = len(counts)
+                section = f"records[{k}]"
+                try:
+                    value = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # also JSON nested too deep
+                    raise ValueError(f"{section} is not JSON: {exc}") from None
+                rec = read(value, RECORD, section)
+                if rec["k"] != k:
+                    raise ScheduleError(f"{section}.k must be {k}, got {rec['k']}")
+                if misaligned is None and len(rec["refreshed"]) != len(rec["source_iter"]):
+                    misaligned = k
+                counts.append(len(rec["refreshed"]))
+                workers += rec["refreshed"]
+                sources += rec["source_iter"]
+        offsets = np.cumsum([0] + counts)
+        if misaligned is not None:
+            # the records ahead of it are checked first, so their bad entries win
+            n = offsets[misaligned]
+            cls(num_workers, tau, offsets[: misaligned + 1], workers[:n], sources[:n])
+            raise ScheduleError(f"iteration {misaligned}: refresh lists must align")
+        return cls(num_workers, tau, offsets, workers, sources)
 
 
 def _check_sizes(num_workers: int, tau: int, iters: int = 0) -> None:
@@ -162,27 +155,8 @@ def _int64_copy(values) -> np.ndarray:
     return array
 
 
-def _flatten(lists: list) -> np.ndarray:
-    """int64 array of the concatenated per-iteration lists.
-
-    Raises ScheduleError unless every entry is a Python or numpy integer that
-    fits in int64; ``np.fromiter`` alone would truncate ``1.9`` to 1, and the
-    round trip alone would pass ``2.0`` and ``True``.
-    """
-    flat = list(chain.from_iterable(lists))
-    integral = all(
-        issubclass(kind, (int, np.integer)) and kind is not bool for kind in set(map(type, flat))
-    )
-    try:
-        array = np.fromiter(flat, np.int64, len(flat))
-    except (OverflowError, TypeError, ValueError):
-        array = None
-    if not integral or array is None or array.tolist() != flat:
-        raise ScheduleError("worker ids and sources must be 64-bit integers")
-    return array
-
-
 def _per_step(offsets: np.ndarray, flat: np.ndarray) -> tuple:
+    """Per-iteration tuples of ``flat``, for the views ``refreshed`` and ``source_iter``."""
     bounds, values = offsets.tolist(), flat.tolist()
     return tuple(tuple(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 

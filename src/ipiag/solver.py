@@ -174,8 +174,8 @@ def run(
     for w in range(W):
         blocks[w] = problem.block_gradient(partition[w], x0)
 
-    # ring buffer of recent x iterates; the checked table keeps every read within tau of k
-    ring = max(schedule.tau + 2, 2)
+    # ring of recent x iterates, sized by the checked table's staleness, not the declared tau
+    ring = int(stale.max(initial=0)) + 2
     x_hist = np.zeros((ring, problem.dimension))
     x_hist[0] = x0
     slots = list(x_hist)  # row views: a list index is cheaper than an array index

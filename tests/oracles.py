@@ -223,6 +223,12 @@ def uniform_single_lists(num_workers, tau, iters, seed):
     return refreshed, source_iter
 
 
+def flat(refreshed, source_iter):
+    """(offsets, workers, sources) as lists: the flat form of per-iteration lists."""
+    offsets = np.cumsum([0] + [len(ws) for ws in refreshed]).tolist()
+    return offsets, [w for ws in refreshed for w in ws], [v for ss in source_iter for v in ss]
+
+
 def refreshes(schedule, k):
     """(worker, source) pairs of iteration k, read from the schedule's flat arrays."""
     lo, hi = schedule.offsets[k], schedule.offsets[k + 1]
@@ -245,15 +251,16 @@ def max_staleness(schedule):
 def validate_schedule_lists(num_workers, tau, refreshed, source_iter):
     """Check hand-built schedule lists one entry at a time, in iteration order.
 
-    Raises the ScheduleError that ``DelaySchedule`` must raise for the first
-    offending iteration or entry; returns None for well-formed lists.
+    Raises the ScheduleError that ``DelaySchedule.from_jsonl`` must raise for
+    a file whose record k holds ``refreshed[k]`` and ``source_iter[k]``, for
+    the first offending iteration or entry; returns None for well-formed
+    lists.  The outer lists have the same length, as a file's records hold
+    both lists.
     """
     if num_workers < 1:
         raise ScheduleError("need at least one worker")
     if tau < 0:
         raise ScheduleError("tau must be nonnegative")
-    if len(refreshed) != len(source_iter):
-        raise ScheduleError("refreshed and source_iter must align")
     for k, (ws, ss) in enumerate(zip(refreshed, source_iter)):
         if len(ws) != len(ss):
             raise ScheduleError(f"iteration {k}: refresh lists must align")

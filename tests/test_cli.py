@@ -131,9 +131,12 @@ class TestCertify:
         ({"beta": None}, "beta is required"),
         ({"tau": None}, "tau is required"),
         ({"c1": "0.6"}, "momentum_fraction (c1) must be below 0.5 for t1, got 0.6"),
-    ], ids=["tau-1.5", "L-abc", "variant-bogus", "no-L", "no-beta", "no-tau", "c1-0.6"])
+        ({"tau": str(10**400)}, f"tau must lie in [0, 2**63), got {10**400}"),
+    ], ids=["tau-1.5", "L-abc", "variant-bogus", "no-L", "no-beta", "no-tau", "c1-0.6",
+            "tau-1e400"])
     def test_each_refusal_is_one_line_naming_the_flag(self, capsys, given, message):
-        # argparse refused the first six itself, with its usage text and a second line
+        # argparse refused the first six itself, with its usage text and a second line; a tau
+        # of 10**400 ended in a traceback when the threshold turned it into a float
         flags = {"L": "101", "beta": "2", "tau": "4", **given}
         rc = main(["certify", *(arg for flag, text in flags.items() if text is not None
                                 for arg in (f"--{flag}", text))])
@@ -451,6 +454,24 @@ class TestRun:
             summary = json.loads((out / "summary.json").read_text())
             assert summary["status"] == "diverged"
             assert summary["certificate"]["eta2_max"] == 0.0
+
+    def test_a_tau_beyond_any_int64_schedule_is_one_error_line(self, toy_file, tmp_path,
+                                                               capsys):
+        # the certificate turned 10**400 into a float and raised OverflowError, exit 1
+        rc = main(["run", "--problem", toy_file, "--alpha", "1e-3", "--tau", str(10**400),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: tau must lie in [0, 2**63), got {10**400}\n"
+
+    @pytest.mark.parametrize("problem", ["toy_file", "lasso_file"])
+    def test_a_declared_tau_beyond_memory_runs_in_what_it_reads(self, request, tmp_path,
+                                                                  problem):
+        # the iterate ring held tau + 2 iterates, so numpy was asked for petabytes, exit 1
+        rc = main(["run", "--problem", request.getfixturevalue(problem), "--alpha", "1e-3",
+                   "--tau", "100000000000000", "--iters", "10", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_OK
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["status"] == "ok"
 
     def test_non_finite_iterate_exits_as_diverged(self, toy_file, tmp_path, capsys):
         # alpha = 1e308 makes the first step non-finite before the guard can fire
@@ -857,8 +878,8 @@ class TestCompare:
         assert rc == EXIT_DIVERGED
         assert capsys.readouterr().err.startswith("error: config 'huge' diverged:")
 
-    @pytest.mark.parametrize("overrides, field", [
-        ({"iters": -1}, "iters"),
+    @pytest.mark.parametrize("overrides, field, interval", [
+        ({"iters": -1}, "iters", "[0, inf)"),
         # a lasso problem has no growth modulus, so no certificate rejects tau = -1 first
         ({
             "schedule": {"type": "uniform1", "tau": -1, "workers": 2},
@@ -866,9 +887,10 @@ class TestCompare:
                 LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1)
             ),
             "reference": {"alpha": 2e-3, "iters": 100},
-        }, "schedule.tau"),
+        }, "schedule.tau", "[0, 2**63)"),
     ], ids=["iters", "tau"])
-    def test_negative_tau_or_iters_is_a_config_error(self, tmp_path, capsys, overrides, field):
+    def test_negative_tau_or_iters_is_a_config_error(self, tmp_path, capsys, overrides, field,
+                                                     interval):
         spec = self._spec(
             tmp_path,
             [{"label": "a", "variant": "piag", "alpha": 1e-3},
@@ -876,7 +898,7 @@ class TestCompare:
             **overrides,
         )
         assert main(["compare", "--spec", spec]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: {field} must lie in [0, inf), got -1\n"
+        assert capsys.readouterr().err == f"error: {field} must lie in {interval}, got -1\n"
 
     @pytest.mark.parametrize(
         "source, path, types, value", _type_cases("integer", [1.5, "100", 2.0, True])

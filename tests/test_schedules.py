@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -16,17 +17,22 @@ from ipiag import (
 
 from ipiag.schedules import staleness_table
 
-from .oracles import max_staleness, uniform_single_lists, validate_schedule_lists
-
-
-def flat(refreshed, source_iter):
-    """(offsets, workers, sources) as lists: the flat form of per-iteration lists."""
-    offsets = np.cumsum([0] + [len(ws) for ws in refreshed]).tolist()
-    return offsets, [w for ws in refreshed for w in ws], [v for ss in source_iter for v in ss]
+from .oracles import flat, max_staleness, uniform_single_lists, validate_schedule_lists
 
 
 def arrays(schedule):
     return schedule.offsets.tolist(), schedule.workers.tolist(), schedule.sources.tolist()
+
+
+def write_jsonl(path, refreshed, source_iter):
+    """Write the JSONL schedule whose record k holds ``refreshed[k]`` and ``source_iter[k]``;
+    numpy integers are written as the JSON integers they hold."""
+    records = (
+        {"k": k, "refreshed": ws, "source_iter": ss}
+        for k, (ws, ss) in enumerate(zip(refreshed, source_iter))
+    )
+    path.write_text("".join(json.dumps(rec, default=int) + "\n" for rec in records))
+    return str(path)
 
 
 def test_synchronous_refreshes_everyone_at_the_current_iterate():
@@ -85,57 +91,45 @@ def test_uniform_single_never_exceeds_the_bound(workers, tau, seed):
 def test_hand_built_schedule_staleness_is_the_oldest_entry():
     # four workers, five iterations; worker 3 is never refreshed after the
     # initial table fill, so its entry ages to 4 by the last iteration
-    s = DelaySchedule.from_lists(
-        num_workers=4,
-        tau=4,
-        refreshed=[[0], [1], [0, 2], [1], [2]],
-        source_iter=[[0], [1], [2, 2], [3], [4]],
-    )
+    s = DelaySchedule(4, 4, *flat([[0], [1], [0, 2], [1], [2]], [[0], [1], [2, 2], [3], [4]]))
     assert max_observed_staleness(s) == 4
 
 
 def test_declared_bound_is_enforced_not_clamped():
-    s = DelaySchedule.from_lists(
-        num_workers=2,
-        tau=1,
-        refreshed=[[0], [0], [0]],
-        source_iter=[[0], [1], [2]],
-    )
+    s = DelaySchedule(2, 1, *flat([[0], [0], [0]], [[0], [1], [2]]))
     # worker 1 ages to 2 by k=2 while tau says 1
     with pytest.raises(ScheduleError):
         max_observed_staleness(s)
 
 
 def test_stale_sources_count_at_refresh_time():
-    s = DelaySchedule.from_lists(
-        num_workers=1,
-        tau=3,
-        refreshed=[[], [], [], [0]],
-        source_iter=[[], [], [], [0]],  # refresh at k=3 reads the x_0 iterate
-    )
+    # the refresh at k=3 reads the x_0 iterate
+    s = DelaySchedule(1, 3, *flat([[], [], [], [0]], [[], [], [], [0]]))
     assert max_observed_staleness(s) == 3
 
 
 class TestValidation:
     def test_misaligned_outer_lists(self):
+        # one iteration of worker ids and none of sources
         with pytest.raises(ScheduleError):
-            DelaySchedule.from_lists(2, 1, refreshed=[[0]], source_iter=[])
+            DelaySchedule(2, 1, *flat([[0]], []))
 
-    def test_misaligned_inner_lists(self):
+    def test_misaligned_inner_lists(self, tmp_path):
+        path = write_jsonl(tmp_path / "schedule.jsonl", [[0, 1]], [[0]])
         with pytest.raises(ScheduleError):
-            DelaySchedule.from_lists(2, 1, refreshed=[[0, 1]], source_iter=[[0]])
+            DelaySchedule.from_jsonl(path, 2, 1)
 
     def test_worker_out_of_range(self):
         with pytest.raises(ScheduleError):
-            DelaySchedule.from_lists(2, 1, refreshed=[[2]], source_iter=[[0]])
+            DelaySchedule(2, 1, *flat([[2]], [[0]]))
 
     def test_source_from_the_future(self):
         with pytest.raises(ScheduleError):
-            DelaySchedule.from_lists(2, 1, refreshed=[[0]], source_iter=[[1]])
+            DelaySchedule(2, 1, *flat([[0]], [[1]]))
 
     def test_negative_tau(self):
         with pytest.raises(ScheduleError):
-            DelaySchedule.from_lists(2, -1, refreshed=[], source_iter=[])
+            DelaySchedule(2, -1, *flat([], []))
 
     @pytest.mark.parametrize("make, message", [
         (lambda: schedule_synchronous(0, 5), "need at least one worker"),
@@ -170,7 +164,11 @@ class TestValidation:
 
 @st.composite
 def schedule_lists(draw):
-    """(num_workers, tau, refreshed, source_iter): valid lists with up to three defects."""
+    """(num_workers, tau, refreshed, source_iter): valid lists with up to three defects.
+
+    The two outer lists always have the same length: a JSONL file cannot hold
+    one without the other, since each record carries both lists of its iteration.
+    """
     workers = draw(st.integers(1, 4))
     # sampled_from draws evenly; st.integers leans to small values
     iters = draw(st.sampled_from(range(11)))
@@ -181,13 +179,8 @@ def schedule_lists(draw):
         source_iter.append(draw(st.lists(st.integers(0, k), min_size=n, max_size=n)))
     for _ in range(draw(st.sampled_from(range(4))) if iters else 0):
         k = draw(st.sampled_from(range(iters)))
-        defect = draw(st.sampled_from(["worker", "source", "inner", "outer"]))
-        if defect == "outer":
-            source_iter.pop()
-            iters -= 1
-            if not iters:
-                break
-        elif defect == "inner":
+        defect = draw(st.sampled_from(["worker", "source", "inner"]))
+        if defect == "inner":
             if source_iter[k] and draw(st.booleans()):
                 source_iter[k].pop()
             else:
@@ -211,39 +204,50 @@ def schedule_lists(draw):
 @example((2, 3, [[0]] * 6, [[0]] * 5 + [[6]]))
 # numpy integers are integers too
 @example((2, 1, [[np.int32(0)], [np.uint8(1)]], [[0], [np.int64(1)]]))
-def test_validation_raises_what_the_entry_by_entry_check_raises(case):
+def test_validation_raises_what_the_entry_by_entry_check_raises(tmp_path_factory, case):
+    workers, tau, refreshed, source_iter = case
+    path = write_jsonl(tmp_path_factory.getbasetemp() / "cases.jsonl", refreshed, source_iter)
     try:
         validate_schedule_lists(*case)
     except ScheduleError as exc:
         with pytest.raises(ScheduleError) as got:
-            DelaySchedule.from_lists(*case)
+            DelaySchedule.from_jsonl(path, workers, tau)
         assert str(got.value) == str(exc)
         # where the lists align, their flat arrays are refused with the same message
-        workers, tau, refreshed, source_iter = case
         if list(map(len, refreshed)) == list(map(len, source_iter)):
             with pytest.raises(ScheduleError) as got:
                 DelaySchedule(workers, tau, *flat(refreshed, source_iter))
             assert str(got.value) == str(exc)
     else:
-        s = DelaySchedule.from_lists(*case)
-        _, _, refreshed, source_iter = case
+        s = DelaySchedule.from_jsonl(path, workers, tau)
         assert arrays(s) == flat(refreshed, source_iter)
         # the array constructor takes the same schedule as its flat arrays
         assert arrays(DelaySchedule(s.num_workers, s.tau, *arrays(s))) == arrays(s)
 
 
 @pytest.mark.parametrize("entry", [1.5, "1", 2**63, 2.0, True])
-def test_entries_must_be_64_bit_integers(entry):
-    with pytest.raises(ScheduleError, match="must be 64-bit integers"):
-        DelaySchedule.from_lists(2, 1, refreshed=[[0], [entry]], source_iter=[[0], [1]])
-    with pytest.raises(ScheduleError, match="must be 64-bit integers"):
-        DelaySchedule.from_lists(2, 1, refreshed=[[0], [1]], source_iter=[[0], [entry]])
-    # every entry is checked to be an integer before any is checked to be in range,
-    # so a truncated 1.5 never reaches a range message and an earlier bad id never wins
-    with pytest.raises(ScheduleError, match="must be 64-bit integers"):
-        DelaySchedule.from_lists(1, 0, refreshed=[[entry]], source_iter=[[0]])
-    with pytest.raises(ScheduleError, match="must be 64-bit integers"):
-        DelaySchedule.from_lists(2, 1, refreshed=[[5], [entry]], source_iter=[[0], [1]])
+def test_entries_must_be_64_bit_integers(tmp_path, entry):
+    for case, where in [
+        ((2, 1, [[0], [entry]], [[0], [1]]), "records[1].refreshed"),
+        ((2, 1, [[0], [1]], [[0], [entry]]), "records[1].source_iter"),
+        # every entry is checked to be an integer before any is checked to be in range,
+        # so a truncated 1.5 never reaches a range message and an earlier bad id never wins
+        ((1, 0, [[entry]], [[0]]), "records[0].refreshed"),
+        ((2, 1, [[5], [entry]], [[0], [1]]), "records[1].refreshed"),
+    ]:
+        num_workers, tau, refreshed, source_iter = case
+        path = write_jsonl(tmp_path / "schedule.jsonl", refreshed, source_iter)
+        with pytest.raises(ValueError) as got:
+            DelaySchedule.from_jsonl(path, num_workers, tau)
+        # the row refuses what is not a JSON integer; the arrays refuse what int64 cannot hold
+        if type(entry) is int:
+            assert type(got.value) is ScheduleError
+            assert str(got.value) == "worker ids and sources must be 64-bit integers"
+        else:
+            assert type(got.value) is ValueError
+            assert str(got.value) == (
+                f"{where} must be a JSON list of integers, got {json.dumps([entry])}"
+            )
 
 
 def test_a_schedule_is_frozen_and_its_arrays_read_only():
@@ -301,6 +305,20 @@ def test_jsonl_rejects_out_of_order_records(tmp_path):
         DelaySchedule.from_jsonl(str(path), num_workers=1, tau=5)
 
 
+@pytest.mark.parametrize("line, reason", [
+    ('{"k": 1, "refreshed": [0], "source_iter": [1]', "Expecting ',' delimiter: line 1"),
+    ("[" * 100000, "maximum recursion depth exceeded"),
+], ids=["not-json", "nested-too-deep"])
+def test_a_line_that_does_not_decode_names_its_record(tmp_path, line, reason):
+    # json.loads raised a bare JSONDecodeError or RecursionError that named no record
+    path = tmp_path / "schedule.jsonl"
+    path.write_text('{"k": 0, "refreshed": [0], "source_iter": [0]}\n\n' + line + "\n")
+    with pytest.raises(ValueError) as got:
+        DelaySchedule.from_jsonl(str(path), num_workers=1, tau=5)
+    assert type(got.value) is ValueError
+    assert str(got.value).startswith(f"records[1] is not JSON: {reason}"), str(got.value)
+
+
 @pytest.mark.parametrize("refreshed, source_iter", [
     ("[1.5]", "[0.9]"),
     ("[1.5]", "[0]"),
@@ -313,11 +331,14 @@ def test_jsonl_entries_that_are_not_integers_are_rejected_not_truncated(
     tmp_path, refreshed, source_iter
 ):
     # truncated, [1.5] / [0.9] would read as worker 1 and source 0; 2.0 and true are
-    # value-equal to 2 and 1 but are not JSON integers
+    # value-equal to 2 and 1 but are not JSON integers.  The first row that refuses is named
     path = tmp_path / "schedule.jsonl"
     path.write_text(f'{{"k": 0, "refreshed": {refreshed}, "source_iter": {source_iter}}}\n')
-    with pytest.raises(ScheduleError, match="must be 64-bit integers"):
+    field, value = ("source_iter", source_iter) if refreshed == "[1]" else ("refreshed", refreshed)
+    with pytest.raises(ValueError) as got:
         DelaySchedule.from_jsonl(str(path), num_workers=2, tau=0)
+    assert type(got.value) is ValueError
+    assert str(got.value) == f"records[0].{field} must be a JSON list of integers, got {value}"
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4, 7])
@@ -348,7 +369,7 @@ def test_max_staleness_of_hand_built_schedules_equals_the_numpy_form(workers, ta
         ws = rng.choice(workers, size=rng.integers(0, workers + 1), replace=True).tolist()
         refreshed.append(ws)
         sources.append([int(rng.integers(max(0, k - tau - 1), k + 1)) for _ in ws])
-    s = DelaySchedule.from_lists(workers, tau, refreshed, sources)
+    s = DelaySchedule(workers, tau, *flat(refreshed, sources))
     try:
         expected = max_staleness(s)
     except ScheduleError as exc:

@@ -23,7 +23,7 @@ from ipiag import (
     sweep,
 )
 
-from .oracles import inertial_replay, same_bits, toy_prox_grad_reference, trace_csv
+from .oracles import flat, inertial_replay, same_bits, toy_prox_grad_reference, trace_csv
 
 
 def quadratic_1d(l=4.0):
@@ -87,13 +87,10 @@ REPLAY_PROBLEMS = {
 
 def transit_schedule(workers, tau, iters):
     """Every worker refreshes every step, reading an iterate 1..tau steps old."""
-    return DelaySchedule.from_lists(
-        workers,
-        tau,
-        refreshed=[list(range(workers)) for _ in range(iters)],
-        source_iter=[[max(0, k - 1 - (k + w) % tau) for w in range(workers)]
-                     for k in range(iters)],
-    )
+    return DelaySchedule(workers, tau, *flat(
+        [list(range(workers)) for _ in range(iters)],
+        [[max(0, k - 1 - (k + w) % tau) for w in range(workers)] for k in range(iters)],
+    ))
 
 
 REPLAY_SCHEDULES = {
@@ -181,12 +178,7 @@ def test_zero_eta1_steps_from_x_itself():
 def test_aging_past_tau_is_rejected_before_the_first_block_gradient():
     # worker 3 is never refreshed, so its entry is 49 steps old at k = 49 while tau says 2
     K = 50
-    schedule = DelaySchedule.from_lists(
-        num_workers=4,
-        tau=2,
-        refreshed=[[k % 3] for k in range(K)],
-        source_iter=[[k] for k in range(K)],
-    )
+    schedule = DelaySchedule(4, 2, *flat([[k % 3] for k in range(K)], [[k] for k in range(K)]))
     prob = make_toy(ToySpec(num_components=8))
     calls = []
 
@@ -500,6 +492,24 @@ def test_stale_reads_use_the_recorded_source_iterate():
     # staleness kicks in, and the stale one must still make progress
     assert np.max(np.abs(tr_sync.z[-1] - tr_stale.z[-1])) > 0.0
     assert tr_stale.phi[-1] - tr_stale.phi_star < tr_stale.phi[0] - tr_stale.phi_star
+
+
+@pytest.mark.parametrize("schedule_kind", sorted(REPLAY_SCHEDULES))
+def test_the_iterate_ring_is_sized_by_the_staleness_the_run_sees(schedule_kind):
+    # the ring held tau + 2 iterates, so a declared tau of 10**14 asked numpy for petabytes;
+    # no read is older than the staleness table shows, and the run keeps the replay's bits
+    prob = make_toy(ToySpec(num_components=8))
+    K, W = 60, 4
+    tight = REPLAY_SCHEDULES[schedule_kind](W, K)
+    loose = DelaySchedule(W, 10**14, tight.offsets, tight.workers, tight.sources)
+    alpha, eta1, eta2 = 0.5 / prob.total_lipschitz, 0.3, 0.2
+    x0 = np.random.default_rng(11).standard_normal(prob.dimension)
+    trace = run(prob, SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=K), loose, x0)
+    x_ref, phi_star = prob.known_optimum
+    want = inertial_replay(prob, alpha, eta1, eta2, tight, x0, K, x_ref, phi_star)
+    for field in ("phi", "dist2", "psi", "z", "x_final", "z_final"):
+        assert same_bits(getattr(trace, field), want[field]), field
+    assert np.array_equal(trace.staleness, want["staleness"])
 
 
 def test_csv_export_and_float_precision(tmp_path):
