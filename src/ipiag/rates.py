@@ -491,7 +491,7 @@ def verify_linear_bound(trace: Trace, cert: RateCertificate) -> BoundReport:
     the squared distance (scaled by 2 alpha / (1 - eta1), +inf at
     eta1 = 1).  The certificate must be the run's own: its alpha, eta1 and
     eta2 equal the trace's, so the trace's psi is the Lyapunov value the
-    certificate speaks of.
+    certificate speaks of, and its tau is at least the run's staleness.
     """
     if trace.phi_star is None or trace.x_ref is None:
         raise ValueError("trace lacks a reference point / optimal value")
@@ -499,6 +499,9 @@ def verify_linear_bound(trace: Trace, cert: RateCertificate) -> BoundReport:
         raise ValueError("need at least two records")
     if (cert.alpha, cert.eta1, cert.eta2) != (trace.alpha, trace.eta1, trace.eta2):
         raise ValueError("certificate alpha, eta1 or eta2 differs from the run's")
+    tau, staleness = cert.inputs.delay, int(trace.staleness.max(initial=0))
+    if tau < staleness:
+        raise ValueError(f"certificate tau {tau} is below the run's staleness {staleness}")
     alpha, eta1, rho = cert.alpha, cert.eta1, cert.rho
     psi = trace.psi
     constant = float(psi[1] + rho * psi[0] + trace.step_norm2[1] / (4.0 * alpha))

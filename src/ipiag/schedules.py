@@ -3,8 +3,8 @@
 A schedule lists, for each master iteration k, which workers hand in a fresh
 block gradient and which stored iterate each refresh was evaluated at.  The
 solver replays the schedule deterministically, which makes asynchronous runs
-exactly reproducible; ``staleness_table`` checks that the staleness of every
-table entry stays within the declared bound ``tau``.
+exactly reproducible; a schedule checks when it is built that the staleness
+of every table entry stays within the declared bound ``tau``, and keeps it.
 
 Conventions
 -----------
@@ -42,9 +42,12 @@ class DelaySchedule:
     The schedule is three int64 arrays: the refreshes of iteration k are
     entries ``offsets[k]:offsets[k + 1]`` of ``workers`` (the worker ids) and
     ``sources`` (the iterate each refresh reads).  Construction checks them
-    once and keeps read-only copies; the schedule is frozen.  This is the
-    only constructor: the generators and ``from_jsonl`` build the arrays and
-    call it.
+    once, refusing the first entry out of range, then the first iteration
+    that refreshes a worker twice, then a staleness above ``tau``, and keeps
+    read-only copies; the schedule is frozen.  The generators and
+    ``from_jsonl`` build the arrays and call this, the only constructor.
+    ``staleness`` is the int64 table in ``Trace`` layout: row k + 1 holds k
+    minus each entry's source (0 until its first refresh) after step k.
     """
 
     num_workers: int
@@ -52,6 +55,7 @@ class DelaySchedule:
     offsets: np.ndarray = field(repr=False)
     workers: np.ndarray = field(repr=False)
     sources: np.ndarray = field(repr=False)
+    staleness: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_sizes(self.num_workers, self.tau)
@@ -73,7 +77,27 @@ class DelaySchedule:
             if bad_worker[i]:
                 raise ScheduleError(f"iteration {steps[i]}: worker id {workers[i]} out of range")
             raise ScheduleError(f"iteration {steps[i]}: source {sources[i]} out of range")
-        for name, array in (("offsets", offsets), ("workers", workers), ("sources", sources)):
+        # the flat position of each entry's latest refresh, filled down the table in place
+        table = np.full((len(offsets), self.num_workers), -1, dtype=np.int64)
+        position = np.arange(len(steps))
+        table[steps + 1, workers] = position
+        lost = np.flatnonzero(table[steps + 1, workers] != position)  # a repeated (step, worker)
+        if lost.size:
+            k, seen = steps[lost[0]], set()
+            ws = workers[offsets[k]:offsets[k + 1]].tolist()
+            w = next(w for w in ws if w in seen or seen.add(w))  # the first one seen again
+            raise ScheduleError(f"iteration {k}: worker {w} refreshes twice")
+        np.maximum.accumulate(table, axis=0, out=table)
+        # position -1 (never refreshed, and all of row 0) wraps to the appended source 0; a
+        # "wrap" take is unbuffered, and each cell's position is read before its source is written
+        np.take(np.append(sources, 0), table, out=table, mode="wrap")
+        np.subtract(np.arange(len(offsets) - 1)[:, None], table[1:], out=table[1:])
+        worst = int(table.max(initial=0))
+        if worst > self.tau:
+            raise ScheduleError(f"observed staleness {worst} exceeds declared tau {self.tau}")
+        table.flags.writeable = False
+        for name, array in (("offsets", offsets), ("workers", workers), ("sources", sources),
+                            ("staleness", table)):
             object.__setattr__(self, name, array)
 
     @cached_property
@@ -91,13 +115,10 @@ class DelaySchedule:
         return len(self.offsets) - 1
 
     def to_jsonl(self, path: str) -> None:
-        bounds = self.offsets.tolist()
-        workers, sources = self.workers.tolist(), self.sources.tolist()
+        steps = zip(_per_step(self.offsets, self.workers), _per_step(self.offsets, self.sources))
         with open(path, "w", encoding="utf-8") as fh:
-            for k in range(self.iterations):
-                lo, hi = bounds[k], bounds[k + 1]
-                record = {"k": k, "refreshed": workers[lo:hi], "source_iter": sources[lo:hi]}
-                fh.write(json.dumps(record) + "\n")
+            for k, (ws, ss) in enumerate(steps):
+                fh.write(json.dumps({"k": k, "refreshed": ws, "source_iter": ss}) + "\n")
 
     @classmethod
     def from_jsonl(cls, path: str, num_workers: int, tau: int) -> "DelaySchedule":
@@ -228,31 +249,6 @@ def schedule_uniform_single(
     )
 
 
-def staleness_table(schedule: DelaySchedule, iters: int) -> np.ndarray:
-    """``(iters, num_workers)`` int64 staleness of every gradient-table entry.
-
-    Row k holds k minus each entry's source iterate after the refreshes of
-    step k (source 0 until the first refresh; of two refreshes of a worker
-    in one step the last wins), so aging between refreshes counts too.
-    Raises ScheduleError if the declared ``tau`` is ever exceeded; bounds
-    are enforced, never clamped.
-    """
-    n = schedule.offsets[iters]
-    steps = np.repeat(np.arange(iters), np.diff(schedule.offsets[: iters + 1]))
-    workers = schedule.workers[:n]
-    # a trailing 0 is the source of entries never refreshed (position -1 below)
-    sources = np.append(schedule.sources[:n], 0)
-    # flat position of each entry's latest refresh; later positions win within a step
-    last = np.full((iters, schedule.num_workers), -1, dtype=np.int64)
-    np.maximum.at(last, (steps, workers), np.arange(len(steps)))
-    np.maximum.accumulate(last, axis=0, out=last)
-    table = np.arange(iters)[:, None] - sources[last]
-    worst = int(table.max(initial=0))
-    if worst > schedule.tau:
-        raise ScheduleError(f"observed staleness {worst} exceeds declared tau {schedule.tau}")
-    return table
-
-
 def max_observed_staleness(schedule: DelaySchedule) -> int:
-    """Largest entry of the schedule's whole ``staleness_table``."""
-    return int(staleness_table(schedule, schedule.iterations).max(initial=0))
+    """Largest entry of the schedule's ``staleness`` table."""
+    return int(schedule.staleness.max(initial=0))

@@ -29,7 +29,7 @@ from .core import (
     evaluate_objective,
     record_objective,
 )
-from .schedules import DelaySchedule, staleness_table
+from .schedules import DelaySchedule
 
 DIVERGENCE_FACTOR = 1e12
 # printf format of every float written to a CSV: 17 significant digits read back to the same double
@@ -95,7 +95,7 @@ class Trace:
     dist2: Array
     psi: Array
     step_norm2: Array
-    staleness: Array  # (records, num_workers)
+    staleness: Array  # (records, num_workers): a read-only view of the schedule's table
     alpha: float
     eta1: float
     eta2: float
@@ -143,10 +143,10 @@ def run(
     The gradient table is initialized with every block evaluated at x0.
     Refreshes for iteration k are applied before aggregation, reading the
     stored iterate named by the schedule (current iterate for generated
-    schedules).  Raises ScheduleError before the first step if any table
-    entry would grow older than the schedule's tau (``staleness_table``).
-    Aborts with DivergenceError if the objective exceeds its initial value
-    by more than DIVERGENCE_FACTOR (relative guard).
+    schedules).  The schedule checked its staleness against tau when it was
+    built, and ``Trace.staleness`` is a view of its rows.  Aborts with
+    DivergenceError if the objective exceeds its initial value by more than
+    DIVERGENCE_FACTOR (relative guard).
 
     When the problem has a known optimum it is used as the reference point
     for dist2/psi unless ``x_ref`` overrides it.  If ``x_ref`` is given
@@ -159,12 +159,13 @@ def run(
     if schedule.iterations < K:
         raise ValueError("schedule is shorter than max_iters")
     W = schedule.num_workers
-    stale = np.zeros((K + 1, W), dtype=np.int64)
-    stale[1:] = staleness_table(schedule, K)
+    stale = schedule.staleness[: K + 1]
     if x_ref is None and problem.known_optimum is not None:
         x_ref, phi_star = problem.known_optimum
     if x_ref is not None:
         x_ref = np.asarray(x_ref, dtype=float)
+        if x_ref.shape != x0.shape:
+            raise ValueError(f"x_ref has shape {x_ref.shape}, expected {x0.shape}")
         if phi_star is None:
             phi_star = evaluate_objective(problem, x_ref)
 
@@ -252,9 +253,8 @@ def run(
             break
 
     n = executed + 1
-    psi = np.full(n, np.nan)
-    if x_ref is not None:
-        psi = lyapunov_value(phi[:n], dist2[:n], phi_star, alpha, eta1)
+    psi = (np.full(n, np.nan) if x_ref is None
+           else lyapunov_value(phi[:n], dist2[:n], phi_star, alpha, eta1))
     return Trace(
         k=np.arange(n),
         phi=phi[:n],
@@ -268,7 +268,7 @@ def run(
         x_final=x.copy(),
         z_final=z.copy(),
         phi_star=None if phi_star is None else float(phi_star),
-        x_ref=None if x_ref is None else np.asarray(x_ref, dtype=float).copy(),
+        x_ref=None if x_ref is None else x_ref.copy(),
         z=None if zs is None else zs[:n],
     )
 

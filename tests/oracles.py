@@ -235,40 +235,58 @@ def refreshes(schedule, k):
     return zip(schedule.workers[lo:hi].tolist(), schedule.sources[lo:hi].tolist())
 
 
-def max_staleness(schedule):
-    """Largest table-entry staleness over a replay; ScheduleError past tau."""
-    sources = np.zeros(schedule.num_workers, dtype=int)
+def worst_staleness(num_workers, steps):
+    """Largest table-entry staleness over a replay of per-iteration (worker, source) pairs."""
+    sources = np.zeros(num_workers, dtype=int)
     worst = 0
-    for k in range(schedule.iterations):
-        for w, s in refreshes(schedule, k):
+    for k, pairs in enumerate(steps):
+        for w, s in pairs:
             sources[w] = s
         worst = max(worst, int(np.max(k - sources)))
-    if worst > schedule.tau:
-        raise ScheduleError(f"observed staleness {worst} exceeds declared tau {schedule.tau}")
     return worst
 
 
+def max_staleness(schedule):
+    """Largest table-entry staleness over a replay of the schedule's flat arrays."""
+    return worst_staleness(schedule.num_workers,
+                           (refreshes(schedule, k) for k in range(schedule.iterations)))
+
+
 def validate_schedule_lists(num_workers, tau, refreshed, source_iter):
-    """Check hand-built schedule lists one entry at a time, in iteration order.
+    """Check hand-built schedule lists one rule at a time, in the constructor's order.
 
     Raises the ScheduleError that ``DelaySchedule.from_jsonl`` must raise for
-    a file whose record k holds ``refreshed[k]`` and ``source_iter[k]``, for
-    the first offending iteration or entry; returns None for well-formed
-    lists.  The outer lists have the same length, as a file's records hold
-    both lists.
+    a file whose record k holds ``refreshed[k]`` and ``source_iter[k]``;
+    returns None for well-formed lists.  The records ahead of the first one
+    whose two lists differ in length are checked first, as a schedule: the
+    first entry out of range, then the first iteration that refreshes a
+    worker twice (naming the worker whose second refresh comes first), then
+    the largest staleness against ``tau``.  The outer lists have the same
+    length, as a file's records hold both lists.
     """
     if num_workers < 1:
         raise ScheduleError("need at least one worker")
     if tau < 0:
         raise ScheduleError("tau must be nonnegative")
-    for k, (ws, ss) in enumerate(zip(refreshed, source_iter)):
-        if len(ws) != len(ss):
-            raise ScheduleError(f"iteration {k}: refresh lists must align")
-        for w, s in zip(ws, ss):
+    pairs = [list(zip(ws, ss)) for ws, ss in zip(refreshed, source_iter)]
+    aligned = [len(ws) == len(ss) for ws, ss in zip(refreshed, source_iter)]
+    prefix = pairs[: aligned.index(False)] if False in aligned else pairs
+    for k, step in enumerate(prefix):
+        for w, s in step:
             if not 0 <= w < num_workers:
                 raise ScheduleError(f"iteration {k}: worker id {w} out of range")
             if not 0 <= s <= k:
                 raise ScheduleError(f"iteration {k}: source {s} out of range")
+    for k, step in enumerate(prefix):
+        ws = [w for w, _ in step]
+        for i, w in enumerate(ws):
+            if w in ws[:i]:
+                raise ScheduleError(f"iteration {k}: worker {w} refreshes twice")
+    worst = worst_staleness(num_workers, prefix)
+    if worst > tau:
+        raise ScheduleError(f"observed staleness {worst} exceeds declared tau {tau}")
+    if len(prefix) < len(pairs):
+        raise ScheduleError(f"iteration {len(prefix)}: refresh lists must align")
 
 
 def trace_csv(trace, fmt):

@@ -376,6 +376,20 @@ class TestLinearBound:
         with pytest.raises(ValueError, match="differs from the run's"):
             verify_linear_bound(trace, other)
 
+    def test_certificate_for_a_smaller_delay_is_refused(self):
+        # a certificate computed for fresher gradients than the run read promises nothing
+        trace, cert = self._toy_trace()
+        assert int(trace.staleness.max()) == 2
+        for delay in (0, 1, 2, 3):
+            other = certificate_for("t1", dataclasses.replace(cert.inputs, delay=delay),
+                                    alpha=cert.alpha, eta1=cert.eta1, eta2=cert.eta2)
+            if delay < 2:
+                message = f"^certificate tau {delay} is below the run's staleness 2$"
+                with pytest.raises(ValueError, match=message):
+                    verify_linear_bound(trace, other)
+            else:
+                assert verify_linear_bound(trace, other).ok
+
     def test_dist2_envelope_is_the_scaled_psi_envelope(self):
         trace, cert = self._toy_trace()
         rep = verify_linear_bound(trace, cert)

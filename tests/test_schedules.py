@@ -15,8 +15,6 @@ from ipiag import (
     schedule_uniform_single,
 )
 
-from ipiag.schedules import staleness_table
-
 from .oracles import flat, max_staleness, uniform_single_lists, validate_schedule_lists
 
 
@@ -96,10 +94,28 @@ def test_hand_built_schedule_staleness_is_the_oldest_entry():
 
 
 def test_declared_bound_is_enforced_not_clamped():
-    s = DelaySchedule(2, 1, *flat([[0], [0], [0]], [[0], [1], [2]]))
     # worker 1 ages to 2 by k=2 while tau says 1
     with pytest.raises(ScheduleError):
-        max_observed_staleness(s)
+        DelaySchedule(2, 1, *flat([[0], [0], [0]], [[0], [1], [2]]))
+
+
+def test_a_worker_refreshed_twice_in_one_step_is_refused():
+    # the first refresh of step 5 reads x_0, five steps stale under tau = 0; a table that kept
+    # only the last refresh never checked it, and the run spent a block gradient on it
+    with pytest.raises(ScheduleError, match="^iteration 5: worker 0 refreshes twice$"):
+        DelaySchedule(1, 0, [0, 1, 2, 3, 4, 5, 7], [0] * 7, [0, 1, 2, 3, 4, 0, 5])
+
+
+def test_the_staleness_table_is_held_read_only_in_trace_layout():
+    s = DelaySchedule(3, 3, *flat([[0], [1, 2], [], [0]], [[0], [0, 1], [], [3]]))
+    assert s.staleness.dtype == np.int64
+    assert s.staleness.tolist() == [[0, 0, 0], [0, 0, 0], [1, 1, 0], [2, 2, 1], [0, 3, 2]]
+    with pytest.raises(ValueError):
+        s.staleness[1, 0] = 9
+    # worker 1 is 3 steps stale only in the last row, which a run of 3 steps never reads, and
+    # tau = 2 is refused all the same
+    with pytest.raises(ScheduleError, match="^observed staleness 3 exceeds declared tau 2$"):
+        DelaySchedule(3, 2, s.offsets, s.workers, s.sources)
 
 
 def test_stale_sources_count_at_refresh_time():
@@ -164,7 +180,9 @@ class TestValidation:
 
 @st.composite
 def schedule_lists(draw):
-    """(num_workers, tau, refreshed, source_iter): valid lists with up to three defects.
+    """(num_workers, tau, refreshed, source_iter): lists in range with up to three defects.
+
+    The lists in range may already refresh a worker twice in a step or age past ``tau``.
 
     The two outer lists always have the same length: a JSONL file cannot hold
     one without the other, since each record carries both lists of its iteration.
@@ -179,8 +197,12 @@ def schedule_lists(draw):
         source_iter.append(draw(st.lists(st.integers(0, k), min_size=n, max_size=n)))
     for _ in range(draw(st.sampled_from(range(4))) if iters else 0):
         k = draw(st.sampled_from(range(iters)))
-        defect = draw(st.sampled_from(["worker", "source", "inner"]))
-        if defect == "inner":
+        defect = draw(st.sampled_from(["worker", "source", "inner", "twice"]))
+        if defect == "twice":
+            if refreshed[k]:
+                refreshed[k].append(draw(st.sampled_from(refreshed[k])))
+                source_iter[k].append(k)
+        elif defect == "inner":
             if source_iter[k] and draw(st.booleans()):
                 source_iter[k].pop()
             else:
@@ -191,7 +213,8 @@ def schedule_lists(draw):
             if entries:
                 entries[draw(st.sampled_from(range(len(entries))))] = draw(st.sampled_from(bad))
     workers = draw(st.sampled_from([workers] * 6 + [0, -1]))
-    tau = draw(st.sampled_from([0, 1, 2, 3, 3, 3, -1]))
+    # tau = 10 is never exceeded by 10 steps, so the lists that pass the other checks build
+    tau = draw(st.sampled_from([0, 1, 2, 3, 3, 3, 10, 10, -1]))
     return workers, tau, refreshed, source_iter
 
 
@@ -204,6 +227,15 @@ def schedule_lists(draw):
 @example((2, 3, [[0]] * 6, [[0]] * 5 + [[6]]))
 # numpy integers are integers too
 @example((2, 1, [[np.int32(0)], [np.uint8(1)]], [[0], [np.int64(1)]]))
+# a bad entry anywhere comes before a worker refreshed twice, which comes before tau, and each
+# comes before the misaligned lists of a later iteration
+@example((2, 3, [[0, 0], [0, 5]], [[0, 0], [1, 1]]))
+@example((2, 0, [[0], [0, 0]], [[0], [1, 1]]))
+@example((2, 3, [[0, 0], [0]], [[0, 0], []]))
+@example((1, 0, [[0], [], [0]], [[0], [], []]))
+# the worker whose second refresh comes first is named
+@example((2, 3, [[1, 0, 1, 0]], [[0, 0, 0, 0]]))
+@example((1, 0, [[0]] * 5 + [[0, 0]], [[0], [1], [2], [3], [4], [0, 5]]))
 def test_validation_raises_what_the_entry_by_entry_check_raises(tmp_path_factory, case):
     workers, tau, refreshed, source_iter = case
     path = write_jsonl(tmp_path_factory.getbasetemp() / "cases.jsonl", refreshed, source_iter)
@@ -263,19 +295,19 @@ def test_a_schedule_is_frozen_and_its_arrays_read_only():
 
 def test_edits_to_the_lists_after_construction_are_not_seen(tmp_path):
     s = schedule_uniform_single(4, 2, 20, seed=0)
-    table = staleness_table(s, 20)
+    table = s.staleness
     # the per-iteration views are tuples
     with pytest.raises(TypeError):
         s.source_iter[3] = [7]
     with pytest.raises(TypeError):
         s.refreshed[5][0] = 9
-    assert np.array_equal(staleness_table(s, 20), table)
+    assert np.array_equal(s.staleness, table)
     # the constructor keeps its own copies, so edits to the arrays passed in are not seen
     passed = [a.copy() for a in (s.offsets, s.workers, s.sources)]
     s = DelaySchedule(4, 2, *passed)
     passed[2][3] = 7
     passed[1][5] = 9
-    assert np.array_equal(staleness_table(s, 20), table)
+    assert np.array_equal(s.staleness, table)
     path = tmp_path / "schedule.jsonl"
     s.to_jsonl(str(path))
     back = DelaySchedule.from_jsonl(str(path), num_workers=4, tau=2)
@@ -362,18 +394,18 @@ def test_uniform_single_equals_the_numpy_form(workers, tau, iters):
 @given(st.integers(1, 5), st.integers(0, 4), st.integers(0, 60), st.integers(0, 2**32))
 def test_max_staleness_of_hand_built_schedules_equals_the_numpy_form(workers, tau, iters, seed):
     # random workers reading random past iterates: transit delay and tau violations; workers
-    # are drawn with replacement, so one may refresh twice in a step and the last refresh wins
+    # are drawn with replacement, so one may refresh twice in a step, which is refused
     rng = np.random.default_rng(seed)
     refreshed, sources = [], []
     for k in range(iters):
         ws = rng.choice(workers, size=rng.integers(0, workers + 1), replace=True).tolist()
         refreshed.append(ws)
         sources.append([int(rng.integers(max(0, k - tau - 1), k + 1)) for _ in ws])
-    s = DelaySchedule(workers, tau, *flat(refreshed, sources))
     try:
-        expected = max_staleness(s)
+        validate_schedule_lists(workers, tau, refreshed, sources)
     except ScheduleError as exc:
         with pytest.raises(ScheduleError, match=str(exc)):
-            max_observed_staleness(s)
+            DelaySchedule(workers, tau, *flat(refreshed, sources))
     else:
-        assert max_observed_staleness(s) == expected
+        s = DelaySchedule(workers, tau, *flat(refreshed, sources))
+        assert max_observed_staleness(s) == max_staleness(s)

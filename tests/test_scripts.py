@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import importlib.util
 import pathlib
@@ -55,9 +56,26 @@ def _digests(directory):
             for path in sorted(directory.glob("*.csv"))}
 
 
-# SHA-256 of each CSV the scripts write at 200 iterations, taken before both scripts ran their
-# configs through ipiag.solver.sweep.  np.dot goes through BLAS, whose kernel is picked per
-# CPU, so a digest holds on the numpy build and CPU family it was taken on (x86-64, numpy 2.4)
+def blas_kernel():
+    """Name of the kernel numpy's OpenBLAS runs on this CPU, such as ``SkylakeX``, or None.
+
+    OpenBLAS picks its kernel when it loads (``OPENBLAS_CORETYPE`` forces one), so the build
+    string of ``numpy.show_config`` does not name it; the scipy-openblas library that numpy
+    wheels bundle in ``numpy.libs`` reports it.
+    """
+    libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+# SHA-256 of each CSV the scripts write at 200 iterations, taken with numpy 2.4's OpenBLAS
+# wheel before both scripts ran their configs through ipiag.solver.sweep.  The toy CSVs held
+# under every kernel tried.  The lasso CSV's bytes depend on the OpenBLAS kernel (its matrix
+# products go through BLAS), so it is pinned per kernel, each taken with the kernel forced
 TOY_FIGURE_CSVS = {
     "toy_double_inertia.csv": "c472e78b7f5d2427997d2b73aa1404926abe3521f24b5a60fdf88d3304e9e12a",
     "toy_plain.csv": "e6453aeaf7d5959ba8c214ac052ab39531720f8317ed2fabc478e162695cae6b",
@@ -65,7 +83,12 @@ TOY_FIGURE_CSVS = {
     "toy_pre_inertia.csv": "ad08d259dfc93c1d2321a33a969533f3bd721d66ea4e129014b73cf9a6abdb18",
 }
 LASSO_FIGURE_CSVS = {
-    "lasso_mean_error.csv": "d5a48cf45ece59cc51c9cb52021693a953edfd9a2f48165e8992045eab162c1c",
+    "SkylakeX": {
+        "lasso_mean_error.csv": "d5a48cf45ece59cc51c9cb52021693a953edfd9a2f48165e8992045eab162c1c",
+    },
+    "Haswell": {
+        "lasso_mean_error.csv": "e8ccdd6c4fbf8b4a4f2a5751558893b52033241a379897c64a816f02f7ec8492",
+    },
 }
 
 
@@ -87,7 +110,10 @@ def test_toy_figure_keeps_the_bytes_of_its_csvs(monkeypatch, tmp_path, capsys):
 def test_lasso_figure_keeps_the_bytes_of_its_csv(tmp_path, capsys):
     script = _load("lasso_figure")
     script.main(["--iters", "200", "--seeds", "2", "--out", str(tmp_path)])
-    assert _digests(tmp_path) == LASSO_FIGURE_CSVS
+    kernel, got = blas_kernel(), _digests(tmp_path)
+    # a kernel with no pinned digest fails: a digest that is compared with nothing shows nothing
+    assert kernel in LASSO_FIGURE_CSVS, f"no digest pinned for the BLAS kernel {kernel}: got {got}"
+    assert got == LASSO_FIGURE_CSVS[kernel]
     assert (tmp_path / "lasso_mean_error.svg").exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,9 +177,9 @@ def test_zero_eta1_steps_from_x_itself():
 
 
 def test_aging_past_tau_is_rejected_before_the_first_block_gradient():
-    # worker 3 is never refreshed, so its entry is 49 steps old at k = 49 while tau says 2
+    # worker 3 is never refreshed, so its entry is 49 steps old at k = 49 while tau says 2;
+    # the schedule refuses to be built, so no run can reach a block gradient
     K = 50
-    schedule = DelaySchedule(4, 2, *flat([[k % 3] for k in range(K)], [[k] for k in range(K)]))
     prob = make_toy(ToySpec(num_components=8))
     calls = []
 
@@ -188,7 +189,7 @@ def test_aging_past_tau_is_rejected_before_the_first_block_gradient():
 
     prob = dataclasses.replace(prob, block_gradient=block_gradient)
     with pytest.raises(ScheduleError, match="observed staleness 49 exceeds declared tau 2"):
-        run(prob, SolverParams(alpha=1e-2, max_iters=K), schedule, np.zeros(8))
+        DelaySchedule(4, 2, *flat([[k % 3] for k in range(K)], [[k] for k in range(K)]))
     assert calls == []
 
 
@@ -448,6 +449,15 @@ def test_wrong_start_dimension_is_rejected():
         run(prob, SolverParams(alpha=0.1, max_iters=1), schedule_synchronous(1, 1), np.ones(2))
 
 
+@pytest.mark.parametrize("phi_star", [None, 1.0])
+def test_a_reference_point_of_the_wrong_shape_is_rejected(phi_star):
+    # with phi_star given, a (1,) x_ref used to broadcast against every z
+    prob = make_toy(ToySpec(num_components=10))
+    with pytest.raises(ValueError, match=r"^x_ref has shape \(1,\), expected \(10,\)$"):
+        run(prob, SolverParams(alpha=1e-3, max_iters=5), schedule_synchronous(2, 5),
+            np.full(10, 0.5), x_ref=np.array([0.5]), phi_star=phi_star)
+
+
 def test_explicit_reference_overrides_the_known_optimum():
     prob = quadratic_1d()
     trace = run(
@@ -593,6 +603,36 @@ def test_sweep_equals_a_loop_of_runs_bit_for_bit(name):
                     assert a.tobytes() == b.tobytes(), field.name
                 else:
                     assert a == b, field.name
+
+
+def test_the_traces_of_a_sweep_share_the_schedule_staleness_read_only():
+    prob = make_toy(ToySpec(num_components=20))
+    K = 30
+    schedule = schedule_uniform_single(4, 3, K, seed=5)
+    (traces,) = sweep(prob, _sweep_configs(prob, K), [schedule])
+    for trace in traces:
+        assert np.shares_memory(trace.staleness, schedule.staleness)
+        assert np.array_equal(trace.staleness, schedule.staleness)
+        with pytest.raises(ValueError):
+            trace.staleness[1, 0] = 0
+
+
+def test_a_run_holds_little_more_than_its_trace():
+    # per step, a run's peak above its inputs grows by the five per-record Trace arrays (k,
+    # phi, dist2, psi, step_norm2) and at most 40 bytes for the replay's own lists and buffers;
+    # the difference of two lengths cancels what a run holds at any length
+    prob = make_toy(ToySpec(num_components=10))
+    schedule, x0 = schedule_uniform_single(4, 4, 1500, seed=0), np.zeros(10)
+    peaks = []
+    for K in (500, 1500):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run(prob, SolverParams(alpha=1e-3, max_iters=K), schedule, x0, store_iterates=False)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= (5 * 8 + 40) * 1000, peaks
 
 
 def test_sweep_reads_a_generator_of_schedules_one_at_a_time():
