@@ -11,6 +11,7 @@ when known, the quadratic-growth modulus and the optimum).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -19,6 +20,11 @@ import numpy as np
 Array = np.ndarray
 # step of the central differences in ``gradient_consistency_check``
 FD_STEP = 1e-6
+
+
+def is_integer(value) -> bool:
+    """The integer rule of sizes, delays and seeds: an integral number that is not a bool."""
+    return isinstance(value, numbers.Integral) and type(value) is not bool
 
 
 class NumericError(RuntimeError):

@@ -11,19 +11,20 @@ import json
 import numbers
 from typing import NamedTuple
 
+from .core import is_integer
 from .rates import RUN_VARIANTS, VARIANTS
 
 REQUIRED = object()
 
 # JSON type -> (whether a value has it, how a message names it)
 _TYPES = {
-    "integer": (lambda v: isinstance(v, numbers.Integral) and type(v) is not bool, "an integer"),
+    "integer": (is_integer, "an integer"),
     "number": (lambda v: isinstance(v, numbers.Real) and type(v) is not bool, "a number"),
     "string": (lambda v: isinstance(v, str), "a string"),
     "path": (lambda v: isinstance(v, str), "a path"),
     "object": (lambda v: isinstance(v, dict), "a JSON object"),
     "list": (lambda v: isinstance(v, list), "a JSON list"),
-    "list of integers": (lambda v: isinstance(v, list) and all(map(_TYPES["integer"][0], v)),
+    "list of integers": (lambda v: isinstance(v, list) and all(map(is_integer, v)),
                          "a JSON list of integers"),
     "null": (lambda v: v is None, "null"),
     "auto": (lambda v: v == "auto", '"auto"'),

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .core import Array, CompositeProblem, evaluate_objective
+from .core import Array, CompositeProblem, evaluate_objective, is_integer
 
 if TYPE_CHECKING:  # at run time rates -> solver -> schedules -> inputs -> rates would cycle
     from .solver import Trace
@@ -62,6 +62,8 @@ class RateInputs:
             raise ValueError("total_lipschitz must be positive and finite")
         if not 0 < self.growth_constant < math.inf:
             raise ValueError("growth_constant must be positive and finite")
+        if not is_integer(self.delay):
+            raise ValueError(f"delay must be an integer, got {self.delay!r}")
         if self.delay < 0:
             raise ValueError("delay must be nonnegative")
         if not 0.0 <= self.momentum_fraction < 1.0:

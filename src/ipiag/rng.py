@@ -2,7 +2,10 @@
 
 The generator is counter based so that scalar and bulk draws interleave
 consistently and so that another implementation (in any language) can
-reproduce a stream from the seed alone.  Draw number j (1-indexed) is
+reproduce a stream from the seed alone.  A seed is an integer in
+[0, 2**64): a Python or numpy integer, not a bool.  Any other value, such
+as -1, 2**64 or 1.7, raises ``ValueError`` naming it; it is never wrapped
+or truncated onto another seed's stream.  Draw number j (1-indexed) is
 
     out_j = mix((seed + j * 0x9E3779B97F4A7C15) mod 2**64)
 
@@ -35,6 +38,8 @@ from __future__ import annotations
 import operator
 
 import numpy as np
+
+from .core import is_integer
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -71,7 +76,9 @@ class SplitMix64:
     __slots__ = ("seed", "counter")
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK
+        if not (is_integer(seed) and 0 <= seed <= _MASK):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        self.seed = int(seed)
         self.counter = 0
 
     def next_u64(self) -> int:

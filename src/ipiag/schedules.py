@@ -22,11 +22,13 @@ Wire format: one JSON object per line, ``{"k": k, "refreshed": [...],
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from .core import is_integer
 from .inputs import RECORD, read
 from .rng import SplitMix64
 
@@ -158,6 +160,9 @@ class DelaySchedule:
 
 
 def _check_sizes(num_workers: int, tau: int, iters: int = 0) -> None:
+    for name, value in (("iters", iters), ("num_workers", num_workers), ("tau", tau)):
+        if not is_integer(value):
+            raise ScheduleError(f"{name} must be an integer, got {value!r}")
     if iters < 0:
         raise ScheduleError("iters must be nonnegative")
     if num_workers < 1:
@@ -199,42 +204,47 @@ def schedule_uniform_single(
 ) -> DelaySchedule:
     """One uniformly chosen worker refreshes per iteration, delays capped.
 
-    One PRNG draw is consumed per iteration.  Whenever a block's staleness
-    would exceed ``tau`` this iteration, that block is refreshed instead of
-    the drawn one (every such block; several can hit the cap at once after
-    an unlucky streak of draws).  With a single worker this degenerates to
-    the synchronous schedule.
+    One PRNG draw is consumed per iteration.  Step k refreshes the drawn
+    worker unless a block would pass ``tau`` stale.  After step k - 1 every
+    source is at least k - 1 - tau, so such blocks are exactly the ones
+    refreshed at step k - tau - 1 and not since; step k refreshes them
+    instead, in ascending worker order.  Several are forced at once only
+    when they share a source: every block starts at x_0, and a group forced
+    together is forced together again unless draws split it.  Only the
+    groups of the last tau + 1 steps are kept.  With a single worker this
+    degenerates to the synchronous schedule.
     """
     _check_sizes(num_workers, tau, iters)
     rng = SplitMix64(seed)
     picks = (rng.u64_array(iters) % np.uint64(num_workers)).astype(int).tolist() if iters else []
-    sources = [0] * num_workers
-    oldest = 0  # min(sources), kept exact
-    workers, crowded = [], []  # crowded: (k, n) for the steps that refresh n > 1 blocks
-    for k in range(iters):
-        if k - oldest <= tau:
-            w = picks[k]
-            workers.append(w)
-            last = sources[w]
+    workers, crowded = picks, []  # crowded: (k, n) for the steps that refresh n > 1 blocks
+    if tau + 1 < iters:  # otherwise no step can be forced
+        workers = picks[: tau + 1]
+        sources = [0] * num_workers
+        for k, w in enumerate(workers):
             sources[w] = k
-            if last == oldest:
-                oldest = min(sources)
-            continue
-        # every block is at most tau + 1 old here, so the blocks at the cap are exactly those
-        # last refreshed at oldest == k - tau - 1; mostly there is one, and count/index find
-        # it without a Python-level scan of the W sources
-        n = sources.count(oldest)
-        if n == 1:
-            w = sources.index(oldest)
-            workers.append(w)
+        # groups[0] is the group of step j = k - tau - 1: a worker id, or a tuple of them when
+        # a step refreshes several; step 0's group is every block, as all start at source 0
+        groups = deque(workers, maxlen=len(workers))  # tau + 1 steps
+        groups[0] = tuple(range(num_workers))
+        for j, k in enumerate(range(tau + 1, iters)):
+            g = groups[0]
+            if type(g) is int:
+                w = g if sources[g] == j else picks[k]
+            else:
+                due = [w for w in g if sources[w] == j]
+                if len(due) > 1:
+                    crowded.append((k, len(due)))
+                    for w in due:
+                        sources[w] = k
+                    workers += due
+                    groups.append(tuple(due))
+                    continue
+                w = due[0] if due else picks[k]
             sources[w] = k
-        else:
-            crowded.append((k, n))
-            for w, s in enumerate(sources):
-                if s == oldest:
-                    workers.append(w)
-                    sources[w] = k
-        oldest = min(sources)
+            workers.append(w)
+            groups.append(w)
+        del picks  # spent: the arrays below are built without the draws
     counts = np.ones(iters, dtype=np.int64)
     for k, n in crowded:
         counts[k] = n

@@ -35,6 +35,10 @@ class TestInputs:
             dict(total_lipschitz=0.0, growth_constant=1.0, delay=0),
             dict(total_lipschitz=1.0, growth_constant=-1.0, delay=0),
             dict(total_lipschitz=1.0, growth_constant=1.0, delay=-1),
+            # a delay that is not an integer would give a fractional threshold exponent
+            dict(total_lipschitz=101.0, growth_constant=2.0, delay=1.5),
+            dict(total_lipschitz=101.0, growth_constant=2.0, delay=4.0),
+            dict(total_lipschitz=101.0, growth_constant=2.0, delay=True),
             dict(total_lipschitz=1.0, growth_constant=1.0, delay=0, momentum_fraction=1.0),
             dict(total_lipschitz=math.inf, growth_constant=2.0, delay=4),
             dict(total_lipschitz=1.0, growth_constant=math.inf, delay=0),

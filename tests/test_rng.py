@@ -41,9 +41,23 @@ def test_below_stays_in_range(seed, n):
         assert 0 <= r.below(n) < n
 
 
-def test_below_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        SplitMix64(1).below(0)
+@pytest.mark.parametrize("make, message", [
+    (lambda: SplitMix64(1).below(0), "n must be positive"),
+    # a seed is refused, not wrapped or truncated onto another seed's stream
+    (lambda: SplitMix64(-1), "seed must be an integer in [0, 2**64), got -1"),
+    (lambda: SplitMix64(np.int64(-1)),
+     f"seed must be an integer in [0, 2**64), got {np.int64(-1)!r}"),
+    (lambda: SplitMix64(2**64), "seed must be an integer in [0, 2**64), got 18446744073709551616"),
+    (lambda: SplitMix64(1.7), "seed must be an integer in [0, 2**64), got 1.7"),
+    (lambda: SplitMix64(1.0), "seed must be an integer in [0, 2**64), got 1.0"),
+    (lambda: SplitMix64(True), "seed must be an integer in [0, 2**64), got True"),
+    (lambda: SplitMix64("3"), "seed must be an integer in [0, 2**64), got '3'"),
+], ids=["below-0", "seed-neg", "seed-np-neg", "seed-2**64", "seed-1.7", "seed-1.0", "seed-bool",
+        "seed-str"])
+def test_a_bad_bound_or_seed_is_refused(make, message):
+    with pytest.raises(ValueError) as got:
+        make()
+    assert str(got.value) == message
 
 
 def test_uniforms_lie_in_unit_interval():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ipiag import (
     DelaySchedule,
     ScheduleError,
+    SplitMix64,
     max_observed_staleness,
     schedule_synchronous,
     schedule_uniform_single,
@@ -153,7 +154,19 @@ class TestValidation:
         (lambda: schedule_uniform_single(0, 1, 5, seed=0), "need at least one worker"),
         (lambda: schedule_uniform_single(2, -1, 5, seed=0), "tau must be nonnegative"),
         (lambda: schedule_uniform_single(2, 1, -1, seed=0), "iters must be nonnegative"),
-    ], ids=["sync-workers", "sync-iters", "uniform1-workers", "uniform1-tau", "uniform1-iters"])
+        (lambda: schedule_synchronous(2.0, 5), "num_workers must be an integer, got 2.0"),
+        (lambda: schedule_synchronous(2, True), "iters must be an integer, got True"),
+        (lambda: schedule_uniform_single(4, 1.5, 20, seed=0), "tau must be an integer, got 1.5"),
+        (lambda: schedule_uniform_single(4, True, 20, seed=0), "tau must be an integer, got True"),
+        (lambda: schedule_uniform_single(True, 1, 20, seed=0),
+         "num_workers must be an integer, got True"),
+        (lambda: schedule_uniform_single(4, 1, 20.0, seed=0), "iters must be an integer, got 20.0"),
+        (lambda: DelaySchedule(2, 1.5, [0], [], []), "tau must be an integer, got 1.5"),
+        (lambda: DelaySchedule(2.0, 1, [0], [], []), "num_workers must be an integer, got 2.0"),
+    ], ids=["sync-workers", "sync-iters", "uniform1-workers", "uniform1-tau", "uniform1-iters",
+            "sync-workers-float", "sync-iters-bool", "uniform1-tau-float", "uniform1-tau-bool",
+            "uniform1-workers-bool", "uniform1-iters-float", "ctor-tau-float",
+            "ctor-workers-float"])
     def test_generators_reject_bad_sizes(self, make, message):
         with pytest.raises(ScheduleError, match=f"^{message}$"):
             make()
@@ -373,8 +386,10 @@ def test_jsonl_entries_that_are_not_integers_are_rejected_not_truncated(
     assert str(got.value) == f"records[0].{field} must be a JSON list of integers, got {value}"
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4, 7])
-@pytest.mark.parametrize("tau", [0, 1, 4, 9])
+# W = 16 and 64 under a small tau make forced groups recur: every block starts at x_0, and a
+# group forced together stays together until draws split it
+@pytest.mark.parametrize("workers", [1, 2, 4, 7, 16, 64])
+@pytest.mark.parametrize("tau", [0, 1, 2, 4, 9, 16, 64])
 @pytest.mark.parametrize("iters", [0, 1, 13, 400])
 def test_uniform_single_equals_the_numpy_form(workers, tau, iters):
     for seed in (0, 1, 2**63 + 5):
@@ -389,6 +404,21 @@ def test_uniform_single_equals_the_numpy_form(workers, tau, iters):
         worst = max_observed_staleness(s)
         assert type(worst) is int
         assert worst == max_staleness(s)
+
+
+@given(st.integers(1, 12), st.integers(0, 12), st.integers(0, 300), st.integers(0, 2**64 - 1))
+def test_uniform_single_equals_the_oracle_on_any_shape(workers, tau, iters, seed):
+    s = schedule_uniform_single(workers, tau, iters, seed)
+    assert arrays(s) == flat(*uniform_single_lists(workers, tau, iters, seed))
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_uniform_single_with_the_largest_tau_is_the_plain_draws(workers):
+    # no step can be forced, and nothing is sized by tau: the schedule is the draws themselves
+    s = schedule_uniform_single(workers, 2**63 - 1, 10, seed=3)
+    draws = SplitMix64(3).u64_array(10) % np.uint64(workers)
+    assert arrays(s) == (list(range(11)), draws.tolist(), list(range(10)))
+    assert s.tau == 2**63 - 1
 
 
 @given(st.integers(1, 5), st.integers(0, 4), st.integers(0, 60), st.integers(0, 2**32))
