@@ -11,20 +11,16 @@ when known, the quadratic-growth modulus and the optimum).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
+from .inputs import COMPOSITE_PROBLEM, read
+
 Array = np.ndarray
 # step of the central differences in ``gradient_consistency_check``
 FD_STEP = 1e-6
-
-
-def is_integer(value) -> bool:
-    """The integer rule of sizes, delays and seeds: an integral number that is not a bool."""
-    return isinstance(value, numbers.Integral) and type(value) is not bool
 
 
 class NumericError(RuntimeError):
@@ -71,18 +67,14 @@ class CompositeProblem:
     total_lipschitz: float = field(init=False)
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be at least 1")
-        if self.num_components < 1:
-            raise ValueError("num_components must be at least 1")
+        read({"dimension": self.dimension, "num_components": self.num_components,
+              "growth_constant": self.growth_constant}, COMPOSITE_PROBLEM)
         self.component_lipschitz = np.asarray(self.component_lipschitz, dtype=float)
         if self.component_lipschitz.shape != (self.num_components,):
             raise ValueError("component_lipschitz must have one entry per component")
-        if not np.all(self.component_lipschitz > 0):
-            raise ValueError("component Lipschitz constants must be positive")
+        if not np.all((self.component_lipschitz > 0) & (self.component_lipschitz < math.inf)):
+            raise ValueError("component Lipschitz constants must be positive and finite")
         self.total_lipschitz = float(np.sum(self.component_lipschitz))
-        if self.growth_constant is not None and not self.growth_constant > 0:
-            raise ValueError("growth_constant must be positive when given")
         if self.known_optimum is not None:
             x_star, phi_star = self.known_optimum
             x_star = np.asarray(x_star, dtype=float)

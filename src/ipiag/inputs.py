@@ -1,8 +1,9 @@
-"""Every JSON input, declared once as a table, and ``read``, the one reader of a table.
+"""Every input and dataclass field, declared once as a table, and ``read``, the one reader.
 
 README.md shows the tables and what ``read`` refuses; every message names
 ``<section>.<field>`` and the value.  Rules that join fields stay with the code
 that knows them; ``sized`` is the one rule for a size too large for its arrays.
+The module imports nothing from the package, so every module can import it.
 """
 
 from __future__ import annotations
@@ -11,10 +12,23 @@ import json
 import numbers
 from typing import NamedTuple
 
-from .core import is_integer
-from .rates import RUN_VARIANTS, VARIANTS
-
 REQUIRED = object()
+
+VARIANTS = ("t1", "t1tight", "cor1", "cor2")
+# run tag -> (certificate tag, uses eta1, uses eta2); plain PIAG is t1 at eta1 = eta2 = 0
+RUN_VARIANTS = {
+    "piag": ("t1", False, False),
+    "piag-m": ("cor1", True, False),
+    "piag-nel": ("cor2", False, True),
+    "ipiag": ("t1", True, True),
+}
+KINDS = ("zero", "l1", "nonneg_l1", "indicator_nonneg")
+
+
+def is_integer(value) -> bool:
+    """The integer rule of sizes, delays and seeds: an integral number that is not a bool."""
+    return isinstance(value, numbers.Integral) and type(value) is not bool
+
 
 # JSON type -> (whether a value has it, how a message names it)
 _TYPES = {
@@ -26,6 +40,9 @@ _TYPES = {
     "list": (lambda v: isinstance(v, list), "a JSON list"),
     "list of integers": (lambda v: isinstance(v, list) and all(map(is_integer, v)),
                          "a JSON list of integers"),
+    # JSON decodes a number to an int or a float only
+    "list of numbers": (lambda v: isinstance(v, list) and set(map(type, v)) <= {int, float},
+                        "a JSON list of numbers"),
     "null": (lambda v: v is None, "null"),
     "auto": (lambda v: v == "auto", '"auto"'),
 }
@@ -47,6 +64,9 @@ class Table(NamedTuple):
 
     title: str
     fields: tuple
+
+    def row(self, name: str) -> Field:
+        return next(field for field in self.fields if field.name == name)
 
 
 def read(value, table: Table, section: str = "") -> dict:
@@ -70,16 +90,16 @@ def read(value, table: Table, section: str = "") -> dict:
 
 
 def check(field: Field, value, name: str):
-    """``value`` as ``field`` takes it, a number as a float; a ValueError names ``name``."""
+    """``value`` as ``field`` takes it, each number as a float; a ValueError names ``name``."""
     types = field.types.split(" or ")
     kind = next((t for t in types if _TYPES[t][0](value)), None)
     if kind is None:
         wanted = " or ".join(_TYPES[t][1] for t in types)
         raise ValueError(f"{name} must be {wanted}, got {_show(value)}")
     taken = value
-    if kind == "number":
+    if kind in ("number", "list of numbers"):
         try:
-            taken = float(value)
+            taken = float(value) if kind == "number" else list(map(float, value))
         except OverflowError:
             raise ValueError(f"{name} is too large for a float, got {_show(value)}") from None
     if isinstance(field.allowed, tuple) and value not in field.allowed:
@@ -116,7 +136,7 @@ def _bound(text: str):
 
 
 def _show(value) -> str:
-    return json.dumps(value, default=repr)
+    return json.dumps(value, default=lambda v: int(v) if is_integer(v) else repr(v))
 
 
 # rows that two tables share, or that ``ipiag run`` reads alone
@@ -166,10 +186,14 @@ DOCUMENT = Table("the problem document", (
     Field("dimension", "integer", None, "[1, inf)"),
     Field("num_components", "integer", None, "[1, inf)"),
     Field("generator", "object"),
-    Field("L_n", "list or null", None),
+    Field("L_n", "list of numbers or null", None),
     Field("beta", "number or null", None, "(0, inf)"),
     Field("prox", "object or null", None),
     Field("known_optimum", "object or null", None),
+))
+OPTIMUM = Table("known_optimum", (
+    Field("x", "list of numbers"),
+    Field("phi", "number"),
 ))
 GENERATOR = Table("generator", (
     Field("name", "string", REQUIRED, ("toy", "lasso")),
@@ -194,4 +218,26 @@ RECORD = Table("records[k]", (
     Field("k", "integer", REQUIRED, "[0, inf)"),
     Field("refreshed", "list of integers"),
     Field("source_iter", "list of integers"),
+))
+
+# the scalar fields each library dataclass reads when built; it checks its arrays itself
+SOLVER_PARAMS = Table("SolverParams", (
+    CONFIG.row("alpha")._replace(types="number", default=REQUIRED),
+    CONFIG.row("eta1")._replace(types="number", default=0.0),
+    CONFIG.row("eta2")._replace(types="number", default=0.0),
+    ITERS._replace(name="max_iters"),
+    REFERENCE.row("tol")._replace(name="stop_tolerance", types="number or null", default=None),
+))
+RATE_INPUTS = Table("RateInputs", tuple(CERTIFY.row(row)._replace(name=name) for row, name in (
+    ("L", "total_lipschitz"), ("beta", "growth_constant"), ("tau", "delay"),
+    ("c1", "momentum_fraction"),
+)))
+PROX_SPEC = Table("ProxSpec", (
+    Field("kind", "string", REQUIRED, KINDS),
+    TOY_PARAMS.row("l1_weight")._replace(name="weight", default=0.0),
+))
+COMPOSITE_PROBLEM = Table("CompositeProblem", (
+    DOCUMENT.row("dimension")._replace(default=REQUIRED),
+    DOCUMENT.row("num_components")._replace(default=REQUIRED),
+    DOCUMENT.row("beta")._replace(name="growth_constant"),
 ))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Array, CompositeProblem, block_range
-from .inputs import DOCUMENT, GENERATOR, LASSO_PARAMS, TOY_PARAMS, read, sized
+from .inputs import DOCUMENT, GENERATOR, LASSO_PARAMS, OPTIMUM, TOY_PARAMS, read, sized
 from .prox import ProxSpec
 from .rng import SplitMix64
 from .schedules import schedule_synchronous
@@ -287,14 +287,10 @@ def problem_from_document(doc: dict) -> CompositeProblem:
             raise ValueError("document beta does not match the generator output")
     if fields["prox"] is not None and fields["prox"] != spec.regularizer.to_json():
         raise ValueError("document prox does not match the generator output")
-    stored = fields["known_optimum"]
-    if stored is not None:
+    if fields["known_optimum"] is not None:
+        stored = read(fields["known_optimum"], OPTIMUM, "known_optimum")
         opt = problem.known_optimum
-        if not (
-            opt is not None
-            and _close(stored.get("x"), opt[0])
-            and _close(stored.get("phi"), opt[1])
-        ):
+        if not (opt is not None and _close(stored["x"], opt[0]) and _close(stored["phi"], opt[1])):
             raise ValueError("document known_optimum does not match the generator output")
     return problem
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-KINDS = ("zero", "l1", "nonneg_l1", "indicator_nonneg")
+from .inputs import PROX_SPEC, read
 
 
 def _check(alpha: float, weight: float) -> None:
@@ -100,10 +100,7 @@ class ProxSpec:
     value: Callable[[np.ndarray], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown prox kind {self.kind!r}")
-        if self.weight < 0:
-            raise ValueError("weight must be nonnegative")
+        read({"kind": self.kind, "weight": self.weight}, PROX_SPEC)
         prox, value = _maps(self.kind, self.weight)
         object.__setattr__(self, "prox", prox)  # the dataclass is frozen
         object.__setattr__(self, "value", value)

@@ -22,30 +22,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
-from .core import Array, CompositeProblem, evaluate_objective, is_integer
-
-if TYPE_CHECKING:  # at run time rates -> solver -> schedules -> inputs -> rates would cycle
-    from .solver import Trace
-
-VARIANTS = ("t1", "t1tight", "cor1", "cor2")
+from .core import Array, CompositeProblem, evaluate_objective
+from .inputs import RATE_INPUTS, RUN_VARIANTS, VARIANTS, read
+from .solver import Trace
 
 # relative tolerances of the checks below: a recurrence's data residual, the envelopes
 # of ``verify_linear_bound`` and the residuals of ``verify_descent``
 RECURRENCE_SLACK = 1e-12
 BOUND_SLACK = 1e-8
 DESCENT_SLACK = 1e-9
-
-# run tag -> (certificate tag, uses eta1, uses eta2); plain PIAG is t1 at eta1 = eta2 = 0
-RUN_VARIANTS = {
-    "piag": ("t1", False, False),
-    "piag-m": ("cor1", True, False),
-    "piag-nel": ("cor2", False, True),
-    "ipiag": ("t1", True, True),
-}
 
 
 @dataclass(frozen=True)
@@ -58,16 +47,7 @@ class RateInputs:
     momentum_fraction: float = 0.0  # C1, weight of the pre-prox inertia
 
     def __post_init__(self):
-        if not 0 < self.total_lipschitz < math.inf:
-            raise ValueError("total_lipschitz must be positive and finite")
-        if not 0 < self.growth_constant < math.inf:
-            raise ValueError("growth_constant must be positive and finite")
-        if not is_integer(self.delay):
-            raise ValueError(f"delay must be an integer, got {self.delay!r}")
-        if self.delay < 0:
-            raise ValueError("delay must be nonnegative")
-        if not 0.0 <= self.momentum_fraction < 1.0:
-            raise ValueError("momentum_fraction must lie in [0, 1)")
+        read(vars(self), RATE_INPUTS)
 
 
 @dataclass

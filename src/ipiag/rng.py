@@ -29,17 +29,15 @@ Layout and memory.  The bulk draws do each elementwise step in place:
 their peak, the result and one scratch, so about twice the output bytes.
 The array ``normals`` returns starts on a 64-byte (cache-line) boundary,
 so a matrix reshaped from it is aligned with no copy, and so is every row
-whose byte length is a multiple of 64.  A negative draw count raises
-``ValueError`` and leaves the stream where it was.
+whose byte length is a multiple of 64.  A draw count, bound or shuffle size that is
+not an integer in range raises ``ValueError`` and leaves the stream where it was.
 """
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .core import is_integer
+from .inputs import is_integer
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -56,10 +54,9 @@ def _mix(z: int) -> int:
 
 def _count(n) -> int:
     """A draw count: an integer, at least 0."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"draw count must be nonnegative, got {n}")
-    return n
+    if not (is_integer(n) and n >= 0):
+        raise ValueError(f"draw count must be a nonnegative integer, got {n!r}")
+    return int(n)
 
 
 def _aligned_doubles(n: int) -> np.ndarray:
@@ -87,8 +84,8 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Integer in [0, n)."""
-        if n <= 0:
-            raise ValueError("n must be positive")
+        if not (is_integer(n) and n > 0):
+            raise ValueError(f"n must be a positive integer, got {n!r}")
         return self.next_u64() % n
 
     def _fill(self, out: np.ndarray) -> np.ndarray:
@@ -151,8 +148,8 @@ class SplitMix64:
 
     def shuffle_prefix(self, n: int, k: int) -> np.ndarray:
         """First k entries of a Fisher-Yates shuffle of range(n), sorted."""
-        if not 0 <= k <= n:
-            raise ValueError("need 0 <= k <= n")
+        if not (is_integer(n) and is_integer(k) and 0 <= k <= n):
+            raise ValueError(f"need integers 0 <= k <= n, got n={n!r}, k={k!r}")
         idx = list(range(n))
         for i in range(k):
             j = i + self.below(n - i)

@@ -28,8 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import is_integer
-from .inputs import RECORD, read
+from .inputs import RECORD, is_integer, read
 from .rng import SplitMix64
 
 

@@ -29,6 +29,7 @@ from .core import (
     evaluate_objective,
     record_objective,
 )
+from .inputs import SOLVER_PARAMS, read
 from .schedules import DelaySchedule
 
 DIVERGENCE_FACTOR = 1e12
@@ -47,16 +48,7 @@ class SolverParams:
     stop_tolerance: Optional[float] = None  # on ||z_{k+1} - z_k||
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not 0.0 <= self.eta1 <= 1.0:
-            raise ValueError("eta1 must lie in [0, 1]")
-        if not 0.0 <= self.eta2 <= 1.0:
-            raise ValueError("eta2 must lie in [0, 1]")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
-        if self.stop_tolerance is not None and self.stop_tolerance < 0:
-            raise ValueError("stop_tolerance must be nonnegative")
+        read(vars(self), SOLVER_PARAMS)
 
 
 def contiguous_partition(num_components: int, num_workers: int) -> list:

@@ -20,7 +20,7 @@ import pytest
 from ipiag import DelaySchedule, ToySpec, inputs, toy_document, lasso_document, LassoSpec
 from ipiag.cli import EXIT_BOUND, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, RUN_FLAGS, main
 from ipiag.plotting import _escape, log_line_plot
-from ipiag.rates import RUN_VARIANTS, BoundReport
+from ipiag.rates import BoundReport
 
 from .oracles import svg_polyline_points
 
@@ -561,6 +561,7 @@ READ_AT = [
     ("spec", "configs[1]", inputs.CONFIG),
     ("toy", "", inputs.DOCUMENT),
     ("toy", "generator", inputs.GENERATOR),
+    ("toy", "known_optimum", inputs.OPTIMUM),
     ("toy", "generator.params", inputs.TOY_PARAMS),
     ("lasso", "generator.params", inputs.LASSO_PARAMS),
     ("jsonl", "records[0]", inputs.RECORD),
@@ -584,6 +585,8 @@ WANTED = {
     "number": "a number",
     "number or null": "a number or null",
     "number or auto": 'a number or "auto"',
+    "list of numbers": "a JSON list of numbers",
+    "list of numbers or null": "a JSON list of numbers or null",
 }
 MISSING = object()
 
@@ -617,7 +620,9 @@ def _shape_cases():
     cases = []
     for source, section, table in READ_AT:
         where = section or table.title
-        cases.append(pytest.param(source, section, 5, f"{where} must be a JSON object, got 5",
+        # the document row of known_optimum also takes null
+        shape = "a JSON object or null" if table is inputs.OPTIMUM else "a JSON object"
+        cases.append(pytest.param(source, section, 5, f"{where} must be {shape}, got 5",
                                   id=f"{source}:{where}-not-an-object"))
         cases.append(pytest.param(source, f"{section}.bogus" if section else "bogus", 1,
                                   f'{where} has no field "bogus"', id=f"{source}:{where}-unknown"))
@@ -957,19 +962,22 @@ class TestCompare:
         assert main(["compare", "--spec", spec]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize(
-        "source, path, types, value", _type_cases("number", ["0.25", True, None])
-    )
+    @pytest.mark.parametrize("source, path, types, value", (
+        _type_cases("number", ["0.25", True, None])
+        + _type_cases("list of numbers", [["2.0", "1.0"], [True], None])
+    ))
     def test_spec_numbers_must_be_json_numbers(
         self, tmp_path, capsys, monkeypatch, source, path, types, value
     ):
         # refused, not read with float(): "c1": "0.25" and "alpha": true (alpha = 1) used to
-        # run; every number is read before the reference solve
+        # run, and an L_n of strings loaded; every number is read before the reference solve
         assert _refusal(tmp_path, capsys, monkeypatch, source, path, value) == (
             f"{path} must be {WANTED[types]}, got {json.dumps(value)}"
         )
 
-    def test_spec_integer_beyond_the_float_range_is_a_config_error(self, tmp_path, capsys):
+    def test_spec_integer_beyond_the_float_range_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
         big = 10**400  # a JSON number, but float() raises OverflowError
         spec = self._spec(
             tmp_path,
@@ -980,6 +988,12 @@ class TestCompare:
         assert capsys.readouterr().err == (
             f"error: configs[1].c1 is too large for a float, got {big}\n"
         )
+        # in a document's list of numbers it ended in an OverflowError traceback
+        for path in ("L_n", "known_optimum.x"):
+            value = [big] + [1.0] * 11
+            assert _refusal(tmp_path, capsys, monkeypatch, "toy", path, value) == (
+                f"{path} is too large for a float, got {json.dumps(value)}"
+            )
 
     @pytest.mark.parametrize("value", [5, None, ["cmp"]])
     @pytest.mark.parametrize("flag", [[], ["--out", "cmp"]], ids=["spec", "flag"])
@@ -1198,7 +1212,7 @@ def test_a_run_flag_and_its_spec_field_get_the_same_message(
 
 
 @pytest.mark.parametrize("command, flags_at, values", [
-    ("run", FLAGS_AT, ("sync", "uniform1", *RUN_VARIANTS)),
+    ("run", FLAGS_AT, ("sync", "uniform1", *inputs.RUN_VARIANTS)),
     ("certify", CERTIFY_AT, ("t1", "t1tight", "cor1", "cor2")),
 ])
 def test_help_shows_each_flag_row(capsys, monkeypatch, command, flags_at, values):
@@ -1348,7 +1362,7 @@ def problem_documents(draw):
         doc = lasso_document(LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=1))
         params = inputs.LASSO_PARAMS
     _mutate(draw, doc, [((), inputs.DOCUMENT), (("generator",), inputs.GENERATOR),
-                        (("generator", "params"), params)])
+                        (("generator", "params"), params), (("known_optimum",), inputs.OPTIMUM)])
     return doc
 
 

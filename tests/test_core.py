@@ -58,16 +58,18 @@ class TestProblemValidation:
             )
 
     def test_rejects_nonpositive_lipschitz(self):
-        with pytest.raises(ValueError):
-            CompositeProblem(
-                dimension=2,
-                num_components=2,
-                block_gradient=lambda indices, x: x,
-                smooth_value=lambda x: 0.0,
-                regularizer_value=lambda x: 0.0,
-                prox=lambda v, a: v,
-                component_lipschitz=np.array([1.0, 0.0]),
-            )
+        # an infinite entry would make total_lipschitz infinite
+        for lipschitz in ([1.0, 0.0], [1.0, np.inf]):
+            with pytest.raises(ValueError, match="positive and finite"):
+                CompositeProblem(
+                    dimension=2,
+                    num_components=2,
+                    block_gradient=lambda indices, x: x,
+                    smooth_value=lambda x: 0.0,
+                    regularizer_value=lambda x: 0.0,
+                    prox=lambda v, a: v,
+                    component_lipschitz=np.array(lipschitz),
+                )
 
     def test_rejects_total_mismatch(self):
         # the total is derived from the components, so no total, matching or not, is taken
@@ -92,12 +94,15 @@ class TestProblemValidation:
         assert doubled.total_lipschitz == 12.0
 
     def test_rejects_bad_growth_constant(self):
-        with pytest.raises(ValueError):
-            tiny_problem(growth=0.0)
+        for growth in (0.0, np.inf):
+            with pytest.raises(ValueError, match="growth_constant"):
+                tiny_problem(growth=growth)
 
     def test_rejects_optimum_with_wrong_dimension(self):
         with pytest.raises(ValueError):
             tiny_problem(optimum=(np.zeros(3), 0.0))
+        with pytest.raises(ValueError, match="dimension must be an integer, got 2.5"):
+            dataclasses.replace(tiny_problem(), dimension=2.5)
 
 
 def test_objective_is_smooth_plus_regularizer():

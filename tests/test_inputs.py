@@ -1,21 +1,26 @@
 """The input declarations in ``ipiag.inputs``: README shows each table as declared, the
-spec dataclasses agree with their params tables, and every interval keeps its ends."""
+dataclasses agree with their tables, every interval keeps its ends, and the module imports
+nothing from the package."""
 
+import ast
 import dataclasses
 import json
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
-from ipiag import LassoSpec, ToySpec, inputs
+from ipiag import LassoSpec, ProxSpec, RateInputs, SolverParams, ToySpec, inputs
 
 TABLES = [
     inputs.SPEC, inputs.SCHEDULE, inputs.CONFIG, inputs.REFERENCE,
-    inputs.DOCUMENT, inputs.GENERATOR, inputs.TOY_PARAMS, inputs.LASSO_PARAMS, inputs.RECORD,
-    inputs.CERTIFY,
+    inputs.DOCUMENT, inputs.OPTIMUM, inputs.GENERATOR, inputs.TOY_PARAMS, inputs.LASSO_PARAMS,
+    inputs.RECORD, inputs.CERTIFY,
+    inputs.SOLVER_PARAMS, inputs.RATE_INPUTS, inputs.PROX_SPEC, inputs.COMPOSITE_PROBLEM,
 ]
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+INPUTS = pathlib.Path(inputs.__file__)
 
 
 def render(table) -> str:
@@ -39,13 +44,15 @@ def test_readme_shows_every_table_as_declared(table):
     assert render(table) in README.read_text(encoding="utf-8"), "README lacks:\n" + render(table)
 
 
-@pytest.mark.parametrize(
-    "spec, table", [(ToySpec, inputs.TOY_PARAMS), (LassoSpec, inputs.LASSO_PARAMS)]
-)
+@pytest.mark.parametrize("spec, table", [
+    (ToySpec, inputs.TOY_PARAMS), (LassoSpec, inputs.LASSO_PARAMS),
+    (SolverParams, inputs.SOLVER_PARAMS), (RateInputs, inputs.RATE_INPUTS),
+    (ProxSpec, inputs.PROX_SPEC),
+])
 def test_the_spec_dataclasses_take_the_declared_params_and_defaults(spec, table):
     fields = {
         field.name: inputs.REQUIRED if field.default is dataclasses.MISSING else field.default
-        for field in dataclasses.fields(spec)
+        for field in dataclasses.fields(spec) if field.init
     }
     assert fields == {field.name: field.default for field in table.fields}
 
@@ -78,6 +85,18 @@ def test_a_number_is_read_as_a_float_and_an_integer_as_it_is():
     number, integer = inputs.TOY_PARAMS.fields[1], inputs.ITERS
     assert type(inputs.check(number, 3, "offset")) is float
     assert type(inputs.check(integer, 3, "iters")) is int
+    # a numpy integer, as a dataclass may hold, is shown as the integer, not as a string
+    with pytest.raises(ValueError, match=r"^iters must lie in \[0, inf\), got -1$"):
+        inputs.check(integer, np.int64(-1), "iters")
     assert inputs.read({"type": "sync"}, inputs.SCHEDULE, "schedule") == {
         "type": "sync", "tau": 0, "workers": 4,
     }
+
+
+def test_inputs_imports_nothing_from_the_package():
+    # every module reads its rules from ``inputs``, so an import back into the package cycles
+    for node in ast.walk(ast.parse(INPUTS.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.module.split(".")[0] != "ipiag", ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "ipiag" for alias in node.names), ast.dump(node)

@@ -42,6 +42,11 @@ class TestInputs:
             dict(total_lipschitz=1.0, growth_constant=1.0, delay=0, momentum_fraction=1.0),
             dict(total_lipschitz=math.inf, growth_constant=2.0, delay=4),
             dict(total_lipschitz=1.0, growth_constant=math.inf, delay=0),
+            # a bool is not a number, and no delay reaches 2**63 (10**400 overflowed a float)
+            dict(total_lipschitz=True, growth_constant=2.0, delay=4),
+            dict(total_lipschitz=101.0, growth_constant=2.0, delay=2**63),
+            dict(total_lipschitz=101.0, growth_constant=2.0, delay=10**400),
+            dict(total_lipschitz=1.0, growth_constant=1.0, delay=0, momentum_fraction=False),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

@@ -42,7 +42,7 @@ def test_below_stays_in_range(seed, n):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: SplitMix64(1).below(0), "n must be positive"),
+    (lambda: SplitMix64(1).below(0), "n must be a positive integer, got 0"),
     # a seed is refused, not wrapped or truncated onto another seed's stream
     (lambda: SplitMix64(-1), "seed must be an integer in [0, 2**64), got -1"),
     (lambda: SplitMix64(np.int64(-1)),
@@ -52,8 +52,12 @@ def test_below_stays_in_range(seed, n):
     (lambda: SplitMix64(1.0), "seed must be an integer in [0, 2**64), got 1.0"),
     (lambda: SplitMix64(True), "seed must be an integer in [0, 2**64), got True"),
     (lambda: SplitMix64("3"), "seed must be an integer in [0, 2**64), got '3'"),
+    # a bound or count follows the seed's integer rule: 2.5 drew a float, True one value
+    (lambda: SplitMix64(1).below(2.5), "n must be a positive integer, got 2.5"),
+    (lambda: SplitMix64(1).u64_array(True), "draw count must be a nonnegative integer, got True"),
+    (lambda: SplitMix64(1).shuffle_prefix(5, True), "need integers 0 <= k <= n, got n=5, k=True"),
 ], ids=["below-0", "seed-neg", "seed-np-neg", "seed-2**64", "seed-1.7", "seed-1.0", "seed-bool",
-        "seed-str"])
+        "seed-str", "below-2.5", "u64-bool", "shuffle-bool"])
 def test_a_bad_bound_or_seed_is_refused(make, message):
     with pytest.raises(ValueError) as got:
         make()

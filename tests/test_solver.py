@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -43,8 +44,10 @@ def quadratic_1d(l=4.0):
 
 class TestParams:
     def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(ValueError):
-            SolverParams(alpha=0.0)
+        # inf is no step and True no number
+        for alpha in (0.0, math.inf, True):
+            with pytest.raises(ValueError, match="alpha"):
+                SolverParams(alpha=alpha)
 
     def test_rejects_out_of_range_inertia(self):
         with pytest.raises(ValueError):
@@ -53,10 +56,11 @@ class TestParams:
             SolverParams(alpha=0.1, eta2=-0.1)
 
     def test_rejects_negative_budget_and_tolerance(self):
-        with pytest.raises(ValueError):
-            SolverParams(alpha=0.1, max_iters=-1)
-        with pytest.raises(ValueError):
-            SolverParams(alpha=0.1, stop_tolerance=-1e-3)
+        # a NaN tolerance would never stop a run, and a fractional budget fails inside it
+        for name, value in (("max_iters", -1), ("max_iters", 2.5), ("max_iters", True),
+                            ("stop_tolerance", -1e-3), ("stop_tolerance", math.nan)):
+            with pytest.raises(ValueError, match=name):
+                SolverParams(alpha=0.1, **{name: value})
 
 
 def test_contiguous_partition_covers_everything_in_order():
