@@ -138,7 +138,7 @@ def cmd_run(args) -> int:
         print(f"warning: uncertified run: {cert_error}", file=sys.stderr)
     trace = divergence = None
     try:
-        trace = run(problem, params, schedule, np.zeros(problem.dimension), store_iterates=False)
+        trace = run(problem, params, schedule, np.zeros(problem.dimension))
     except NumericError as exc:
         divergence = f"diverged: {exc}"  # printed after the writes, which may refuse instead
     status = "ok" if divergence is None else "diverged"

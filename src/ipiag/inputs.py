@@ -8,6 +8,7 @@ The module imports nothing from the package, so every module can import it.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 from typing import NamedTuple
@@ -91,7 +92,7 @@ def read(value, table: Table, section: str = "") -> dict:
 
 def check(field: Field, value, name: str):
     """``value`` as ``field`` takes it, each number as a float; a ValueError names ``name``."""
-    types = field.types.split(" or ")
+    types, interval = _rule(field.types, field.allowed)
     kind = next((t for t in types if _TYPES[t][0](value)), None)
     if kind is None:
         wanted = " or ".join(_TYPES[t][1] for t in types)
@@ -105,10 +106,10 @@ def check(field: Field, value, name: str):
     if isinstance(field.allowed, tuple) and value not in field.allowed:
         choices = ", ".join(map(_show, field.allowed))
         raise ValueError(f"{name} must be one of {choices}, got {_show(value)}")
-    if isinstance(field.allowed, str) and kind in ("integer", "number"):
-        low, high = (_bound(end) for end in field.allowed[1:-1].split(", "))
-        above = low < taken if field.allowed[0] == "(" else low <= taken
-        below = taken < high if field.allowed[-1] == ")" else taken <= high
+    if interval is not None and kind in ("integer", "number"):
+        low, high, open_low, open_high = interval
+        above = low < taken if open_low else low <= taken
+        below = taken < high if open_high else taken <= high
         if not (above and below):
             raise ValueError(f"{name} must lie in {field.allowed}, got {_show(value)}")
     return taken
@@ -128,6 +129,19 @@ def sized(fields: dict, make, *args, **kwargs):
         )
         names, values = " and ".join(fields), " and ".join(map(str, fields.values()))
         raise ValueError(f"{names} {verb}, got {values} ({exc})") from None
+
+
+# keyed by the row's types and allowed values, not by the row: a default such as {} makes a
+# Field unhashable
+@functools.lru_cache(maxsize=None)
+def _rule(types: str, allowed) -> tuple:
+    """(JSON types, interval) of a row, parsed once: the interval is (low, high, whether each
+    end is open), or None when ``allowed`` is no interval."""
+    interval = None
+    if isinstance(allowed, str):
+        low, high = (_bound(end) for end in allowed[1:-1].split(", "))
+        interval = (low, high, allowed[0] == "(", allowed[-1] == ")")
+    return tuple(types.split(" or ")), interval
 
 
 def _bound(text: str):

@@ -211,13 +211,7 @@ def reference_solution(problem: CompositeProblem, alpha: float, max_iters: int, 
     """
     params = SolverParams(alpha=alpha, max_iters=max_iters, stop_tolerance=tol)
     schedule = schedule_synchronous(1, max_iters)
-    trace = run(
-        problem,
-        params,
-        schedule,
-        np.zeros(problem.dimension),
-        store_iterates=False,
-    )
+    trace = run(problem, params, schedule, np.zeros(problem.dimension))
     return trace.z_final, float(trace.phi[-1])
 
 

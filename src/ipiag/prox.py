@@ -22,7 +22,7 @@ from .inputs import PROX_SPEC, read
 def _check(alpha: float, weight: float) -> None:
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    if weight < 0:
+    if not weight >= 0:  # NaN fails this comparison too
         raise ValueError("weight must be nonnegative")
 
 

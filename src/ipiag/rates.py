@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Array, CompositeProblem, evaluate_objective
-from .inputs import RATE_INPUTS, RUN_VARIANTS, VARIANTS, read
+from .inputs import RATE_INPUTS, RUN_VARIANTS, VARIANTS, check, is_integer, read
 from .solver import Trace
 
 # relative tolerances of the checks below: a recurrence's data residual, the envelopes
@@ -292,16 +292,16 @@ class TwoTermRecurrence:
     k0: int
 
     def __post_init__(self):
-        if self.A < 0 or self.B < 0:
+        # each comparison is written so that a NaN coefficient fails it
+        if not (self.A >= 0 and self.B >= 0):
             raise ValueError("A and B must be nonnegative")
         if self.A == 0 and self.B == 0:
             raise ValueError("degenerate recurrence: A and B are both zero")
         if self.A + self.B >= 1:
             raise ValueError("no contraction: A + B must be below 1")
-        if self.b1 <= 0 or self.b2 < 0 or self.c < 0:
+        if not (self.b1 > 0 and self.b2 >= 0 and self.c >= 0):
             raise ValueError("need b1 > 0, b2 >= 0, c >= 0")
-        if self.k0 < 0:
-            raise ValueError("window length k0 must be nonnegative")
+        _check_window(self.k0)
 
     @property
     def root(self) -> float:
@@ -318,6 +318,12 @@ class TwoTermRecurrence:
         return _window_condition(a, self.c, self.k0, self.b1 - self.b2 / a)
 
 
+def _check_window(k0) -> None:
+    """The one window rule of both recurrences: k0 is an integer >= 0."""
+    if not (is_integer(k0) and k0 >= 0):
+        raise ValueError(f"window length k0 must be an integer >= 0, got {k0!r}")
+
+
 def _window_condition(a: float, c: float, k0: int, rhs: float) -> tuple:
     """(lhs, rhs, ok) of c * sum_{j <= k0} a^{-j} <= rhs."""
     lhs = c * sum(a ** (-j) for j in range(k0 + 1))
@@ -328,6 +334,7 @@ def one_term_condition(a: float, b: float, c: float, k0: int) -> tuple:
     """(lhs, rhs, ok) for V_{k+1} <= a V_k - b w_k + c S_k."""
     if not 0 < a < 1:
         raise ValueError("rate a must lie in (0, 1)")
+    _check_window(k0)
     return _window_condition(a, c, k0, b)
 
 
@@ -354,7 +361,8 @@ def _window_sums(w: Array, k0: int) -> Array:
     cs = np.concatenate(([0.0], np.cumsum(w)))
     n = len(w)
     hi = np.arange(n) + 1
-    lo = np.maximum(np.arange(n) - k0, 0)
+    # a window longer than w sums all of it; min keeps a k0 near 2**63 inside int64
+    lo = np.maximum(np.arange(n) - min(k0, n), 0)
     return cs[hi] - cs[lo]
 
 
@@ -536,8 +544,13 @@ def verify_descent(problem: CompositeProblem, trace: Trace, tau: int) -> Descent
     Lipschitz constant and the inertial weights.  x* is the trace's x_ref:
     Phi(x*) is evaluated there, whatever phi_star the run was given, and
     the squared distances are the trace's dist2.  Residual = rhs - lhs
-    must stay above -DESCENT_SLACK * (1 + |Phi(x*)|).
+    must stay above -DESCENT_SLACK * (1 + |Phi(x*)|).  ``tau`` is read
+    through the ``delay`` row and must be at least the run's staleness.
     """
+    tau = check(RATE_INPUTS.row("delay"), tau, "tau")
+    staleness = int(trace.staleness.max(initial=0))
+    if tau < staleness:
+        raise ValueError(f"tau {tau} is below the run's staleness {staleness}")
     if trace.x_ref is None:
         raise ValueError("trace lacks a reference point")
     phi_x = evaluate_objective(problem, trace.x_ref)

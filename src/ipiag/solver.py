@@ -29,7 +29,7 @@ from .core import (
     evaluate_objective,
     record_objective,
 )
-from .inputs import SOLVER_PARAMS, read
+from .inputs import SOLVER_PARAMS, is_integer, read
 from .schedules import DelaySchedule
 
 DIVERGENCE_FACTOR = 1e12
@@ -53,6 +53,8 @@ class SolverParams:
 
 def contiguous_partition(num_components: int, num_workers: int) -> list:
     """Split component indices into contiguous near-equal blocks."""
+    if not is_integer(num_workers):
+        raise ValueError(f"num_workers must be an integer, got {num_workers!r}")
     if num_workers < 1:
         raise ValueError("need at least one worker")
     if num_workers > num_components:
@@ -95,7 +97,6 @@ class Trace:
     z_final: Array
     phi_star: Optional[float] = None
     x_ref: Optional[Array] = None
-    z: Optional[Array] = None  # (records, d) when stored
 
     @property
     def records(self) -> int:
@@ -128,7 +129,7 @@ def run(
     x0: Array,
     x_ref: Optional[Array] = None,
     phi_star: Optional[float] = None,
-    store_iterates: bool = True,
+    store_iterates: bool = False,
 ) -> Trace:
     """Replay a delay schedule deterministically and trace the run.
 
@@ -143,7 +144,13 @@ def run(
     When the problem has a known optimum it is used as the reference point
     for dist2/psi unless ``x_ref`` overrides it.  If ``x_ref`` is given
     without ``phi_star``, the objective at ``x_ref`` is used.
+
+    A trace keeps no iterates; to record them, wrap ``problem.prox``, whose
+    output at step k is z_{k+1}.  ``store_iterates`` refuses True and stays
+    only for ``perfbench/``'s call, until ROADMAP item 1 deletes it.
     """
+    if store_iterates:
+        raise ValueError("run() stores no iterates; wrap problem.prox to record them")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dimension,):
         raise ValueError("x0 has the wrong dimension")
@@ -177,7 +184,6 @@ def run(
     phi = np.full(n_rec, np.nan)
     dist2 = np.full(n_rec, np.nan)
     step2 = np.zeros(n_rec)
-    zs = np.zeros((n_rec, problem.dimension)) if store_iterates else None
     diff = np.empty(problem.dimension)
     ones = np.ones(problem.dimension)
     # every z has x0's shape (checked once above and per prox output below), so the
@@ -196,8 +202,6 @@ def run(
     x = x_prev = z = x0
     phi0 = observe(0, z)
     guard = DIVERGENCE_FACTOR * max(1.0, abs(phi0))
-    if store_iterates:
-        zs[0] = z
 
     alpha, eta1, eta2 = params.alpha, params.eta1, params.eta2
     stop_tolerance = params.stop_tolerance
@@ -231,8 +235,6 @@ def run(
             raise NumericError("iterate became non-finite", iteration=k)
         step2[j] = np.dot(dz, dz)
         z = z_next
-        if store_iterates:
-            zs[j] = z
         phi_j = observe(j, z)
         executed = j
         if phi_j > guard:
@@ -261,7 +263,6 @@ def run(
         z_final=z.copy(),
         phi_star=None if phi_star is None else float(phi_star),
         x_ref=None if x_ref is None else x_ref.copy(),
-        z=None if zs is None else zs[:n],
     )
 
 
@@ -271,17 +272,17 @@ def sweep(problem: CompositeProblem, configs: Sequence[SolverParams],
     """Run every config on each schedule in turn and yield that schedule's traces.
 
     ``schedules`` is read lazily, one schedule at a time, and each list of
-    traces follows ``configs`` order.  Every run starts from x0 = 0 without
-    stored iterates; ``x_ref`` and ``phi_star`` are passed to ``run``.  A
-    ``NumericError`` of config i is re-raised with ``config = i`` set on it,
-    so the first divergence in (schedule, config) order is the one reported.
+    traces follows ``configs`` order.  Every run starts from x0 = 0; ``x_ref``
+    and ``phi_star`` are passed to ``run``.  A ``NumericError`` of config i is
+    re-raised with ``config = i`` set on it, so the first divergence in
+    (schedule, config) order is the one reported.
     """
     for schedule in schedules:
         traces = []
         for i, params in enumerate(configs):
             try:
                 traces.append(run(problem, params, schedule, np.zeros(problem.dimension),
-                                  x_ref=x_ref, phi_star=phi_star, store_iterates=False))
+                                  x_ref=x_ref, phi_star=phi_star))
             except NumericError as exc:
                 exc.config = i
                 raise

@@ -5,6 +5,7 @@ counter-based generator and the schedule error type; values are recomputed
 from first principles so that agreement is meaningful.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -144,6 +145,22 @@ def inertial_replay(problem, alpha, eta1, eta2, schedule, x0, iters, x_ref, phi_
         psi = (phi - phi_star) + (1.0 - eta1) / (2.0 * alpha) * dist2
     return {"phi": phi, "dist2": dist2, "psi": psi, "z": zs, "x_final": x, "z_final": z,
             "staleness": np.array(stale)}
+
+
+def recording_prox(problem, x0):
+    """``problem`` with a prox that keeps a copy of each output, and the list of the copies.
+
+    Step k's prox output is z_{k+1} and z_0 is x0, so the list starts with x0: after a
+    run from x0 it holds that run's z iterates in order.
+    """
+    iterates = [np.array(x0, dtype=float)]
+
+    def prox(v, alpha, inner=problem.prox):
+        z = inner(v, alpha)
+        iterates.append(np.array(z, copy=True))
+        return z
+
+    return dataclasses.replace(problem, prox=prox), iterates
 
 
 def central_difference_gradient(f, x, step=1e-6):

@@ -41,6 +41,7 @@ from .oracles import (
     brute_prox_1d,
     l1_scalar,
     nonneg_l1_scalar,
+    recording_prox,
     toy_prox_grad_reference,
 )
 
@@ -72,7 +73,7 @@ def baseline_run(toy100):
         alpha=cert.alpha, eta1=0.0, eta2=0.0, max_iters=BASELINE_ITERS
     )
     t0 = time.perf_counter()
-    trace = run(toy100, params, schedule, np.zeros(100), store_iterates=False)
+    trace = run(toy100, params, schedule, np.zeros(100))
     elapsed = time.perf_counter() - t0
     return {"cert": cert, "trace": trace, "elapsed": elapsed}
 
@@ -171,7 +172,6 @@ def test_criterion_03_random_admissible_certificates_hold_on_runs():
             SolverParams(alpha=cert.alpha, eta1=cert.eta1, eta2=cert.eta2, max_iters=500),
             schedule,
             np.zeros(10),
-            store_iterates=False,
         )
         report = verify_linear_bound(trace, cert)
         if not report.ok:
@@ -282,14 +282,15 @@ def test_criterion_08_staleness_bound_and_zero_delay_equivalence(toy100):
         assert max_observed_staleness(schedule) <= 4
 
     K = 300
-    trace = run(
-        toy100,
+    recorded, zs = recording_prox(toy100, np.zeros(100))
+    run(
+        recorded,
         SolverParams(alpha=1e-3, max_iters=K),
         schedule_uniform_single(4, 0, K, seed=3),
         np.zeros(100),
     )
     ref = toy_prox_grad_reference(np.zeros(100), 3.0, 1.0, 1e-3, K)
-    assert np.max(np.abs(trace.z - ref)) <= 1e-12
+    assert np.max(np.abs(np.array(zs) - ref)) <= 1e-12
 
 
 def test_criterion_09_inertia_helps_on_the_planted_regression(lasso_desk):

@@ -48,6 +48,8 @@ def test_alpha_must_be_positive():
 def test_negative_weight_is_rejected():
     with pytest.raises(ValueError):
         prox_nonneg_l1(np.zeros(2), 1.0, -0.1)
+    with pytest.raises(ValueError, match="weight"):  # it returned NaNs
+        prox_l1(np.ones(2), 1.0, np.nan)
     for weight in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="weight"):
             ProxSpec("l1", weight)

@@ -249,6 +249,9 @@ class TestRecurrenceAlgebra:
             dict(A=-0.1, B=0.2, b1=1.0, b2=0.0, c=0.0, k0=0),
             dict(A=0.2, B=0.2, b1=0.0, b2=0.0, c=0.0, k0=0),
             dict(A=0.2, B=0.2, b1=1.0, b2=0.0, c=0.0, k0=-1),
+            # a NaN coefficient was built, and its condition read (nan, nan, False)
+            dict(A=math.nan, B=0.1, b1=1.0, b2=0.0, c=0.1, k0=1),
+            dict(A=0.2, B=0.2, b1=1.0, b2=0.0, c=0.0, k0=1.5),
         ],
     )
     def test_rejects_bad_coefficients(self, kwargs):
@@ -264,6 +267,12 @@ class TestRecurrenceAlgebra:
     def test_one_term_condition_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             one_term_condition(a=1.0, b=1.0, c=0.0, k0=0)
+        # the window rule of TwoTermRecurrence: k0 = -1 reported ok, and 1.5 a bare TypeError
+        for k0 in (-1, 1.5):
+            with pytest.raises(ValueError, match="k0 must be an integer >= 0"):
+                one_term_condition(a=0.5, b=1.0, c=0.0, k0=k0)
+            with pytest.raises(ValueError, match="k0 must be an integer >= 0"):
+                verify_one_term(0.5 ** np.arange(5), np.zeros(4), a=0.5, b=1.0, c=0.0, k0=k0)
 
 
 class TestVerifiers:
@@ -454,7 +463,6 @@ class TestDescent:
             SolverParams(alpha=1e-3, max_iters=10),
             schedule_synchronous(2, 10),
             np.zeros(6),
-            store_iterates=False,
         )
         with pytest.raises(ValueError):
             verify_descent(bare, trace, 0)
@@ -467,6 +475,23 @@ class TestDescent:
         assert trace.phi_star == -1.5 and np.isnan(trace.dist2).all()
         with pytest.raises(ValueError):
             verify_descent(bare, trace, 0)
+
+    @pytest.mark.parametrize("tau, message", [
+        (1.5, "tau must be an integer, got 1.5"),
+        (-1, r"tau must lie in \[0, 2\*\*63\), got -1"),
+        (True, "tau must be an integer, got true"),
+        (0, "tau 0 is below the run's staleness 3"),
+    ], ids=["fraction", "negative", "bool", "below-staleness"])
+    def test_refuses_a_tau_it_cannot_speak_for(self, tau, message):
+        # 1.5 ended in an IndexError; -1 and True reported ok, and 0 checked a window
+        # shorter than the delays the run saw.  The largest tau the row takes overflowed int64
+        prob = make_toy(ToySpec(num_components=10))
+        schedule = schedule_uniform_single(4, 3, 50, seed=0)
+        trace = run(prob, SolverParams(alpha=1e-3, max_iters=50), schedule, np.zeros(10))
+        assert int(trace.staleness.max()) == 3
+        with pytest.raises(ValueError, match=message):
+            verify_descent(prob, trace, tau)
+        assert verify_descent(prob, trace, 3).ok and verify_descent(prob, trace, 2**63 - 1).ok
 
     def test_phi_is_taken_at_the_reference_point_not_from_phi_star(self):
         prob = make_toy(ToySpec(num_components=12))

@@ -25,7 +25,14 @@ from ipiag import (
     sweep,
 )
 
-from .oracles import flat, inertial_replay, same_bits, toy_prox_grad_reference, trace_csv
+from .oracles import (
+    flat,
+    inertial_replay,
+    recording_prox,
+    same_bits,
+    toy_prox_grad_reference,
+    trace_csv,
+)
 
 
 def quadratic_1d(l=4.0):
@@ -75,6 +82,10 @@ def test_partition_worker_count_bounds():
         contiguous_partition(3, 0)
     with pytest.raises(ValueError):
         contiguous_partition(3, 4)
+    # 2.5 made 2 blocks and True one
+    for workers in (2.5, True):
+        with pytest.raises(ValueError, match="num_workers must be an integer"):
+            contiguous_partition(5, workers)
 
 
 REPLAY_PROBLEMS = {
@@ -106,7 +117,8 @@ REPLAY_SCHEDULES = {
 
 
 def replay_case(name, eta1, eta2, schedule_kind):
-    """(run's trace, the plain replay) of one problem, weight pair and schedule."""
+    """(run's trace, its z iterates, the plain replay) of one problem, weight pair and
+    schedule."""
     prob = REPLAY_PROBLEMS[name]()
     K, W = 60, 4
     alpha = 0.5 / prob.total_lipschitz
@@ -115,24 +127,27 @@ def replay_case(name, eta1, eta2, schedule_kind):
     x0 = rng.standard_normal(prob.dimension)  # mixed signs: the first prox moves every entry
     x_ref = rng.standard_normal(prob.dimension)
     phi_star = -1.5
+    recorded, zs = recording_prox(prob, x0)
     trace = run(
-        prob,
+        recorded,
         SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=K),
         schedule,
         x0,
         x_ref=x_ref,
         phi_star=phi_star,
     )
-    return trace, inertial_replay(prob, alpha, eta1, eta2, schedule, x0, K, x_ref, phi_star)
+    want = inertial_replay(prob, alpha, eta1, eta2, schedule, x0, K, x_ref, phi_star)
+    return trace, np.array(zs), want
 
 
 @pytest.mark.parametrize("schedule_kind", sorted(REPLAY_SCHEDULES))
 @pytest.mark.parametrize("eta1, eta2", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.2), (0.3, 0.2)])
 @pytest.mark.parametrize("name", sorted(REPLAY_PROBLEMS))
 def test_run_equals_the_plain_replay_bit_for_bit(name, eta1, eta2, schedule_kind):
-    trace, want = replay_case(name, eta1, eta2, schedule_kind)
+    trace, z, want = replay_case(name, eta1, eta2, schedule_kind)
     assert trace.records == 61
-    for field in ("phi", "dist2", "psi", "z", "x_final", "z_final"):
+    assert same_bits(z, want["z"])
+    for field in ("phi", "dist2", "psi", "x_final", "z_final"):
         assert same_bits(getattr(trace, field), want[field]), field
     assert trace.staleness.dtype == want["staleness"].dtype
     assert np.array_equal(trace.staleness, want["staleness"])
@@ -140,7 +155,7 @@ def test_run_equals_the_plain_replay_bit_for_bit(name, eta1, eta2, schedule_kind
 
 def test_the_heavy_l1_replay_ends_with_negative_zeros():
     # without them the byte check on x_final above could not tell z + 0 * dz from a copy
-    trace, _ = replay_case("lasso8x12_l1", 0.3, 0.0, "uniform1")
+    trace, _, _ = replay_case("lasso8x12_l1", 0.3, 0.0, "uniform1")
     z = trace.z_final
     assert np.count_nonzero((z == 0) & np.signbit(z)) >= 1
 
@@ -170,12 +185,14 @@ def test_zero_eta1_steps_from_x_itself():
         component_lipschitz=np.array([4.0]),
     )
     x0 = np.array([1.0, -0.0])
-    trace = run(prob, SolverParams(alpha=0.1, max_iters=3), schedule_synchronous(1, 3), x0)
+    recorded, zs = recording_prox(prob, x0)
+    trace = run(recorded, SolverParams(alpha=0.1, max_iters=3), schedule_synchronous(1, 3), x0)
     want = inertial_replay(prob, 0.1, 0.0, 0.0, schedule_synchronous(1, 3), x0, 3, np.zeros(2))
+    z = np.array(zs)
     # step 1 reads x_0 = x_prev = x0: the replay's y has +0.0 where x0 has -0.0
-    assert same_bits(trace.z[1, 1], -0.0) and same_bits(want["z"][1, 1], 0.0)
-    assert np.array_equal(trace.z, want["z"])  # everything else has the replay's bits
-    assert same_bits(np.delete(trace.z.ravel(), 3), np.delete(want["z"].ravel(), 3))
+    assert same_bits(z[1, 1], -0.0) and same_bits(want["z"][1, 1], 0.0)
+    assert np.array_equal(z, want["z"])  # everything else has the replay's bits
+    assert same_bits(np.delete(z.ravel(), 3), np.delete(want["z"].ravel(), 3))
     for field in ("phi", "x_final", "z_final"):
         assert same_bits(getattr(trace, field), want[field]), field
 
@@ -219,11 +236,11 @@ def test_run_keeps_its_call_protocol():
 
         return call
 
-    traced = dataclasses.replace(
+    traced, zs = recording_prox(dataclasses.replace(
         prob, block_gradient=block_gradient, **{name: counted(name) for name in counts}
-    )
-    # eta2 = 0 makes every x iterate equal to the z of the same record, which the trace stores
-    trace = run(traced, SolverParams(alpha=1e-2, eta1=0.3, max_iters=K), schedule, x0)
+    ), x0)
+    # eta2 = 0 makes every x iterate equal to the z of the same record, which the prox returned
+    run(traced, SolverParams(alpha=1e-2, eta1=0.3, max_iters=K), schedule, x0)
     partition = contiguous_partition(10, W)
     n = schedule.offsets[K]
     want = [(w, None) for w in range(W)]
@@ -231,23 +248,26 @@ def test_run_keeps_its_call_protocol():
     assert len(grads) == len(want) == W + n
     for (indices, x), (w, source) in zip(grads, want):
         assert indices.dtype == partition[w].dtype and np.array_equal(indices, partition[w])
-        assert np.array_equal(x, x0 if source is None else trace.z[source])
+        assert np.array_equal(x, x0 if source is None else zs[source])
     assert counts == {"prox": K, "smooth_value": K + 1, "regularizer_value": K + 1}
 
 
 def test_list_edits_after_construction_do_not_steer_the_run():
     prob = make_toy(ToySpec(num_components=8))
     params = SolverParams(alpha=1e-2, max_iters=20)
-    want = run(prob, params, schedule_uniform_single(4, 2, 20, seed=0), np.zeros(8))
+    recorded, want_z = recording_prox(prob, np.zeros(8))
+    want = run(recorded, params, schedule_uniform_single(4, 2, 20, seed=0), np.zeros(8))
     schedule = schedule_uniform_single(4, 2, 20, seed=0)
     # iterate 7 is not written until step 6; neither the views nor the arrays take it
     with pytest.raises(TypeError):
         schedule.source_iter[3] = [7]
     with pytest.raises(ValueError):
         schedule.sources[3] = 7
-    got = run(prob, params, schedule, np.zeros(8))
-    for name in ("k", "phi", "dist2", "psi", "step_norm2", "staleness", "x_final", "z_final", "z"):
+    recorded, got_z = recording_prox(prob, np.zeros(8))
+    got = run(recorded, params, schedule, np.zeros(8))
+    for name in ("k", "phi", "dist2", "psi", "step_norm2", "staleness", "x_final", "z_final"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert np.array(got_z).tobytes() == np.array(want_z).tobytes()
 
 
 def test_an_iterate_off_the_domain_diverges_without_a_smooth_value():
@@ -364,21 +384,23 @@ def test_nonfinite_gradient_raises_with_the_iteration():
 def test_sync_run_matches_the_reference_iteration():
     prob = make_toy(ToySpec(num_components=30))
     alpha, K = 1e-3, 250
-    trace = run(
-        prob,
+    recorded, zs = recording_prox(prob, np.zeros(30))
+    run(
+        recorded,
         SolverParams(alpha=alpha, max_iters=K),
         schedule_synchronous(4, K),
         np.zeros(30),
     )
     ref = toy_prox_grad_reference(np.zeros(30), 3.0, 1.0, alpha, K)
-    assert np.max(np.abs(trace.z - ref)) <= 1e-12
+    assert np.max(np.abs(np.array(zs) - ref)) <= 1e-12
 
 
 def test_trace_bookkeeping_invariants():
     prob = make_toy(ToySpec(num_components=20))
     K = 150
+    recorded, zs = recording_prox(prob, np.zeros(20))
     trace = run(
-        prob,
+        recorded,
         SolverParams(alpha=5e-4, max_iters=K),
         schedule_uniform_single(4, 3, K, seed=2),
         np.zeros(20),
@@ -393,7 +415,7 @@ def test_trace_bookkeeping_invariants():
     # reference data filled from the known optimum
     assert np.all(np.isfinite(trace.dist2))
     assert np.all(trace.psi >= -1e-12)
-    assert np.allclose(trace.z[-1], trace.z_final)
+    assert np.allclose(zs[-1], trace.z_final)
 
 
 def test_early_stop_on_small_steps():
@@ -475,16 +497,15 @@ def test_explicit_reference_overrides_the_known_optimum():
     assert trace.phi_star == pytest.approx(2.0)  # objective at the reference
 
 
-def test_iterate_storage_toggles():
-    prob = quadratic_1d()
-    lean = run(
-        prob,
-        SolverParams(alpha=0.1, max_iters=5),
-        schedule_synchronous(1, 5),
-        np.ones(1),
-        store_iterates=False,
-    )
-    assert lean.z is None
+def test_a_run_stores_no_iterates():
+    # wrapping prox records them; the keyword is kept for callers that pass False
+    prob, args = quadratic_1d(), (SolverParams(alpha=0.1, max_iters=5), schedule_synchronous(1, 5))
+    trace = run(prob, *args, np.ones(1))
+    assert not hasattr(trace, "z")
+    with pytest.raises(ValueError, match="stores no iterates; wrap problem.prox"):
+        run(prob, *args, np.ones(1), store_iterates=True)
+    lean = run(prob, *args, np.ones(1), store_iterates=False)
+    assert lean.z_final.tobytes() == trace.z_final.tobytes()
 
 
 def test_stale_reads_use_the_recorded_source_iterate():
@@ -504,7 +525,7 @@ def test_stale_reads_use_the_recorded_source_iterate():
     )
     # same method, different schedules: trajectories must differ once
     # staleness kicks in, and the stale one must still make progress
-    assert np.max(np.abs(tr_sync.z[-1] - tr_stale.z[-1])) > 0.0
+    assert np.max(np.abs(tr_sync.z_final - tr_stale.z_final)) > 0.0
     assert tr_stale.phi[-1] - tr_stale.phi_star < tr_stale.phi[0] - tr_stale.phi_star
 
 
@@ -518,10 +539,12 @@ def test_the_iterate_ring_is_sized_by_the_staleness_the_run_sees(schedule_kind):
     loose = DelaySchedule(W, 10**14, tight.offsets, tight.workers, tight.sources)
     alpha, eta1, eta2 = 0.5 / prob.total_lipschitz, 0.3, 0.2
     x0 = np.random.default_rng(11).standard_normal(prob.dimension)
-    trace = run(prob, SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=K), loose, x0)
+    recorded, zs = recording_prox(prob, x0)
+    trace = run(recorded, SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=K), loose, x0)
     x_ref, phi_star = prob.known_optimum
     want = inertial_replay(prob, alpha, eta1, eta2, tight, x0, K, x_ref, phi_star)
-    for field in ("phi", "dist2", "psi", "z", "x_final", "z_final"):
+    assert same_bits(np.array(zs), want["z"])
+    for field in ("phi", "dist2", "psi", "x_final", "z_final"):
         assert same_bits(getattr(trace, field), want[field]), field
     assert np.array_equal(trace.staleness, want["staleness"])
 
@@ -599,7 +622,7 @@ def test_sweep_equals_a_loop_of_runs_bit_for_bit(name):
     for schedule, traces in zip(schedules, rows):
         for params, got in zip(configs, traces):
             want = run(prob, params, schedule, np.zeros(prob.dimension), x_ref=x_ref,
-                       phi_star=phi_star, store_iterates=False)
+                       phi_star=phi_star)
             for field in dataclasses.fields(Trace):
                 a, b = getattr(got, field.name), getattr(want, field.name)
                 if isinstance(b, np.ndarray):
@@ -623,20 +646,22 @@ def test_the_traces_of_a_sweep_share_the_schedule_staleness_read_only():
 
 def test_a_run_holds_little_more_than_its_trace():
     # per step, a run's peak above its inputs grows by the five per-record Trace arrays (k,
-    # phi, dist2, psi, step_norm2) and at most 40 bytes for the replay's own lists and buffers;
-    # the difference of two lengths cancels what a run holds at any length
-    prob = make_toy(ToySpec(num_components=10))
-    schedule, x0 = schedule_uniform_single(4, 4, 1500, seed=0), np.zeros(10)
-    peaks = []
-    for K in (500, 1500):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            run(prob, SolverParams(alpha=1e-3, max_iters=K), schedule, x0, store_iterates=False)
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= (5 * 8 + 40) * 1000, peaks
+    # phi, dist2, psi, step_norm2) and at most 40 bytes for the replay's own lists and buffers,
+    # at any dimension: a default run keeps no d-vector per step; the difference of two
+    # lengths cancels what a run holds at any length
+    schedule = schedule_uniform_single(4, 4, 1500, seed=0)
+    for d in (10, 1000):
+        prob, x0 = make_toy(ToySpec(num_components=d)), np.zeros(d)
+        peaks = []
+        for K in (500, 1500):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run(prob, SolverParams(alpha=1e-3, max_iters=K), schedule, x0)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= (5 * 8 + 40) * 1000, (d, peaks)
 
 
 def test_sweep_reads_a_generator_of_schedules_one_at_a_time():
