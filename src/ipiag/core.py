@@ -91,7 +91,7 @@ def block_range(indices: Array, n: int) -> tuple[int, int]:
     ns = np.asarray(indices)
     if ns.ndim != 1 or ns.size == 0:
         raise ValueError("a block is a nonempty 1-D index range")
-    lo, hi = int(ns[0]), int(ns[-1]) + 1
+    lo, hi = int(ns.item(0)), int(ns.item(-1)) + 1
     if hi - lo != ns.size or lo < 0 or hi > n:
         raise ValueError(f"{ns.size} indices from {lo} to {hi - 1} are not a range in 0..{n - 1}")
     return lo, hi

@@ -26,15 +26,17 @@ RUN_VARIANTS = {
 KINDS = ("zero", "l1", "nonneg_l1", "indicator_nonneg")
 
 
+# the number rules test the exact types int and float before the slower ABC check
 def is_integer(value) -> bool:
     """The integer rule of sizes, delays and seeds: an integral number that is not a bool."""
-    return isinstance(value, numbers.Integral) and type(value) is not bool
+    return type(value) is int or isinstance(value, numbers.Integral) and type(value) is not bool
 
 
 # JSON type -> (whether a value has it, how a message names it)
 _TYPES = {
     "integer": (is_integer, "an integer"),
-    "number": (lambda v: isinstance(v, numbers.Real) and type(v) is not bool, "a number"),
+    "number": (lambda v: type(v) is float or type(v) is int
+               or isinstance(v, numbers.Real) and type(v) is not bool, "a number"),
     "string": (lambda v: isinstance(v, str), "a string"),
     "path": (lambda v: isinstance(v, str), "a path"),
     "object": (lambda v: isinstance(v, dict), "a JSON object"),

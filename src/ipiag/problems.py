@@ -70,28 +70,30 @@ def make_toy(spec: ToySpec) -> CompositeProblem:
     prox_spec = spec.regularizer
 
     shifts = np.array([[c], [-c]])  # x - c is x + (-c) bit for bit
+    c0 = np.array(c)  # a ufunc converts a Python float operand on every call, a 0-d array not
 
     def smooth_value(x: Array) -> float:
         x = np.asarray(x, dtype=float)
-        # the scalar head keeps numpy's pow, which differs from d * d in the last bit
-        head = float((x[0] - c) ** 2)
         # rows x[1:] + c, x[1:] - c, x[:-1] + c, squared in place; a reduce along
         # the contiguous last axis sums each row pairwise, as a 1-D reduce would
-        table = np.empty((3, n - 1))
         np.add(x[1:], shifts, table[:2])
-        np.add(x[:-1], c, table[2])
+        np.add(x[:-1], c0, table[2])
         np.multiply(table, table, table)
         right_sq, minus_sq, left_sq = np.add.reduce(table, 1).tolist()
+        try:
+            head = math.pow(x.item(0) - c, 2.0)  # numpy's scalar pow; d * d differs in the last bit
+        except OverflowError:
+            head = math.inf
         return (head + 0.5 * minus_sq) + 0.5 * left_sq + 0.5 * right_sq
 
     def block_gradient(indices: Array, x: Array) -> Array:
         lo, hi = block_range(indices, n)
         g = np.zeros(n)
-        np.subtract(x[lo:hi], c, g[lo:hi])
+        np.subtract(x[lo:hi], c0, g[lo:hi])
         if lo == 0:
-            g[0] += x[0] - c
+            g[0] += g[0]  # f_0's own term is (x_0 - c) twice, and doubling is exact
         a = max(lo, 1) - 1
-        plus = x[a : hi + 1] + c  # x + c over [a, hi + 1), clipped at n
+        plus = np.add(x[a : hi + 1], c0)  # x + c over [a, hi + 1), clipped at n
         left = g[a : hi - 1]  # left neighbours; empty for the block [0, 1)
         np.add(left, plus[: hi - 1 - a], left)
         right = g[lo + 1 : hi + 1]  # right neighbours
@@ -100,6 +102,7 @@ def make_toy(spec: ToySpec) -> CompositeProblem:
 
     lipschitz = np.ones(n)
     lipschitz[0] = 2.0
+    table = np.empty((3, n - 1))  # smooth_value's rows, after the arrays numpy refuses first
 
     x_star = np.zeros(n)
     x_star[0] = max(0.0, c - spec.l1_weight) / 3.0
@@ -171,13 +174,13 @@ def make_lasso(spec: LassoSpec) -> CompositeProblem:
     lipschitz = np.sum(a * a, axis=1)
 
     def smooth_value(x: Array) -> float:
-        r = a @ x - b
-        return 0.5 * float(r @ r)
+        r = a.dot(x) - b  # ndarray.dot: the BLAS kernels of @, with less call overhead
+        return 0.5 * float(r.dot(r))
 
     def block_gradient(indices: Array, x: Array) -> Array:
         lo, hi = block_range(indices, spec.rows)
         rows = a[lo:hi]
-        return rows.T @ (rows @ x - b[lo:hi])
+        return rows.T.dot(rows.dot(x) - b[lo:hi])
 
     return CompositeProblem(
         dimension=spec.cols,

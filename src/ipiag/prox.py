@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .inputs import PROX_SPEC, read
+
+# a ufunc converts a Python float operand on every call and takes a 0-d array as it is
+_ZERO = np.array(0.0)
 
 
 def _check(alpha: float, weight: float) -> None:
@@ -31,16 +35,32 @@ def prox_zero(v: np.ndarray, alpha: float) -> np.ndarray:
     return np.array(v, dtype=float, copy=True)
 
 
+def _soft_threshold(weight: float, v: np.ndarray, alpha: float) -> np.ndarray:
+    """The l1 map of prox_l1 and ProxSpec; max and the sign product write into z, if an array."""
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    v = np.asarray(v, dtype=float)
+    z = np.subtract(np.abs(v), alpha * weight)
+    z = np.maximum(z, _ZERO, out=z) if z.ndim else np.maximum(z, _ZERO)
+    return np.multiply(np.sign(v), z, z) if z.ndim else np.sign(v) * z
+
+
+def _shifted_clamp(weight: float, v: np.ndarray, alpha: float) -> np.ndarray:
+    """The map of prox_nonneg_l1 and ProxSpec's orthant kinds; max writes into z, if an array."""
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    z = np.subtract(np.asarray(v, dtype=float), alpha * weight)
+    return np.maximum(z, _ZERO, out=z) if z.ndim else np.maximum(z, _ZERO)
+
+
 def prox_l1(v: np.ndarray, alpha: float, weight: float) -> np.ndarray:
     _check(alpha, weight)
-    v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - alpha * weight, 0.0)
+    return _soft_threshold(weight, v, alpha)
 
 
 def prox_nonneg_l1(v: np.ndarray, alpha: float, weight: float) -> np.ndarray:
     _check(alpha, weight)
-    v = np.asarray(v, dtype=float)
-    return np.maximum(v - alpha * weight, 0.0)
+    return _shifted_clamp(weight, v, alpha)
 
 
 def _zero_value(x: np.ndarray) -> float:
@@ -49,25 +69,17 @@ def _zero_value(x: np.ndarray) -> float:
 
 
 def _maps(kind: str, weight: float) -> tuple:
-    """(prox, value) of regularizer ``kind`` at ``weight``."""
+    """(prox, value) of regularizer ``kind`` at ``weight``; a partial adds no Python frame."""
     if kind == "zero":
         return prox_zero, _zero_value
 
     if kind == "l1":
-
-        def l1_prox(v: np.ndarray, alpha: float) -> np.ndarray:
-            return prox_l1(v, alpha, weight)
-
         def l1_value(x: np.ndarray) -> float:
             return weight * float(np.add.reduce(np.abs(np.asarray(x, dtype=float)), axis=None))
 
-        return l1_prox, l1_value
+        return partial(_soft_threshold, weight), l1_value
 
     if kind == "nonneg_l1":
-
-        def nonneg_l1_prox(v: np.ndarray, alpha: float) -> np.ndarray:
-            return prox_nonneg_l1(v, alpha, weight)
-
         def nonneg_l1_value(x: np.ndarray) -> float:
             x = np.asarray(x, dtype=float)
             # fmin skips NaN: [nan, -1.0] is off the orthant, as with (x < 0).any(), and [] is on it
@@ -75,15 +87,12 @@ def _maps(kind: str, weight: float) -> tuple:
                 return math.inf
             return weight * float(np.add.reduce(x))
 
-        return nonneg_l1_prox, nonneg_l1_value
-
-    def indicator_prox(v: np.ndarray, alpha: float) -> np.ndarray:
-        return prox_nonneg_l1(v, alpha, 0.0)
+        return partial(_shifted_clamp, weight), nonneg_l1_value
 
     def indicator_value(x: np.ndarray) -> float:
         return math.inf if np.fmin.reduce(np.asarray(x, dtype=float), initial=0.0) < 0 else 0.0
 
-    return indicator_prox, indicator_value
+    return partial(_shifted_clamp, 0.0), indicator_value
 
 
 @dataclass(frozen=True)

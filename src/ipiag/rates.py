@@ -325,8 +325,13 @@ def _check_window(k0) -> None:
 
 
 def _window_condition(a: float, c: float, k0: int, rhs: float) -> tuple:
-    """(lhs, rhs, ok) of c * sum_{j <= k0} a^{-j} <= rhs."""
-    lhs = c * sum(a ** (-j) for j in range(k0 + 1))
+    """(lhs, rhs, ok) of c * sum_{j <= k0} a^{-j} <= rhs; the sum is a^{-k0} (1 - a^{k0+1}) /
+    (1 - a), expm1 keeping its digits for a near 1, inf past the float range (lhs 0 at c = 0)."""
+    try:
+        total = k0 + 1.0 if a == 1 else a**-k0 * -math.expm1((k0 + 1) * math.log(a)) / (1 - a)
+    except OverflowError:
+        total = math.inf
+    lhs = c * total if c else 0.0
     return lhs, rhs, lhs <= rhs
 
 

@@ -184,18 +184,19 @@ def run(
     phi = np.full(n_rec, np.nan)
     dist2 = np.full(n_rec, np.nan)
     step2 = np.zeros(n_rec)
-    diff = np.empty(problem.dimension)
-    ones = np.ones(problem.dimension)
+    # a step writes only into its own rows; prox inputs alternate, so z outlives a prox returning v
+    ones, g, dz, diff, *vs = np.ones((6, problem.dimension))
     # every z has x0's shape (checked once above and per prox output below), so the
     # records skip evaluate_objective's per-point check
     objective = record_objective(problem)
     block_gradient, prox = problem.block_gradient, problem.prox
+    add, subtract, multiply = np.add, np.subtract, np.multiply
 
     def observe(j: int, z: Array) -> float:
         phi[j] = value = objective(z)
         if x_ref is not None:
-            np.subtract(z, x_ref, out=diff)
-            dist2[j] = np.dot(diff, diff)  # the @ kernel, with less call overhead
+            subtract(z, x_ref, diff)
+            dist2[j] = diff.dot(diff)  # ndarray.dot: the @ kernel, with less call overhead
         return value
 
     # nothing below writes into these arrays, so they may all alias x0
@@ -204,49 +205,54 @@ def run(
     guard = DIVERGENCE_FACTOR * max(1.0, abs(phi0))
 
     alpha, eta1, eta2 = params.alpha, params.eta1, params.eta2
+    alpha0, eta10, eta20 = np.array(alpha), np.array(eta1), np.array(eta2)  # see prox._ZERO
     stop_tolerance = params.stop_tolerance
     # the validated arrays, not the lists, drive the replay; step k takes counts[k] refreshes
     n = schedule.offsets[K]
     counts = np.diff(schedule.offsets[: K + 1]).tolist()
     refreshes = zip(schedule.workers[:n].tolist(), (schedule.sources[:n] % ring).tolist())
-    executed = 0
+    j = 0  # the last record written
     for k in range(K):
-        for w, slot in islice(refreshes, counts[k]):
+        if counts[k] == 1:  # the common step, without an islice
+            w, slot = next(refreshes)
             blocks[w] = block_gradient(partition[w], slots[slot])
-        g = np.add.reduce(blocks)  # what ndarray.sum calls, without its Python wrapper
-        # a finite sum implies finite entries.  np.dot with ones sums with less call overhead
+        else:
+            for w, slot in islice(refreshes, counts[k]):
+                blocks[w] = block_gradient(partition[w], slots[slot])
+        add.reduce(blocks, 0, None, g)
+        # a finite sum implies finite entries.  A dot with ones sums with less call overhead
         # than np.add.reduce, in another order, which can only change whether a sum of finite
         # entries near the float maximum overflows
-        if not math.isfinite(np.dot(g, ones)):
+        if not math.isfinite(g.dot(ones)):
             raise NumericError("aggregated gradient is not finite", iteration=k)
-        # with eta1 = 0 the pre-prox extrapolation is y = x, so it costs no array operation
-        v = x + eta1 * (x - x_prev) - alpha * g if eta1 else x - alpha * g
-        z_next = prox(v, alpha)
+        # v = y - alpha g with y = x + eta1 (x - x_prev), which at eta1 = 0 is x and costs nothing
+        v = vs[k & 1]
+        y = add(x, multiply(subtract(x, x_prev, v), eta10, v), v) if eta1 else x
+        z_next = prox(subtract(y, multiply(g, alpha0, g), v), alpha)
         if z_next.shape != x0.shape:
             raise ValueError(f"prox returned shape {z_next.shape}, expected {x0.shape}")
         j = k + 1
-        dz = z_next - z
+        subtract(z_next, z, dz)
+        step2[j] = s2 = dz.dot(dz)
         # ring >= 2, so slot j % ring is not the slot of x, which becomes x_prev.  At
         # eta2 = 0 neither a copy of z_next nor z_next + 0.0 has the bits of
         # z_next + 0 * dz: a -0.0 of z_next stays -0.0 exactly where dz is -0.0 or negative
-        x_prev, x = x, np.add(z_next, eta2 * dz, out=slots[j % ring])
+        x_prev, x = x, add(z_next, multiply(dz, eta20, dz), slots[j % ring])
         # a non-finite entry of z_next makes the same entry of x non-finite
-        if not math.isfinite(np.dot(x, ones)):
+        if not math.isfinite(x.dot(ones)):
             raise NumericError("iterate became non-finite", iteration=k)
-        step2[j] = np.dot(dz, dz)
         z = z_next
         phi_j = observe(j, z)
-        executed = j
         if phi_j > guard:
             raise DivergenceError(
                 f"objective {phi_j:.3e} exceeds the divergence guard "
                 f"({DIVERGENCE_FACTOR:.0e} relative to the start)",
                 iteration=j,
             )
-        if stop_tolerance is not None and np.sqrt(step2[j]) < stop_tolerance:
+        if stop_tolerance is not None and math.sqrt(s2) < stop_tolerance:
             break
 
-    n = executed + 1
+    n = j + 1
     psi = (np.full(n, np.nan) if x_ref is None
            else lyapunov_value(phi[:n], dist2[:n], phi_star, alpha, eta1))
     return Trace(

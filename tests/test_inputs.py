@@ -5,8 +5,11 @@ nothing from the package."""
 import ast
 import dataclasses
 import json
+import numbers
 import pathlib
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,12 +88,34 @@ def test_a_number_is_read_as_a_float_and_an_integer_as_it_is():
     number, integer = inputs.TOY_PARAMS.fields[1], inputs.ITERS
     assert type(inputs.check(number, 3, "offset")) is float
     assert type(inputs.check(integer, 3, "iters")) is int
+    # past the exact-type tests, numpy scalars and fractions are still numbers and a bool is not
+    for value in (np.float32(1.5), np.int64(3), Fraction(3, 2)):
+        assert type(inputs.check(number, value, "offset")) is float
+    assert inputs.check(integer, np.uint8(3), "iters") == 3
+    for field, value in ((number, True), (integer, False), (integer, 2.0)):
+        with pytest.raises(ValueError, match="must be an? "):
+            inputs.check(field, value, field.name)
     # a numpy integer, as a dataclass may hold, is shown as the integer, not as a string
     with pytest.raises(ValueError, match=r"^iters must lie in \[0, inf\), got -1$"):
         inputs.check(integer, np.int64(-1), "iters")
     assert inputs.read({"type": "sync"}, inputs.SCHEDULE, "schedule") == {
         "type": "sync", "tau": 0, "workers": 4,
     }
+
+
+class MyInt(int):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    3, -1, 2.5, MyInt(4), np.int64(3), np.uint8(2), np.float64(2.5), np.float32(1.5),
+    Fraction(1, 2), Fraction(4, 1), True, False, np.True_, Decimal("1.5"), 1 + 2j, "3", None,
+], ids=repr)
+def test_the_number_rules_take_what_the_abcs_take_and_no_bool(value):
+    integer, number = inputs._TYPES["integer"][0], inputs._TYPES["number"][0]
+    assert integer(value) is inputs.is_integer(value)
+    assert integer(value) is (isinstance(value, numbers.Integral) and type(value) is not bool)
+    assert number(value) is (isinstance(value, numbers.Real) and type(value) is not bool)
 
 
 def test_inputs_imports_nothing_from_the_package():

@@ -169,6 +169,28 @@ def test_value_on_non_finite_and_empty_input_equals_the_numpy_form(xs, weight, k
     assert same_bits(ProxSpec(kind, weight).value(x), regularizer_value(kind, weight, x))
 
 
+@given(
+    st.lists(st.one_of(finite, st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])),
+             max_size=8),
+    alphas,
+    weights,
+)
+@example([0.0, -0.0, 1e-300, -1e-300], 0.5, 0.0)
+def test_each_prox_equals_its_expression_form_bit_for_bit(vs, alpha, weight):
+    # both forms of each map, the public function and the ProxSpec closure, share one
+    # implementation; the expression form is the one it replaced
+    v = np.array(vs, dtype=float)
+    shift = np.maximum(v - alpha * weight, 0.0)
+    soft = np.sign(v) * np.maximum(np.abs(v) - alpha * weight, 0.0)
+    for got, want in ((prox_l1(v, alpha, weight), soft),
+                      (ProxSpec("l1", weight).prox(v, alpha), soft),
+                      (prox_nonneg_l1(v, alpha, weight), shift),
+                      (ProxSpec("nonneg_l1", weight).prox(v, alpha), shift),
+                      (ProxSpec("indicator_nonneg").prox(v, alpha), np.maximum(v - 0.0, 0.0))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_value_treats_negative_zero_as_inside_the_orthant():
     x = np.array([-0.0, 1.5, -0.0])
     assert ProxSpec("nonneg_l1", 2.0).value(x) == 3.0

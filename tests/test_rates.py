@@ -264,6 +264,19 @@ class TestRecurrenceAlgebra:
         assert rhs == 0.8
         assert ok
 
+    def test_a_window_sum_past_the_float_range_is_inf(self):
+        # the term-by-term sum raised a bare OverflowError at 2**10000
+        assert one_term_condition(0.5, 1.0, 0.1, 10**4) == (math.inf, 1.0, False)
+        assert one_term_condition(0.5, 1.0, 0.1, 10**400) == (math.inf, 1.0, False)
+        assert one_term_condition(0.5, 1.0, 0.0, 10**4) == (0.0, 1.0, True)
+
+    def test_the_closed_form_window_sum_equals_the_term_sum(self):
+        for a in (1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999999, 1.0 - 2.0**-40):
+            for k0 in range(51):
+                want = sum(a ** (-j) for j in range(k0 + 1))
+                lhs, _, _ = one_term_condition(a, 1.0, 1.0, k0)
+                assert lhs == pytest.approx(want, rel=1e-14), (a, k0)
+
     def test_one_term_condition_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             one_term_condition(a=1.0, b=1.0, c=0.0, k0=0)

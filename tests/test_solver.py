@@ -252,6 +252,18 @@ def test_run_keeps_its_call_protocol():
     assert counts == {"prox": K, "smooth_value": K + 1, "regularizer_value": K + 1}
 
 
+def test_a_prox_that_returns_its_input_steers_the_run_as_a_copy_would():
+    # run() writes each prox input into a buffer of its own; the two buffers alternate, so a
+    # z that is the prox's input itself is still intact when the next step reads it
+    prob = dataclasses.replace(REPLAY_PROBLEMS["lasso8x12"](), regularizer_value=lambda x: 0.0)
+    params = SolverParams(alpha=0.5 / prob.total_lipschitz, eta1=0.3, eta2=0.2, max_iters=30)
+    schedule = schedule_uniform_single(4, 3, 30, seed=5)
+    traces = [run(dataclasses.replace(prob, prox=prox), params, schedule, np.ones(12))
+              for prox in (lambda v, alpha: v, lambda v, alpha: v.copy())]
+    for field in ("phi", "step_norm2", "x_final", "z_final"):
+        assert getattr(traces[0], field).tobytes() == getattr(traces[1], field).tobytes(), field
+
+
 def test_list_edits_after_construction_do_not_steer_the_run():
     prob = make_toy(ToySpec(num_components=8))
     params = SolverParams(alpha=1e-2, max_iters=20)
