@@ -14,7 +14,7 @@ from .core import (
     full_gradient,
     gradient_consistency_check,
 )
-from .prox import ProxSpec, prox_l1, prox_nonneg_l1, prox_zero
+from .prox import ProxSpec
 from .rates import (
     BoundReport,
     DescentReport,
@@ -22,6 +22,7 @@ from .rates import (
     RateInputs,
     RecurrenceReport,
     TwoTermRecurrence,
+    Verdict,
     certificate_for,
     one_term_condition,
     resolve_parameters,
@@ -82,6 +83,7 @@ __all__ = [
     "ToySpec",
     "Trace",
     "TwoTermRecurrence",
+    "Verdict",
     "certificate_for",
     "contiguous_partition",
     "evaluate_objective",
@@ -98,9 +100,6 @@ __all__ = [
     "one_term_condition",
     "problem_from_document",
     "problem_to_document",
-    "prox_l1",
-    "prox_nonneg_l1",
-    "prox_zero",
     "reference_solution",
     "resolve_parameters",
     "run",

@@ -150,11 +150,8 @@ def cmd_run(args) -> int:
     if trace is not None:
         if cert is not None and trace.phi_star is not None and trace.records >= 2:
             report = verify_linear_bound(trace, cert)
-            verdicts = {
-                "psi": "pass" if report.psi_ok else "fail",
-                "phi_gap": "pass" if report.phi_ok else "fail",
-                "dist2": "pass" if report.dist_ok else "fail",
-            }
+            checked = (("psi", report.psi), ("phi_gap", report.phi), ("dist2", report.dist))
+            verdicts = {name: "pass" if verdict.ok else "fail" for name, verdict in checked}
             if not report.ok:
                 exit_code = EXIT_BOUND
         trace.to_csv(os.path.join(args.out, "trace.csv"))

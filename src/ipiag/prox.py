@@ -23,20 +23,15 @@ from .inputs import PROX_SPEC, read
 _ZERO = np.array(0.0)
 
 
-def _check(alpha: float, weight: float) -> None:
+def _copy(v: np.ndarray, alpha: float) -> np.ndarray:
+    """The map of kind ``zero``: an independent float copy of v."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    if not weight >= 0:  # NaN fails this comparison too
-        raise ValueError("weight must be nonnegative")
-
-
-def prox_zero(v: np.ndarray, alpha: float) -> np.ndarray:
-    _check(alpha, 0.0)
     return np.array(v, dtype=float, copy=True)
 
 
 def _soft_threshold(weight: float, v: np.ndarray, alpha: float) -> np.ndarray:
-    """The l1 map of prox_l1 and ProxSpec; max and the sign product write into z, if an array."""
+    """The map of kind ``l1``; max and the sign product write into z, if an array."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     v = np.asarray(v, dtype=float)
@@ -46,21 +41,11 @@ def _soft_threshold(weight: float, v: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _shifted_clamp(weight: float, v: np.ndarray, alpha: float) -> np.ndarray:
-    """The map of prox_nonneg_l1 and ProxSpec's orthant kinds; max writes into z, if an array."""
+    """The map of the orthant kinds; max writes into z, if an array."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     z = np.subtract(np.asarray(v, dtype=float), alpha * weight)
     return np.maximum(z, _ZERO, out=z) if z.ndim else np.maximum(z, _ZERO)
-
-
-def prox_l1(v: np.ndarray, alpha: float, weight: float) -> np.ndarray:
-    _check(alpha, weight)
-    return _soft_threshold(weight, v, alpha)
-
-
-def prox_nonneg_l1(v: np.ndarray, alpha: float, weight: float) -> np.ndarray:
-    _check(alpha, weight)
-    return _shifted_clamp(weight, v, alpha)
 
 
 def _zero_value(x: np.ndarray) -> float:
@@ -71,7 +56,7 @@ def _zero_value(x: np.ndarray) -> float:
 def _maps(kind: str, weight: float) -> tuple:
     """(prox, value) of regularizer ``kind`` at ``weight``; a partial adds no Python frame."""
     if kind == "zero":
-        return prox_zero, _zero_value
+        return _copy, _zero_value
 
     if kind == "l1":
         def l1_value(x: np.ndarray) -> float:

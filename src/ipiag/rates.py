@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,9 +30,10 @@ from .core import Array, CompositeProblem, evaluate_objective
 from .inputs import RATE_INPUTS, RUN_VARIANTS, VARIANTS, check, is_integer, read
 from .solver import Trace
 
-# relative tolerances of the checks below: a recurrence's data residual, the envelopes
-# of ``verify_linear_bound`` and the residuals of ``verify_descent``
+# relative tolerances of the checks below: a recurrence's data residual and envelope, the
+# envelopes of ``verify_linear_bound`` and the residuals of ``verify_descent``
 RECURRENCE_SLACK = 1e-12
+RECURRENCE_BOUND_SLACK = 1e-9
 BOUND_SLACK = 1e-8
 DESCENT_SLACK = 1e-9
 
@@ -271,6 +272,37 @@ def resolve_parameters(problem: CompositeProblem, config: dict, tau: int):
 
 
 # ---------------------------------------------------------------------------
+# verdicts: the one record and the one rule of every check below
+
+
+class Verdict(NamedTuple):
+    """Outcome of one check over a sequence: whether every entry passed, the index into the
+    checked sequence of the first entry that failed (None if none did) and the check's own
+    worst value."""
+
+    ok: bool
+    first_violation: Optional[int]
+    worst: float
+
+
+def _verdict(values: Array, limit, worst, offset: int = 0) -> Verdict:
+    """The one rule of every check: entry k passes when values[k] <= limit[k], so a NaN fails;
+    the first failing k, plus ``offset`` when values starts there in its sequence, is
+    reported."""
+    bad = np.nonzero(~(values <= limit))[0]
+    return Verdict(not bad.size, int(bad[0]) + offset if bad.size else None, float(worst))
+
+
+def _envelope_verdict(values: Array, envelope: Array, slack: float, offset: int = 0) -> Verdict:
+    """values <= envelope (1 + slack) + 1e-300; worst is the largest ratio values / envelope
+    (NaN skipped, inf where the envelope is not positive)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(envelope > 0, values / envelope, np.inf)
+    # fmax.reduce is nanmax without its all-NaN warning
+    return _verdict(values, envelope * (1.0 + slack) + 1e-300, np.fmax.reduce(ratio), offset)
+
+
+# ---------------------------------------------------------------------------
 # scalar recurrence verifiers
 
 
@@ -345,20 +377,18 @@ def one_term_condition(a: float, b: float, c: float, k0: int) -> tuple:
 
 @dataclass
 class RecurrenceReport:
-    """Outcome of replaying a recurrence argument on data."""
+    """Outcome of replaying a recurrence argument on data; ``data`` and ``bound`` index V."""
 
     condition_lhs: float
     condition_rhs: float
     condition_ok: bool
-    data_consistent: bool
-    data_max_violation: float
-    bound_ok: bool
-    bound_first_violation: Optional[int]
+    data: Verdict
+    bound: Verdict
     envelope: Array
 
     @property
     def ok(self) -> bool:
-        return self.condition_ok and self.data_consistent and self.bound_ok
+        return self.condition_ok and self.data.ok and self.bound.ok
 
 
 def _window_sums(w: Array, k0: int) -> Array:
@@ -372,19 +402,16 @@ def _window_sums(w: Array, k0: int) -> Array:
 
 
 def _replay(condition, V_next, rhs, V, envelope, start) -> RecurrenceReport:
-    """Residual (V_next - rhs) / (1 + |rhs|) <= RECURRENCE_SLACK; V under the envelope from
-    ``start`` on."""
+    """Residual (V_next - rhs) / (1 + |rhs|) <= RECURRENCE_SLACK, with V_next from
+    V[start + 1] on; V under the envelope from ``start`` on, with RECURRENCE_BOUND_SLACK."""
     lhs, cond_rhs, cond_ok = condition
-    data_max = float(((V_next - rhs) / (1.0 + np.abs(rhs))).max())
-    _, first, _ = _envelope_check(V[start:], envelope[start:], 1e-9)
+    residual = (V_next - rhs) / (1.0 + np.abs(rhs))
     return RecurrenceReport(
         condition_lhs=lhs,
         condition_rhs=cond_rhs,
         condition_ok=bool(cond_ok),
-        data_consistent=bool(data_max <= RECURRENCE_SLACK),
-        data_max_violation=data_max,
-        bound_ok=first is None,
-        bound_first_violation=None if first is None else first + start,
+        data=_verdict(residual, RECURRENCE_SLACK, residual.max(), start + 1),
+        bound=_envelope_verdict(V[start:], envelope[start:], RECURRENCE_BOUND_SLACK, start),
         envelope=envelope,
     )
 
@@ -448,33 +475,19 @@ def verify_two_term(V: Array, w: Array, rec: TwoTermRecurrence) -> RecurrenceRep
 
 @dataclass
 class BoundReport:
-    """Envelope check of a traced run against a certificate, with the dist2 envelope it checked."""
+    """Envelope checks of a traced run against a certificate, with the dist2 envelope it
+    checked; each verdict's worst is the largest ratio of the sequence to its envelope."""
 
     rho: float
     constant: float
     dist_envelope: Array
-    psi_ok: bool
-    phi_ok: bool
-    dist_ok: bool
-    psi_first_violation: Optional[int]
-    phi_first_violation: Optional[int]
-    dist_first_violation: Optional[int]
-    psi_max_ratio: float
-    phi_max_ratio: float
-    dist_max_ratio: float
+    psi: Verdict
+    phi: Verdict
+    dist: Verdict
 
     @property
     def ok(self) -> bool:
-        return self.psi_ok and self.phi_ok and self.dist_ok
-
-
-def _envelope_check(values: Array, envelope: Array, slack: float) -> tuple:
-    """(ok, first violation, max ratio) of values <= envelope (1 + slack) + 1e-300; NaN fails."""
-    bad = np.nonzero(~(values <= envelope * (1.0 + slack) + 1e-300))[0]
-    first = int(bad[0]) if bad.size else None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(envelope > 0, values / envelope, np.inf)
-    return first is None, first, float(np.fmax.reduce(ratio))  # nanmax without its all-NaN warning
+        return self.psi.ok and self.phi.ok and self.dist.ok
 
 
 def verify_linear_bound(trace: Trace, cert: RateCertificate) -> BoundReport:
@@ -501,43 +514,31 @@ def verify_linear_bound(trace: Trace, cert: RateCertificate) -> BoundReport:
     psi = trace.psi
     constant = float(psi[1] + rho * psi[0] + trace.step_norm2[1] / (4.0 * alpha))
 
-    k = np.arange(trace.records)
-    env = constant * rho ** k
-    gap = trace.phi - trace.phi_star
-
-    psi_ok, psi_first, psi_ratio = _envelope_check(psi, env, BOUND_SLACK)
-    phi_ok, phi_first, phi_ratio = _envelope_check(gap, env, BOUND_SLACK)
+    env = constant * rho ** np.arange(trace.records)
     # at eta1 = 1 psi has no distance term, so the certificate bounds dist2 nowhere
     dist_env = np.full(trace.records, np.inf) if eta1 == 1.0 else 2.0 * alpha / (1.0 - eta1) * env
-    dist_ok, dist_first, dist_ratio = _envelope_check(trace.dist2, dist_env, BOUND_SLACK)
     return BoundReport(
         rho=rho,
         constant=constant,
         dist_envelope=dist_env,
-        psi_ok=psi_ok,
-        phi_ok=phi_ok,
-        dist_ok=dist_ok,
-        psi_first_violation=psi_first,
-        phi_first_violation=phi_first,
-        dist_first_violation=dist_first,
-        psi_max_ratio=psi_ratio,
-        phi_max_ratio=phi_ratio,
-        dist_max_ratio=dist_ratio,
+        psi=_envelope_verdict(psi, env, BOUND_SLACK),
+        phi=_envelope_verdict(trace.phi - trace.phi_star, env, BOUND_SLACK),
+        dist=_envelope_verdict(trace.dist2, dist_env, BOUND_SLACK),
     )
 
 
 @dataclass
 class DescentReport:
-    """Residuals of the per-step descent inequality along a trace."""
+    """Residuals of the per-step descent inequality along a trace; the verdict's worst is the
+    smallest residual and its first violation the record whose phi broke the inequality."""
 
     residuals: Array
-    min_residual: float
     tolerance: float
-    first_violation: Optional[int]
+    descent: Verdict
 
     @property
     def ok(self) -> bool:
-        return self.first_violation is None
+        return self.descent.ok
 
 
 def verify_descent(problem: CompositeProblem, trace: Trace, tau: int) -> DescentReport:
@@ -587,11 +588,5 @@ def verify_descent(problem: CompositeProblem, trace: Trace, tau: int) -> Descent
     )
     residuals = rhs - trace.phi[1:]
     tol = DESCENT_SLACK * (1.0 + abs(phi_x))
-    bad = np.nonzero(residuals < -tol)[0]
-    first = int(bad[0]) if bad.size else None
-    return DescentReport(
-        residuals=residuals,
-        min_residual=float(residuals.min()),
-        tolerance=tol,
-        first_violation=first,
-    )
+    # residuals[k] checks phi[k + 1]
+    return DescentReport(residuals, tol, _verdict(-residuals, tol, residuals.min(), 1))

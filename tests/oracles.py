@@ -212,12 +212,12 @@ def regularizer_value(kind, weight, x):
     if kind == "zero":
         return 0.0
     if kind == "l1":
-        return float(weight * np.sum(np.abs(x)))
+        return weight * float(np.sum(np.abs(x)))
     if np.any(x < 0):
         return float("inf")
     if kind == "indicator_nonneg":
         return 0.0
-    return float(weight * np.sum(x))
+    return weight * float(np.sum(x))
 
 
 def uniform_single_lists(num_workers, tau, iters, seed):

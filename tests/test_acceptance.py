@@ -97,8 +97,8 @@ def test_criterion_01_pinned_run_converges_under_its_envelope(toy100, baseline_r
 
     report = verify_linear_bound(trace, cert)
     assert report.ok, (
-        f"envelope violated: psi@{report.psi_first_violation} "
-        f"phi@{report.phi_first_violation} dist@{report.dist_first_violation}"
+        f"envelope violated: psi@{report.psi.first_violation} "
+        f"phi@{report.phi.first_violation} dist@{report.dist.first_violation}"
     )
     assert report.constant == pytest.approx(3772.887881359486, rel=1e-9)
 
@@ -216,8 +216,8 @@ def test_criterion_04_recurrence_verifier_fuzz():
             S = w[max(0, k - k0) : k + 1].sum()
             V[k + 1] = A * V[k] + B * V[k - 1] - b1 * w[k] + b2 * w[k - 1] + c * S
         report = verify_two_term(V, w, rec)
-        if not report.ok or report.data_max_violation > 1e-9:
-            failures.append((i, "two-term", report.data_max_violation))
+        if not report.ok or report.data.worst > 1e-9:
+            failures.append((i, "two-term", report.data.worst))
 
         if one_term_draw:
             _, _, cond_one = one_term_condition(A, b1, c, k0)
@@ -233,8 +233,8 @@ def test_criterion_04_recurrence_verifier_fuzz():
 def test_criterion_05_descent_inequality_on_the_pinned_run(toy100, baseline_run):
     report = verify_descent(toy100, baseline_run["trace"], 4)
     assert report.ok, (
-        f"min residual {report.min_residual:.3e} below -{report.tolerance:.3e} "
-        f"first at step {report.first_violation}"
+        f"min residual {report.descent.worst:.3e} below -{report.tolerance:.3e} "
+        f"first at record {report.descent.first_violation}"
     )
 
 

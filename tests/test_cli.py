@@ -20,7 +20,7 @@ import pytest
 from ipiag import DelaySchedule, ToySpec, inputs, toy_document, lasso_document, LassoSpec
 from ipiag.cli import EXIT_BOUND, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, RUN_FLAGS, main
 from ipiag.plotting import _escape, log_line_plot
-from ipiag.rates import BoundReport
+from ipiag.rates import BoundReport, Verdict
 
 from .oracles import svg_polyline_points
 
@@ -526,15 +526,9 @@ class TestRun:
             rho=0.5,
             constant=1.0,
             dist_envelope=0.5 ** np.arange(21),
-            psi_ok=False,
-            phi_ok=True,
-            dist_ok=True,
-            psi_first_violation=3,
-            phi_first_violation=None,
-            dist_first_violation=None,
-            psi_max_ratio=2.0,
-            phi_max_ratio=0.5,
-            dist_max_ratio=0.5,
+            psi=Verdict(False, 3, 2.0),
+            phi=Verdict(True, None, 0.5),
+            dist=Verdict(True, None, 0.5),
         )
         monkeypatch.setattr("ipiag.cli.verify_linear_bound", lambda trace, cert: red)
         out = tmp_path / "o"

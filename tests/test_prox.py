@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ipiag import ProxSpec, prox_l1, prox_nonneg_l1, prox_zero
+from ipiag import ProxSpec
 
 from .oracles import brute_prox_1d, l1_scalar, nonneg_l1_scalar, regularizer_value, same_bits
 
@@ -13,18 +13,18 @@ weights = st.floats(min_value=0.0, max_value=3.0)
 
 
 def test_soft_threshold_hand_values():
-    out = prox_l1(np.array([2.0, -0.5]), 1.0, 1.0)
+    out = ProxSpec("l1", 1.0).prox(np.array([2.0, -0.5]), 1.0)
     assert np.allclose(out, [1.0, 0.0])
 
 
 def test_shifted_clamp_hand_values():
-    out = prox_nonneg_l1(np.array([3.0, -2.0]), 1.0, 1.0)
+    out = ProxSpec("nonneg_l1", 1.0).prox(np.array([3.0, -2.0]), 1.0)
     assert np.allclose(out, [2.0, 0.0])
 
 
 def test_zero_prox_returns_an_independent_copy():
     v = np.array([1.0, 2.0])
-    out = prox_zero(v, 0.5)
+    out = ProxSpec("zero").prox(v, 0.5)
     assert np.array_equal(out, v)
     out[0] = 50.0
     assert v[0] == 1.0
@@ -32,7 +32,7 @@ def test_zero_prox_returns_an_independent_copy():
 
 def test_zero_weight_soft_threshold_is_identity():
     v = np.array([0.3, -0.7, 0.0])
-    assert np.array_equal(prox_l1(v, 1.0, 0.0), v)
+    assert np.array_equal(ProxSpec("l1", 0.0).prox(v, 1.0), v)
 
 
 def test_indicator_prox_is_projection_onto_the_orthant():
@@ -40,33 +40,22 @@ def test_indicator_prox_is_projection_onto_the_orthant():
     assert np.allclose(spec.prox(np.array([-1.0, 2.0]), 0.7), [0.0, 2.0])
 
 
-def test_alpha_must_be_positive():
-    with pytest.raises(ValueError):
-        prox_l1(np.zeros(2), 0.0, 1.0)
+@pytest.mark.parametrize("kind", ["zero", "l1", "nonneg_l1", "indicator_nonneg"])
+def test_alpha_must_be_positive(kind):
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        ProxSpec(kind).prox(np.zeros(2), 0.0)
 
 
 def test_negative_weight_is_rejected():
-    with pytest.raises(ValueError):
-        prox_nonneg_l1(np.zeros(2), 1.0, -0.1)
-    with pytest.raises(ValueError, match="weight"):  # it returned NaNs
-        prox_l1(np.ones(2), 1.0, np.nan)
-    for weight in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="weight"):
-            ProxSpec("l1", weight)
+    for kind in ("l1", "nonneg_l1"):
+        for weight in (-0.1, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="weight"):
+                ProxSpec(kind, weight)
 
 
 def test_unknown_kind_is_rejected():
     with pytest.raises(ValueError):
         ProxSpec("huber", 1.0)
-
-
-def test_spec_dispatch_matches_the_free_functions():
-    v = np.array([1.5, -0.25, 0.0])
-    assert np.array_equal(ProxSpec("l1", 0.4).prox(v, 0.5), prox_l1(v, 0.5, 0.4))
-    assert np.array_equal(
-        ProxSpec("nonneg_l1", 0.4).prox(v, 0.5), prox_nonneg_l1(v, 0.5, 0.4)
-    )
-    assert np.array_equal(ProxSpec("zero").prox(v, 0.5), v)
 
 
 def test_values_on_and_off_the_domain():
@@ -86,14 +75,14 @@ def test_json_roundtrip():
 
 @given(finite, alphas, weights)
 def test_soft_threshold_agrees_with_search(v, alpha, weight):
-    got = prox_l1(np.array([v]), alpha, weight)[0]
+    got = ProxSpec("l1", weight).prox(np.array([v]), alpha)[0]
     want = brute_prox_1d(l1_scalar(weight), v, alpha)
     assert got == pytest.approx(want, abs=1e-7)
 
 
 @given(finite, alphas, weights)
 def test_shifted_clamp_agrees_with_search(v, alpha, weight):
-    got = prox_nonneg_l1(np.array([v]), alpha, weight)[0]
+    got = ProxSpec("nonneg_l1", weight).prox(np.array([v]), alpha)[0]
     want = brute_prox_1d(nonneg_l1_scalar(weight), v, alpha)
     assert got == pytest.approx(want, abs=1e-7)
 
@@ -163,6 +152,8 @@ def test_value_equals_the_numpy_form_bit_for_bit(xs, weight, kind):
 @example([-1.0, np.nan], 0.0, "indicator_nonneg")
 @example([np.inf, -np.inf], 0.5, "nonneg_l1")
 @example([-np.inf], 0.0, "indicator_nonneg")
+@example([np.inf], 0.0, "l1")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_value_on_non_finite_and_empty_input_equals_the_numpy_form(xs, weight, kind):
     # a NaN is neither in nor off the orthant, so a negative entry next to it still gives +inf
     x = np.array(xs, dtype=float)
@@ -177,14 +168,11 @@ def test_value_on_non_finite_and_empty_input_equals_the_numpy_form(xs, weight, k
 )
 @example([0.0, -0.0, 1e-300, -1e-300], 0.5, 0.0)
 def test_each_prox_equals_its_expression_form_bit_for_bit(vs, alpha, weight):
-    # both forms of each map, the public function and the ProxSpec closure, share one
-    # implementation; the expression form is the one it replaced
+    # each ProxSpec map equals the expression form it replaced
     v = np.array(vs, dtype=float)
     shift = np.maximum(v - alpha * weight, 0.0)
     soft = np.sign(v) * np.maximum(np.abs(v) - alpha * weight, 0.0)
-    for got, want in ((prox_l1(v, alpha, weight), soft),
-                      (ProxSpec("l1", weight).prox(v, alpha), soft),
-                      (prox_nonneg_l1(v, alpha, weight), shift),
+    for got, want in ((ProxSpec("l1", weight).prox(v, alpha), soft),
                       (ProxSpec("nonneg_l1", weight).prox(v, alpha), shift),
                       (ProxSpec("indicator_nonneg").prox(v, alpha), np.maximum(v - 0.0, 0.0))):
         assert got.dtype == want.dtype and got.shape == want.shape

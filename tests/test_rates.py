@@ -294,22 +294,22 @@ class TestVerifiers:
         w = np.zeros(29)
         rep = verify_one_term(V, w, a=0.9, b=0.5, c=0.0, k0=0)
         assert rep.ok
-        assert rep.condition_ok and rep.data_consistent and rep.bound_ok
-        assert rep.bound_first_violation is None
+        assert rep.condition_ok and rep.data.ok and rep.bound.ok
+        assert rep.bound.first_violation is None
         # a NaN is a violation of the envelope, not a pass
         V[3] = np.nan
         rep = verify_one_term(V, w, a=0.9, b=0.5, c=0.0, k0=0)
-        assert not rep.bound_ok
-        assert rep.bound_first_violation == 3
+        assert not rep.bound.ok
+        assert rep.bound.first_violation == 3
 
     def test_one_term_flags_a_broken_recurrence(self):
         V = np.array([1.0, 2.0, 4.0])
         w = np.zeros(2)
         rep = verify_one_term(V, w, a=0.5, b=0.5, c=0.0, k0=0)
-        assert not rep.data_consistent
-        assert not rep.bound_ok
-        assert rep.bound_first_violation == 1
-        assert rep.data_max_violation > 1.0
+        assert not rep.data.ok
+        assert not rep.bound.ok
+        assert rep.bound.first_violation == 1
+        assert rep.data.worst > 1.0
 
     def test_two_term_accepts_saturated_data(self):
         rec = TwoTermRecurrence(A=0.4, B=0.2, b1=1.0, b2=0.1, c=0.005, k0=3)
@@ -330,20 +330,20 @@ class TestVerifiers:
             )
         rep = verify_two_term(V, w, rec)
         assert rep.ok
-        assert rep.data_max_violation <= 1e-12
+        assert rep.data.worst <= 1e-12
         V[5] = np.nan
         rep = verify_two_term(V, w, rec)
-        assert not rep.bound_ok
-        assert rep.bound_first_violation == 5
+        assert not rep.bound.ok
+        assert rep.bound.first_violation == 5
 
     def test_two_term_flags_inflated_data(self):
         rec = TwoTermRecurrence(A=0.4, B=0.2, b1=1.0, b2=0.0, c=0.0, k0=0)
         V = np.array([1.0, 1.0, 1.0, 1.0])
         w = np.zeros(3)
         rep = verify_two_term(V, w, rec)
-        assert not rep.data_consistent
-        assert not rep.bound_ok
-        assert rep.bound_first_violation is not None
+        assert not rep.data.ok
+        assert not rep.bound.ok
+        assert rep.bound.first_violation is not None
 
     def test_two_term_needs_enough_data(self):
         rec = TwoTermRecurrence(A=0.4, B=0.2, b1=1.0, b2=0.0, c=0.0, k0=0)
@@ -363,7 +363,7 @@ class TestVerifiers:
         two = verify_two_term(V, w, rec)
         one = verify_one_term(V, w, a=rec.A, b=rec.b1, c=rec.c, k0=rec.k0)
         assert two.condition_ok == one.condition_ok
-        assert two.data_consistent and one.data_consistent
+        assert two.data.ok and one.data.ok
 
 
 def test_lyapunov_value_formula():
@@ -388,17 +388,17 @@ class TestLinearBound:
         trace, cert = self._toy_trace()
         rep = verify_linear_bound(trace, cert)
         assert rep.ok
-        assert rep.psi_first_violation is None
-        assert rep.phi_first_violation is None
-        assert rep.dist_first_violation is None
-        assert 0.0 < rep.psi_max_ratio <= 1.0 + 1e-8
+        assert rep.psi.first_violation is None
+        assert rep.phi.first_violation is None
+        assert rep.dist.first_violation is None
+        assert 0.0 < rep.psi.worst <= 1.0 + 1e-8
 
     def test_understated_rate_is_caught(self):
         trace, cert = self._toy_trace()
         lying = dataclasses.replace(cert, rho=cert.rho * 0.2)
         rep = verify_linear_bound(trace, lying)
         assert not rep.ok
-        assert rep.psi_first_violation is not None
+        assert rep.psi.first_violation is not None
 
     def test_certificate_of_another_run_is_refused(self):
         # the trace's psi is only the certificate's Lyapunov value at the same weights
@@ -438,7 +438,7 @@ class TestLinearBound:
         trace = run(prob, params, schedule_synchronous(1, 1), np.zeros(2))
         rep = verify_linear_bound(trace, cert)
         assert np.all(rep.dist_envelope == np.inf)
-        assert rep.dist_ok and rep.dist_max_ratio == 0.0
+        assert rep.dist.ok and rep.dist.worst == 0.0
 
     def test_needs_a_reference_point(self):
         prob = make_toy(ToySpec(num_components=6))
@@ -465,7 +465,7 @@ class TestDescent:
         trace = run(prob, params, schedule_uniform_single(3, tau, K, seed=11), np.zeros(12))
         rep = verify_descent(prob, trace, tau)
         assert rep.ok
-        assert rep.min_residual >= -rep.tolerance
+        assert rep.descent.worst >= -rep.tolerance
         assert len(rep.residuals) == K
 
     def test_requires_a_reference_point(self):
@@ -519,3 +519,63 @@ class TestDescent:
             verify_descent(prob, own, tau).residuals,
             verify_descent(prob, other, tau).residuals,
         )
+
+
+NAN_AT = 10
+
+
+def _nan_at(values):
+    planted = np.array(values, dtype=float)
+    planted[NAN_AT] = np.nan
+    return planted
+
+
+def _trace_verdict(field, verdict):
+    """The verdict of ``verify_linear_bound`` (or ``verify_descent``) on a certified toy run
+    with a NaN planted in one of its trace sequences."""
+    prob = make_toy(ToySpec(num_components=12))
+    tau, K = 2, 60
+    cert = certificate_for("t1", RateInputs(prob.total_lipschitz, prob.growth_constant, tau))
+    params = SolverParams(alpha=cert.alpha, eta1=cert.eta1, eta2=cert.eta2, max_iters=K)
+    trace = run(prob, params, schedule_uniform_single(3, tau, K, seed=9), np.zeros(12))
+
+    def check(trace):
+        if verdict == "descent":
+            return verify_descent(prob, trace, tau)
+        return verify_linear_bound(trace, cert)
+
+    assert check(trace).ok
+    planted = dataclasses.replace(trace, **{field: _nan_at(getattr(trace, field))})
+    return getattr(check(planted), verdict)
+
+
+def _recurrence_verdict(terms, verdict):
+    """The data or bound verdict of a recurrence replay on exact geometric data with a NaN
+    planted in V."""
+    rec = TwoTermRecurrence(A=0.4, B=0.2, b1=1.0, b2=0.0, c=0.0, k0=0)
+    V, w = rec.root ** np.arange(30), np.zeros(29)
+
+    def replay(V):
+        if terms == 1:
+            return verify_one_term(V, w, a=rec.root, b=rec.b1, c=rec.c, k0=rec.k0)
+        return verify_two_term(V, w, rec)
+
+    assert replay(V).ok
+    return getattr(replay(_nan_at(V)), verdict)
+
+
+@pytest.mark.parametrize("case", [
+    ("psi", "psi"), ("phi", "phi"), ("dist2", "dist"), ("phi", "descent"),
+    (1, "data"), (1, "bound"), (2, "data"), (2, "bound"),
+], ids=["bound-psi", "bound-phi-gap", "bound-dist2", "descent-phi", "one-term-data",
+        "one-term-bound", "two-term-data", "two-term-bound"])
+def test_a_nan_fails_every_check_at_its_index(case):
+    # one rule for every verdict: a NaN is a violation, reported at its index in the checked
+    # sequence (verify_descent used to pass a NaN residual)
+    source, verdict = case
+    if isinstance(source, int):
+        got = _recurrence_verdict(source, verdict)
+    else:
+        got = _trace_verdict(source, verdict)
+    assert got.ok is False
+    assert got.first_violation == NAN_AT
