@@ -23,7 +23,7 @@ import numpy as np
 from .core import Array, CompositeProblem, block_range
 from .inputs import DOCUMENT, GENERATOR, LASSO_PARAMS, OPTIMUM, TOY_PARAMS, read, sized
 from .prox import ProxSpec
-from .rng import SplitMix64
+from .rng import BLOCK, SplitMix64
 from .schedules import schedule_synchronous
 from .solver import SolverParams, run
 
@@ -163,6 +163,19 @@ def lasso_arrays(spec: LassoSpec) -> tuple:
     return a, b, x_true
 
 
+def _row_norms_sq(a: Array) -> Array:
+    """Row sums of squares, pairwise as ``np.sum(a * a, axis=1)``, a block of rows at a time."""
+    step = max(1, BLOCK // a.shape[1])
+    out = np.empty(a.shape[0])
+    squares = np.empty((min(step, a.shape[0]), a.shape[1]))
+    for lo in range(0, a.shape[0], step):
+        rows = a[lo : lo + step]
+        block = squares[: len(rows)]
+        np.multiply(rows, rows, out=block)
+        np.add.reduce(block, axis=1, out=out[lo : lo + step])
+    return out
+
+
 def make_lasso(spec: LassoSpec) -> CompositeProblem:
     """Least-squares components f_i = (a_i . x - b_i)^2 / 2, h = l1.
 
@@ -171,7 +184,7 @@ def make_lasso(spec: LassoSpec) -> CompositeProblem:
     """
     a, b, _ = lasso_arrays(spec)
     prox_spec = spec.regularizer
-    lipschitz = np.sum(a * a, axis=1)
+    lipschitz = _row_norms_sq(a)
 
     def smooth_value(x: Array) -> float:
         r = a.dot(x) - b  # ndarray.dot: the BLAS kernels of @, with less call overhead

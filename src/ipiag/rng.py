@@ -24,9 +24,12 @@ Derived draws are defined on top of the 64-bit stream:
   ``u2 = U[m:]`` producing ``r*cos`` values followed by ``r*sin`` values,
   truncated to ``n``.
 
-Layout and memory.  The bulk draws do each elementwise step in place:
-``u64_array``, ``uniforms`` and ``normals`` hold two n-element arrays at
-their peak, the result and one scratch, so about twice the output bytes.
+Layout and memory.  The bulk draws ``u64_array``, ``uniforms`` and
+``normals`` run the counter, the mix, the 53-bit conversion and Box-Muller
+over one block of ``BLOCK`` (2**15) draws at a time, in place, so they hold
+their output plus one block-sized scratch array (256 KB) at their peak;
+a draw of one block or less holds at most twice its output, as before.  Every
+value is the one the whole-array formula gives.
 The array ``normals`` returns starts on a 64-byte (cache-line) boundary,
 so a matrix reshaped from it is aligned with no copy, and so is every row
 whose byte length is a multiple of 64.  A draw count, bound or shuffle size that is
@@ -44,6 +47,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _ALIGN = 64  # bytes: one cache line
+BLOCK = 1 << 15  # draws per pass of a bulk draw: 256 KB of uint64 scratch, well inside L2
 
 
 def _mix(z: int) -> int:
@@ -88,15 +92,13 @@ class SplitMix64:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         return self.next_u64() % n
 
-    def _fill(self, out: np.ndarray) -> np.ndarray:
-        """Write the next len(out) draws into the uint64 array out.
+    def _fill(self, first: int, out: np.ndarray) -> np.ndarray:
+        """Write draws first + 1 .. first + len(out) into the uint64 array out.
 
         Returns the uint64 scratch array of the same length that the mixing
         used, free for the caller to reuse.
         """
-        n = len(out)
-        z = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
-        self.counter += n
+        z = np.arange(first + 1, first + len(out) + 1, dtype=np.uint64)
         np.multiply(z, np.uint64(_GAMMA), out=out)
         out += np.uint64(self.seed)
         for shift, factor in ((30, _MIX1), (27, _MIX2)):
@@ -107,43 +109,55 @@ class SplitMix64:
         out ^= z
         return z
 
-    def _fill_uniforms(self, draws: np.ndarray) -> np.ndarray:
-        """Next len(draws) uniforms, with the uint64 array draws holding the raw draws.
+    def _fill_uniforms(self, first: int, out: np.ndarray) -> np.ndarray:
+        """Write the uniforms of draws first + 1 .. first + len(out) into the float64 array out.
 
-        Returns them as a float64 view of the scratch array ``_fill`` returns,
-        so draws is free for the caller afterwards.
+        Returns the float64 scratch array of the same length that it used,
+        free for the caller to reuse.
         """
-        u = self._fill(draws).view(np.float64)
+        draws = out.view(np.uint64)
+        u = self._fill(first, draws).view(np.float64)
         draws >>= np.uint64(11)
         np.copyto(u, draws, casting="unsafe")  # exact: every value is below 2**53
-        u *= 2.0**-53
+        np.multiply(u, 2.0**-53, out=out)
         return u
+
+    def _bulk(self, n, dtype, fill) -> np.ndarray:
+        """The next n draws, written by ``fill`` one block at a time."""
+        out = np.empty(_count(n), dtype=dtype)
+        for lo in range(0, len(out), BLOCK):
+            fill(self.counter + lo, out[lo : lo + BLOCK])
+        self.counter += len(out)
+        return out
 
     def u64_array(self, n: int) -> np.ndarray:
         """Next n raw draws as a uint64 array (same stream as next_u64)."""
-        out = np.empty(_count(n), dtype=np.uint64)
-        self._fill(out)
-        return out
+        return self._bulk(n, np.uint64, self._fill)
 
     def uniforms(self, n: int) -> np.ndarray:
         """Doubles in [0, 1) with 53-bit resolution."""
-        return self._fill_uniforms(np.empty(_count(n), dtype=np.uint64))
+        return self._bulk(n, np.float64, self._fill_uniforms)
 
     def normals(self, n: int) -> np.ndarray:
         """Standard normal draws via Box-Muller on uniform blocks, 64-byte aligned."""
         m = (_count(n) + 1) // 2
         z = _aligned_doubles(2 * m)
-        u = self._fill_uniforms(z.view(np.uint64))
-        r, theta = u[:m], u[m:]
-        np.maximum(r, 2.0**-53, out=r)  # keep log finite
-        np.log(r, out=r)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        theta *= 2.0 * np.pi
-        np.cos(theta, out=z[:m])
-        z[:m] *= r
-        np.sin(theta, out=z[m:])
-        z[m:] *= r
+        for lo in range(0, m, BLOCK):
+            hi = min(lo + BLOCK, m)
+            r, theta = z[lo:hi], z[m + lo : m + hi]
+            self._fill_uniforms(self.counter + lo, r)
+            cos = self._fill_uniforms(self.counter + m + lo, theta)
+            np.maximum(r, 2.0**-53, out=r)  # keep log finite
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            theta *= 2.0 * np.pi
+            np.cos(theta, out=cos)
+            np.sin(theta, out=theta)
+            theta *= r
+            r *= cos
+            del cos  # so the next block's draws reuse its memory
+        self.counter += 2 * m
         return z[:n]
 
     def shuffle_prefix(self, n: int, k: int) -> np.ndarray:
@@ -151,7 +165,7 @@ class SplitMix64:
         if not (is_integer(n) and is_integer(k) and 0 <= k <= n):
             raise ValueError(f"need integers 0 <= k <= n, got n={n!r}, k={k!r}")
         idx = list(range(n))
-        for i in range(k):
-            j = i + self.below(n - i)
+        for i, u in enumerate(self.u64_array(k).tolist()):  # the draws of k calls below(n - i)
+            j = i + u % (n - i)
             idx[i], idx[j] = idx[j], idx[i]
         return np.array(sorted(idx[:k]), dtype=int)

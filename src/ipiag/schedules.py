@@ -69,7 +69,8 @@ class DelaySchedule:
             and (offsets[1:] >= offsets[:-1]).all()
         ):
             raise ScheduleError("offsets must rise from 0 to the length of workers and sources")
-        steps = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        counts = np.diff(offsets)
+        steps = np.repeat(np.arange(len(offsets) - 1), counts)
         bad_worker = (workers < 0) | (workers >= self.num_workers)
         bad = np.flatnonzero(bad_worker | (sources < 0) | (sources > steps))
         # the first offending entry in iteration order decides the message
@@ -81,13 +82,15 @@ class DelaySchedule:
         # the flat position of each entry's latest refresh, filled down the table in place
         table = np.full((len(offsets), self.num_workers), -1, dtype=np.int64)
         position = np.arange(len(steps))
-        table[steps + 1, workers] = position
-        lost = np.flatnonzero(table[steps + 1, workers] != position)  # a repeated (step, worker)
-        if lost.size:
-            k, seen = steps[lost[0]], set()
-            ws = workers[offsets[k]:offsets[k + 1]].tolist()
-            w = next(w for w in ws if w in seen or seen.add(w))  # the first one seen again
-            raise ScheduleError(f"iteration {k}: worker {w} refreshes twice")
+        cells = (steps + 1, workers)
+        table[cells] = position
+        if counts.max(initial=0) > 1:  # only a step that refreshes two workers can repeat one
+            lost = np.flatnonzero(table[cells] != position)  # a repeated (step, worker)
+            if lost.size:
+                k, seen = steps[lost[0]], set()
+                ws = workers[offsets[k]:offsets[k + 1]].tolist()
+                w = next(w for w in ws if w in seen or seen.add(w))  # the first one seen again
+                raise ScheduleError(f"iteration {k}: worker {w} refreshes twice")
         np.maximum.accumulate(table, axis=0, out=table)
         # position -1 (never refreshed, and all of row 0) wraps to the appended source 0; a
         # "wrap" take is unbuffered, and each cell's position is read before its source is written

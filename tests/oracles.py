@@ -371,6 +371,15 @@ def splitmix_uniforms(seed, counter, n):
     return (splitmix_u64(seed, counter, n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
+def shuffle_prefix_scalar(rng, n, k):
+    """Sorted first k entries of a Fisher-Yates shuffle of range(n), by k scalar below(n - i)."""
+    idx = list(range(n))
+    for i in range(k):
+        j = i + rng.below(n - i)
+        idx[i], idx[j] = idx[j], idx[i]
+    return sorted(idx[:k])
+
+
 def splitmix_normals(seed, counter, n):
     """Box-Muller on uniform blocks: r*cos values, then r*sin values, cut to n."""
     m = (n + 1) // 2

@@ -147,6 +147,10 @@ def test_criterion_02_inertia_never_slows_the_baseline_down(toy100):
             assert hit is not None, f"{name} missed the threshold on seed {seed}"
             hits[name].append(hit)
 
+    # the first hits on every seed: the doubly inertial run gains 4 iterations on the plain one
+    first_hits = {"plain": 18625, "pre": 18623, "post": 18623, "both": 18621}
+    assert hits == {name: [hit] * 10 for name, hit in first_hits.items()}, hits
+
     means = {name: float(np.mean(vals)) for name, vals in hits.items()}
     assert means["both"] <= means["pre"] <= means["plain"], means
     assert means["post"] <= means["plain"], means

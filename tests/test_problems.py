@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,24 @@ class TestLasso:
         assert np.any(prob.block_gradient(np.arange(12), x) != 0.0)
         drawn[0][:] = 0.0  # the problem reads this very buffer
         assert not np.any(prob.block_gradient(np.arange(12), x))
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (33, 1000), (300, 1000), (3, 40000), (40000, 1)])
+    def test_row_norms_equal_the_whole_matrix_sum_bit_for_bit(self, rows, cols):
+        # blocks of BLOCK // cols rows, one row at a time past BLOCK columns
+        spec = LassoSpec(rows=rows, cols=cols, sparsity=0.1, l1_weight=0.2, seed=rows + cols)
+        a, _, _ = lasso_arrays(spec)
+        want = np.sum(a * a, axis=1)
+        assert make_lasso(spec).component_lipschitz.tobytes() == want.tobytes()
+
+    def test_make_lasso_holds_its_matrix_plus_one_block(self):
+        spec = LassoSpec(rows=300, cols=1000, sparsity=0.1, l1_weight=0.2, seed=7)
+        tracemalloc.start()
+        try:
+            make_lasso(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * spec.rows * spec.cols * 8  # no full a * a for the row norms
 
     @pytest.mark.parametrize(
         "kwargs",
