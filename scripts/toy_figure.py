@@ -5,7 +5,8 @@ Runs the four method variants at their certified parameters on one shared
 delay schedule and writes per-variant trace CSVs plus a combined SVG with
 the certified envelope overlaid.  On the same schedule, a step-size sweep
 of the no-inertia method shows how far past the threshold the iteration
-stays stable.
+stays stable.  Flags: --iters (default 10000) and --out.  Fixed: 100
+components, and 4 workers under tau = 4 drawn from schedule seed 0.
 
 Example:
     python scripts/toy_figure.py --out figures/toy
@@ -27,6 +28,8 @@ from ipiag import (
 )
 from ipiag.plotting import log_line_plot
 
+# the chain problem's size, and the schedule's workers, staleness bound and seed
+COMPONENTS, WORKERS, TAU, SEED = 100, 4, 4, 0
 # figure label of each run tag, at momentum fraction C1 = 0.25
 LABELS = {
     "piag": "plain",
@@ -47,7 +50,7 @@ def write_trace_csv(path, trace):
             writer.writerow([k, trace.dist2[k], trace.phi[k] - trace.phi_star])
 
 
-def variant_comparison(args, out_dir, resolved, traces):
+def variant_comparison(out_dir, resolved, traces):
     curves = []
     for label, (alpha, eta1, eta2, _, _), trace in zip(LABELS.values(), resolved, traces):
         write_trace_csv(os.path.join(out_dir, f"toy_{label.replace('-', '_')}.csv"), trace)
@@ -62,7 +65,7 @@ def variant_comparison(args, out_dir, resolved, traces):
     log_line_plot(
         os.path.join(out_dir, "toy_variants.svg"),
         curves,
-        title=f"chain problem, n={args.components}, tau={args.tau}",
+        title=f"chain problem, n={COMPONENTS}, tau={TAU}",
         ylabel="squared distance",
     )
 
@@ -82,18 +85,14 @@ def step_size_sweep(out_dir, traces):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--components", type=int, default=100)
-    parser.add_argument("--tau", type=int, default=4)
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--iters", type=int, default=10000)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="figures/toy")
     args = parser.parse_args()
 
     os.makedirs(args.out, exist_ok=True)
-    prob = make_toy(ToySpec(num_components=args.components))
+    prob = make_toy(ToySpec(num_components=COMPONENTS))
     resolved = [
-        resolve_parameters(prob, inputs.read({"variant": tag, "c1": C1}, inputs.CONFIG), args.tau)
+        resolve_parameters(prob, inputs.read({"variant": tag, "c1": C1}, inputs.CONFIG), TAU)
         for tag in LABELS
     ]
     # the step sweep scales the plain method's certified step, which C1 does not enter
@@ -101,9 +100,9 @@ def main():
         SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=args.iters)
         for alpha, eta1, eta2, _, _ in resolved
     ] + [SolverParams(alpha=resolved[0][0] * m, max_iters=args.iters) for m in MULTIPLIERS]
-    schedule = schedule_uniform_single(args.workers, args.tau, args.iters, args.seed)
+    schedule = schedule_uniform_single(WORKERS, TAU, args.iters, SEED)
     (traces,) = sweep(prob, configs, [schedule])
-    variant_comparison(args, args.out, resolved, traces[: len(LABELS)])
+    variant_comparison(args.out, resolved, traces[: len(LABELS)])
     step_size_sweep(args.out, traces[len(LABELS):])
     print(f"artifacts in {args.out}")
 

@@ -71,6 +71,9 @@ class DelaySchedule:
             raise ScheduleError("offsets must rise from 0 to the length of workers and sources")
         counts = np.diff(offsets)
         steps = np.repeat(np.arange(len(offsets) - 1), counts)
+        # only a step that refreshes two workers can repeat one; counts is freed before the table
+        crowded = counts.max(initial=0) > 1
+        del counts
         bad_worker = (workers < 0) | (workers >= self.num_workers)
         bad = np.flatnonzero(bad_worker | (sources < 0) | (sources > steps))
         # the first offending entry in iteration order decides the message
@@ -84,7 +87,7 @@ class DelaySchedule:
         position = np.arange(len(steps))
         cells = (steps + 1, workers)
         table[cells] = position
-        if counts.max(initial=0) > 1:  # only a step that refreshes two workers can repeat one
+        if crowded:
             lost = np.flatnonzero(table[cells] != position)  # a repeated (step, worker)
             if lost.size:
                 k, seen = steps[lost[0]], set()

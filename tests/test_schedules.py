@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,6 +420,19 @@ def test_uniform_single_with_the_largest_tau_is_the_plain_draws(workers):
     draws = SplitMix64(3).u64_array(10) % np.uint64(workers)
     assert arrays(s) == (list(range(11)), draws.tolist(), list(range(10)))
     assert s.tau == 2**63 - 1
+
+
+def test_uniform_single_peaks_near_the_bytes_it_keeps():
+    # the generator's peak is its arrays plus the checks' temporaries; a per-step array the
+    # checks no longer need, held while the staleness table is built, lifts it to ~2.47x
+    tracemalloc.start()
+    try:
+        s = schedule_uniform_single(4, 4, 10**5, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (s.offsets, s.workers, s.sources, s.staleness))
+    assert peak <= 2.4 * kept, peak / kept
 
 
 @given(st.integers(1, 5), st.integers(0, 4), st.integers(0, 60), st.integers(0, 2**32))

@@ -48,7 +48,25 @@ def test_lasso_figure_full_alone_passes_the_check_and_reaches_the_reference_solv
     monkeypatch.setattr(script, "reference_solution", no_solve)
     with pytest.raises(Solved):
         script.main(["--full", "--out", str(tmp_path / "out")])
-    assert capsys.readouterr().out.startswith("instance: 300 x 1000,")
+    assert capsys.readouterr().out.startswith("instance: 300 x 1000, planted support 100,")
+
+
+# each fixed setting is a constant of its script, so a flag that would set it is refused
+@pytest.mark.parametrize("name, flag", [
+    *(("toy_figure", flag) for flag in ("--components", "--tau", "--workers", "--seed")),
+    *(("lasso_figure", flag) for flag in ("--rows", "--cols", "--sparsity", "--weight",
+                                          "--instance-seed", "--eta", "--tau", "--workers")),
+])
+def test_the_figure_scripts_refuse_a_removed_flag_before_writing(
+    monkeypatch, tmp_path, capsys, name, flag
+):
+    script = _load(name)
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", flag, "4", "--out", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as exit_info:
+        script.main()
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _digests(directory):
