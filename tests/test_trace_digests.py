@@ -2,8 +2,8 @@
 
 The bit tests elsewhere compare ``run()`` with a plain replay on small problems;
 this pins the traces themselves on the shapes the benchmark runs (toy100 with
-four workers, lasso 60x200 with three), so a change that keeps every call but
-moves one bit of one record fails here.  Dot products and matrix products go
+four workers, lasso 60x200 and 300x1000 with three), so a change that keeps
+every call but moves one bit of one record fails here.  Dot products and matrix products go
 through BLAS, so the digests are pinned per OpenBLAS kernel.
 """
 
@@ -24,6 +24,7 @@ from ipiag import (
     make_toy,
     run,
     schedule_uniform_single,
+    spectral_norm_sq,
 )
 
 from .test_scripts import blas_kernel
@@ -71,16 +72,19 @@ def toy_cases():
 
 
 def lasso_cases():
-    """Criterion 9's plain and doubly inertial lasso runs, measured from the planted vector."""
-    spec = LassoSpec(rows=60, cols=200, sparsity=0.1, l1_weight=0.2, seed=7)
-    prob, (_, _, x_true) = make_lasso(spec), lasso_arrays(spec)
-    variants = {"plain": SolverParams(alpha=1e-3, max_iters=K),
-                "double": SolverParams(alpha=1e-3, eta1=0.25, eta2=0.25, max_iters=K)}
-    for seed in SEEDS:
-        schedule = schedule_uniform_single(3, 4, K, seed)
-        for variant, params in variants.items():
-            yield (f"lasso60x200/{variant}/seed{seed}",
-                   run(prob, params, schedule, np.zeros(prob.dimension), x_ref=x_true))
+    """Plain and doubly inertial lasso runs, measured from the planted vector: criterion 9's
+    60x200 instance, and the benchmark's 300x1000 one at its step 0.3 / ||A||^2."""
+    for rows, cols in ((60, 200), (300, 1000)):
+        spec = LassoSpec(rows=rows, cols=cols, sparsity=0.1, l1_weight=0.2, seed=7)
+        prob, (a, _, x_true) = make_lasso(spec), lasso_arrays(spec)
+        alpha = 1e-3 if rows == 60 else 0.3 / spectral_norm_sq(a)
+        variants = {"plain": SolverParams(alpha=alpha, max_iters=K),
+                    "double": SolverParams(alpha=alpha, eta1=0.25, eta2=0.25, max_iters=K)}
+        for seed in SEEDS:
+            schedule = schedule_uniform_single(3, 4, K, seed)
+            for variant, params in variants.items():
+                yield (f"lasso{rows}x{cols}/{variant}/seed{seed}",
+                       run(prob, params, schedule, np.zeros(prob.dimension), x_ref=x_true))
 
 
 def digests():
@@ -132,6 +136,14 @@ TRACE_DIGESTS = {
             "47e2666f15903e31133dc93e45015999ecd31075561ffb6fdef1e687e49b55eb",
         "lasso60x200/double/seed1":
             "d2cb8808ad3323684de703fce90c7543239893529e1e23091da4fa615b7d42ff",
+        "lasso300x1000/plain/seed0":
+            "7806c9db18cd05f999f57c0774e10aa48478588684759a0b44462c81d79b706a",
+        "lasso300x1000/double/seed0":
+            "4957656c7412ed5d11a064bc32a0668c5f8393d2bb8422116a1a3bf0aecefe27",
+        "lasso300x1000/plain/seed1":
+            "3f040e52da217d85085209a147971f95fca32387c5af0f683aa5e453bf948e15",
+        "lasso300x1000/double/seed1":
+            "17a4c64ffa9f02f698ea4bd5a0e55e1cea0b378d5dd2236499c9fb5a7b6d4958",
     },
     "Haswell": {
         "toy100/plain/zero/seed0":
@@ -174,6 +186,14 @@ TRACE_DIGESTS = {
             "047bd985b5a2eb13cb571537dd0f1718b679fe36e0e8205e1b236a110447d40c",
         "lasso60x200/double/seed1":
             "27c234d10e8a0f3a8ac40dcf0a02a742a76b8933e9702131c199c8a38afd21b4",
+        "lasso300x1000/plain/seed0":
+            "97f0240af106717775d7a856a3e28bc8926e5776b5dbbd7d60c992065c15f4c3",
+        "lasso300x1000/double/seed0":
+            "5e9628196b41f3dd8907fa1b055f9fced38a0b8ba644a42e55ca4d9600a9080c",
+        "lasso300x1000/plain/seed1":
+            "074380d69330ce6ea36a7bfe01d9352e3bc17a619d28e70ce6be5e26a83a08d2",
+        "lasso300x1000/double/seed1":
+            "4c64cd288b30fe669cc8840da1f35bfc2cb6ab55f01c89cf910fd163c984a10f",
     },
 }
 
