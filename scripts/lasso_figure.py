@@ -45,7 +45,7 @@ ETA, WORKERS, TAU = 0.25, 3, 4
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--alpha", type=float, default=None, help="default 1e-3, 2e-4 with --full")
     parser.add_argument("--iters", type=int, default=None, help="default 35000, 60000 with --full")
     parser.add_argument("--seeds", type=int, default=10, help="schedule seeds to average over")
@@ -56,6 +56,9 @@ def main(argv=None):
         "the instance, which the refusal prints, is refused before the reference solve",
     )
     args = parser.parse_args(argv)
+    for flag, value in (("--iters", args.iters), ("--seeds", args.seeds)):
+        if value is not None and value < 1:
+            parser.error(f"{flag} must be at least 1, got {value}")
 
     rows, cols, alpha, iters = INSTANCES[args.full]
     alpha = alpha if args.alpha is None else args.alpha

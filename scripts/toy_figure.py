@@ -84,10 +84,12 @@ def step_size_sweep(out_dir, traces):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--iters", type=int, default=10000)
     parser.add_argument("--out", default="figures/toy")
     args = parser.parse_args()
+    if args.iters < 1:
+        parser.error(f"--iters must be at least 1, got {args.iters}")
 
     os.makedirs(args.out, exist_ok=True)
     prob = make_toy(ToySpec(num_components=COMPONENTS))

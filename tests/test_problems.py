@@ -253,6 +253,49 @@ class TestLasso:
         r = a @ x - b
         assert prob.smooth_value(x) == pytest.approx(0.5 * float(r @ r), rel=1e-12)
 
+    # row counts 1, 3, 4 and 5 make one block; 301 x 999 is nine 32-row blocks and a 13-row
+    # last one; at 1500 columns BLOCK // cols is 21 rows, so a step not rounded down to 20 would
+    # start a block at row 21 and move rows out of dgemv_t's four-row groups
+    @pytest.mark.parametrize("rows, cols", [(1, 30), (3, 30), (4, 30), (5, 30), (301, 999), (45, 1500)])
+    def test_smooth_value_keeps_the_bits_of_one_gemv(self, rows, cols):
+        spec = LassoSpec(rows=rows, cols=cols, sparsity=0.1, l1_weight=0.2, seed=rows + cols)
+        prob, (a, b, _) = make_lasso(spec), lasso_arrays(spec)
+        rng = np.random.default_rng(rows)
+        signed_zeros = rng.normal(size=cols)
+        signed_zeros[::3], signed_zeros[1::3] = 0.0, -0.0
+        vectors = [rng.normal(size=cols), signed_zeros, np.full(cols, -0.0)]
+        for special in (math.inf, -math.inf, math.nan):
+            x = rng.normal(size=cols)
+            x[cols // 2] = special
+            vectors.append(x)
+        for x in vectors:
+            r = a.dot(x) - b
+            want = 0.5 * float(r.dot(r))
+            for _ in range(2):  # the second call reads the blocks in the other direction
+                assert same_bits(prob.smooth_value(x), want)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 30), (3, 30), (5, 30), (60, 200), (300, 1000),
+                                            (301, 999), (43, 1500), (45, 1500), (9, 10**9)])
+    def test_row_blocks_start_on_multiples_of_four_rows(self, rows, cols):
+        blocks = ipiag.problems._row_blocks(rows, cols)
+        assert blocks[0][0] == 0 and blocks[-1][1] == rows
+        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+        assert all(lo % 4 == 0 for lo, _ in blocks)
+        assert all(hi - lo >= 4 for lo, hi in blocks) or blocks == [(0, rows)]
+        if rows * cols <= ipiag.problems.BLOCK:  # 60 x 200 is one GEMV, as before
+            assert blocks == [(0, rows)]
+        if (rows, cols) == (300, 1000):
+            assert [hi - lo for lo, hi in blocks] == [32] * 9 + [12]
+
+    def test_a_block_off_a_multiple_of_four_rows_moves_bits(self):
+        # the shapes above would catch such a block: cutting 301 x 999 at row 150 moves the
+        # bits of a full GEMV, and cutting it at row 152 keeps them
+        a, _, _ = lasso_arrays(LassoSpec(rows=301, cols=999, seed=1300))
+        x = np.random.default_rng(0).normal(size=999)
+        full = a.dot(x).tobytes()
+        for cut, same in ((150, False), (152, True)):
+            assert (np.concatenate([a[:cut].dot(x), a[cut:].dot(x)]).tobytes() == full) is same
+
     def test_gradient_passes_finite_differences(self):
         prob = make_lasso(self.SPEC)
         rng = np.random.default_rng(2)

@@ -51,11 +51,14 @@ def test_lasso_figure_full_alone_passes_the_check_and_reaches_the_reference_solv
     assert capsys.readouterr().out.startswith("instance: 300 x 1000, planted support 100,")
 
 
-# each fixed setting is a constant of its script, so a flag that would set it is refused
+# each fixed setting is a constant of its script, so a flag that would set it is refused; no
+# flag is taken by a prefix either, so the toy script's old --seed is not lasso's --seeds
 @pytest.mark.parametrize("name, flag", [
-    *(("toy_figure", flag) for flag in ("--components", "--tau", "--workers", "--seed")),
+    *(("toy_figure", flag) for flag in ("--components", "--tau", "--workers", "--seed",
+                                        "--iter")),
     *(("lasso_figure", flag) for flag in ("--rows", "--cols", "--sparsity", "--weight",
-                                          "--instance-seed", "--eta", "--tau", "--workers")),
+                                          "--instance-seed", "--eta", "--tau", "--workers",
+                                          "--seed", "--iter")),
 ])
 def test_the_figure_scripts_refuse_a_removed_flag_before_writing(
     monkeypatch, tmp_path, capsys, name, flag
@@ -66,6 +69,29 @@ def test_the_figure_scripts_refuse_a_removed_flag_before_writing(
         script.main()
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("toy_figure", ["--iters", "0"]),
+    ("toy_figure", ["--iters", "-1"]),
+    ("lasso_figure", ["--iters", "0"]),
+    ("lasso_figure", ["--full", "--iters", "-1"]),
+    ("lasso_figure", ["--seeds", "0"]),
+    ("lasso_figure", ["--seeds", "-2"]),
+])
+def test_the_figure_scripts_refuse_a_count_below_one_before_writing(
+    monkeypatch, tmp_path, capsys, name, argv
+):
+    script = _load(name)
+    if name == "lasso_figure":
+        monkeypatch.setattr(script, "make_lasso", None)  # refused before the instance is built
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv, "--out", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as exit_info:
+        script.main()
+    assert exit_info.value.code == 2
+    flag, value = argv[-2:]
+    assert f"error: {flag} must be at least 1, got {value}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
