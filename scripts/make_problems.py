@@ -17,7 +17,7 @@ from ipiag import LassoSpec, ToySpec, lasso_document, toy_document
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--out", default="problems")
     parser.add_argument(
         "--full", action="store_true", help="also write the 300 x 1000 regression instance"

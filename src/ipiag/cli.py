@@ -191,7 +191,7 @@ def cmd_run(args) -> int:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
 
-    if args.plot and trace is not None and trace.records >= 2:
+    if args.plot and trace is not None:
         _plot_run(args, variant, trace, report)
     if divergence is not None:
         _error(divergence)
@@ -271,9 +271,8 @@ def cmd_compare(args) -> int:
             print(f"warning: config {label!r} is uncertified: {cert_error}", file=sys.stderr)
         params = SolverParams(alpha=alpha, eta1=eta1, eta2=eta2, max_iters=iters)
         resolved.append((label, variant, params, cert))
-    out_dir = args.out or spec["out"]
-    if out_dir:
-        _make_output_dir(out_dir)
+    if args.out:
+        _make_output_dir(args.out)
 
     if problem.known_optimum is not None:
         x_ref, phi_star = problem.known_optimum
@@ -321,8 +320,8 @@ def cmd_compare(args) -> int:
             float(np.mean(gaps)),
         ]
         table.writerow([label, variant] + [None if v is None else FLOAT_FORMAT % v for v in row])
-    if out_dir:
-        with open(os.path.join(out_dir, "compare.csv"), "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(os.path.join(args.out, "compare.csv"), "w", encoding="utf-8") as fh:
             fh.write(buffer.getvalue())
     sys.stdout.write(buffer.getvalue())
     return EXIT_OK

@@ -168,7 +168,6 @@ SPEC = Table("the spec", (
     SEED._replace(name="base_seed"),
     Field("reference", "object", {}),
     Field("configs", "list"),
-    Field("out", "string", ""),
 ))
 # ``ipiag run`` reads its flags through the SCHEDULE and CONFIG rows, ITERS and SEED
 SCHEDULE = Table("schedule", (
@@ -214,7 +213,6 @@ OPTIMUM = Table("known_optimum", (
 GENERATOR = Table("generator", (
     Field("name", "string", REQUIRED, ("toy", "lasso")),
     Field("params", "object", {}),
-    SEED._replace(types="integer or null", default=None),
 ))
 TOY_PARAMS = Table("generator.params (toy)", (
     Field("num_components", "integer", REQUIRED, "[2, inf)"),

@@ -122,8 +122,7 @@ def make_toy(spec: ToySpec) -> CompositeProblem:
 
 
 def toy_document(spec: ToySpec) -> dict:
-    generator = {"name": "toy", "params": dict(vars(spec)), "seed": None}
-    return problem_to_document(make_toy(spec), generator, spec.regularizer.to_json())
+    return _document("toy", spec, make_toy)
 
 
 @dataclass(frozen=True)
@@ -227,9 +226,7 @@ def make_lasso(spec: LassoSpec) -> CompositeProblem:
 
 
 def lasso_document(spec: LassoSpec) -> dict:
-    params = {name: value for name, value in vars(spec).items() if name != "seed"}
-    generator = {"name": "lasso", "params": params, "seed": spec.seed}
-    return problem_to_document(make_lasso(spec), generator, spec.regularizer.to_json())
+    return _document("lasso", spec, make_lasso)
 
 
 def spectral_norm_sq(a: Array) -> float:
@@ -251,12 +248,11 @@ def reference_solution(problem: CompositeProblem, alpha: float, max_iters: int, 
     return trace.z_final, float(trace.phi[-1])
 
 
-def _generate(name: str, params: dict, seed) -> tuple:
-    """(spec, problem) for the generator name, params and seed of a document."""
+def _generate(name: str, params: dict) -> tuple:
+    """(spec, problem) for the generator name and params of a document."""
     if name == "toy":
         spec_type, table, make, sizes = ToySpec, TOY_PARAMS, make_toy, ("num_components",)
     else:
-        params = params if seed is None else {"seed": seed, **params}
         spec_type, table, make, sizes = LassoSpec, LASSO_PARAMS, make_lasso, ("rows", "cols")
     params = read(params, table, "generator.params")
     spec = spec_type(**params)
@@ -264,6 +260,12 @@ def _generate(name: str, params: dict, seed) -> tuple:
 
 
 # JSON problem documents: ``inputs.DOCUMENT`` and ``inputs.GENERATOR`` declare the fields.
+
+def _document(name: str, spec, make) -> dict:
+    """The document of the problem ``make(spec)``, whose generator is ``name`` and the spec."""
+    generator = {"name": name, "params": dict(vars(spec))}
+    return problem_to_document(make(spec), generator, spec.regularizer.to_json())
+
 
 def problem_to_document(
     problem: CompositeProblem,
@@ -295,14 +297,14 @@ def _close(stored, value) -> bool:
 def problem_from_document(doc: dict) -> CompositeProblem:
     """Rebuild a problem from its document via the generator registry.
 
-    The generator is re-run once from its recorded params/seed; every stored
+    The generator is re-run once from its recorded params; every stored
     field (dimension, num_components, L_n, beta, prox, known_optimum) is
     checked against the rebuilt instance.  Every stored field may be absent,
     and all but dimension and num_components may be null.
     """
     fields = read(doc, DOCUMENT)
     gen = read(fields["generator"], GENERATOR, "generator")
-    spec, problem = _generate(gen["name"], gen["params"], gen["seed"])
+    spec, problem = _generate(gen["name"], gen["params"])
     if fields["dimension"] is not None and fields["dimension"] != problem.dimension:
         raise ValueError("document dimension does not match the generator output")
     if fields["num_components"] is not None and fields["num_components"] != problem.num_components:

@@ -21,7 +21,7 @@ check those arguments directly on data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -149,21 +149,20 @@ def certificate_for(
     eta1: Optional[float] = None,
     eta2: Optional[float] = None,
 ) -> RateCertificate:
-    """Certificate of the variant tag at (alpha, eta1, eta2); alpha defaults to alpha_max
-    (``cor2``: 0.999 alpha_max) and eta2 to the largest admissible value.
+    """Certificate of the variant tag at (alpha, eta1, eta2), by default alpha_max
+    (``cor2``: 0.999 alpha_max), C1 alpha beta and the largest admissible eta2.
 
     ``t1`` and ``t1tight`` (both inertial weights) need C1 below 0.5.  ``t1`` uses the
     stated threshold exponent 1/(tau+3); ``t1tight`` drops it to 1/(tau+2) for tau >= 1
-    (the two agree at tau = 0).  eta1 defaults to min(C1 alpha beta, 1).
+    (the two agree at tau = 0).
 
     ``cor1`` (pre-prox inertia alone, eta2 = 0, a nonzero eta2 refused) allows the full
     weight range C1 in [0, 1) and uses the dedicated threshold, which is larger than the
-    doubly inertial one.  eta1 defaults to C1 alpha beta.  Also reports the closed-form
-    simplified contraction factor valid at alpha_max.
+    doubly inertial one, and reports the closed-form simplified factor valid at alpha_max.
 
     ``cor2`` (post-prox inertia alone, eta1 = 0, a nonzero eta1 refused) has an open
     threshold: alpha must stay strictly below alpha_max so that the eta2 bracket keeps
-    room.  momentum_fraction is ignored (treated as 0).
+    room.  It is built at C1 = 0, and its certificate reports that C1.
     """
     L = inputs.total_lipschitz
     beta = inputs.growth_constant
@@ -177,7 +176,7 @@ def certificate_for(
         if alpha is None:
             alpha = alpha_max
         if eta1 is None:
-            eta1 = min(c1 * alpha * beta, 1.0)
+            eta1 = c1 * alpha * beta
         if tau >= 1:
             weight = (L * (tau + 2) + 8.0 * c1 * beta) / (2.0 * beta)
             eta2_max = _eta2_max(alpha, beta, eta1, weight, tau + 2)
@@ -203,6 +202,7 @@ def certificate_for(
         if alpha is None:
             alpha = alpha_max * 0.999
         eta2_max = _eta2_max(alpha, beta, 0.0, L * (tau + 2) / (2.0 * beta), tau + 2)
+        inputs = replace(inputs, momentum_fraction=0.0)
         return _certificate("cor2", inputs, alpha_max, alpha, 0.0, eta2_max, eta2)
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 

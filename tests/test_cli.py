@@ -94,6 +94,17 @@ class TestCertify:
         assert 0.0 < doc["simplified_factor"] < 1.0
         assert doc["rho"] <= doc["simplified_factor"] + 1e-12
 
+    def test_the_post_prox_certificate_reports_the_c1_it_used(self, capsys):
+        # cor2 is built at C1 = 0 whatever --c1 says; it printed the flag's 0.25
+        docs = []
+        for c1 in ("0.25", "0.0"):
+            rc = main(["certify", "--L", "101", "--beta", "2", "--tau", "4", "--c1", c1,
+                       "--variant", "cor2"])
+            assert rc == EXIT_OK
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0]["C1"] == 0.0
+        assert docs[0] == docs[1]
+
     def test_momentum_fraction_out_of_range(self, capsys):
         rc = main(
             ["certify", "--L", "1", "--beta", "1", "--tau", "0", "--c1", "0.5", "--variant", "t1"]
@@ -193,6 +204,15 @@ class TestRun:
         assert rc == EXIT_OK
         head = (out / "plot.svg").read_text()[:100]
         assert head.startswith("<svg")
+
+    def test_plot_of_a_run_of_no_steps_draws_its_one_record(self, toy_file, tmp_path, capsys):
+        # a run of one record wrote no plot.svg and no warning
+        out = tmp_path / "out"
+        assert main(["run", "--problem", toy_file, "--iters", "0", "--out", str(out),
+                     "--plot"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        root = ET.parse(out / "plot.svg").getroot()
+        assert len(list(root.iter(f"{SVG}polyline"))) == 1
 
     def test_plot_envelope_is_the_checked_dist2_bound(self, toy_file, tmp_path):
         out = tmp_path / "out"
@@ -446,14 +466,28 @@ class TestRun:
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert err and all(line.startswith("error:") for line in err.splitlines()), err
-        if rc == EXIT_CONFIG:
-            # piag-m's auto eta1 = C1 * alpha * beta = 0.25 * 1e200 * 2
-            assert variant == "piag-m"
+        if rc == EXIT_CONFIG or variant in ("piag-m", "ipiag"):
+            # the auto eta1 = C1 * alpha * beta = 0.25 * 1e200 * 2 of piag-m and ipiag
+            assert rc == EXIT_CONFIG and variant in ("piag-m", "ipiag")
             assert "auto eta1 = C1*alpha*beta = 5e+199" in err and "--c1 or --alpha" in err
         if rc == EXIT_DIVERGED:
             summary = json.loads((out / "summary.json").read_text())
             assert summary["status"] == "diverged"
             assert summary["certificate"]["eta2_max"] == 0.0
+
+    @pytest.mark.parametrize("variant", ["piag-m", "ipiag"])
+    def test_an_auto_eta1_above_1_is_refused(self, tmp_path, capsys, variant):
+        # ipiag clamped its auto eta1 to 1 and certified the run at the implied C1 = 0.005
+        path = tmp_path / "toy10.json"
+        path.write_text(json.dumps(toy_document(ToySpec(num_components=10))))
+        out = tmp_path / "o"
+        rc = main(["run", "--problem", str(path), "--variant", variant, "--alpha", "100",
+                   "--c1", "0.25", "--iters", "5", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: auto eta1 = C1*alpha*beta = 50.0 leaves [0, 1]; lower --c1 or --alpha\n"
+        )
+        assert not out.exists()
 
     def test_a_tau_beyond_any_int64_schedule_is_one_error_line(self, toy_file, tmp_path,
                                                                capsys):
@@ -989,11 +1023,11 @@ class TestCompare:
                 f"{path} is too large for a float, got {json.dumps(value)}"
             )
 
-    @pytest.mark.parametrize("value", [5, None, ["cmp"]])
+    @pytest.mark.parametrize("value", ["cmp", 5, None, ["cmp"]])
     @pytest.mark.parametrize("flag", [[], ["--out", "cmp"]], ids=["spec", "flag"])
-    def test_spec_out_must_be_a_json_string(self, tmp_path, capsys, monkeypatch, value, flag):
-        # an error line before any solve or run, not a TypeError traceback from os.makedirs;
-        # an --out flag does not excuse a malformed spec
+    def test_a_spec_out_field_is_refused(self, tmp_path, capsys, monkeypatch, value, flag):
+        # --out alone names the output directory: a spec's out, which --out silently
+        # overrode, is an error line before any solve, run or write
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve ran")
 
@@ -1015,7 +1049,7 @@ class TestCompare:
         assert main(["compare", "--spec", spec, *flag]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: out must be a string, got {json.dumps(value)}\n"
+        assert captured.err == 'error: the spec has no field "out"\n'
         assert not (tmp_path / "cmp").exists()
 
     @pytest.mark.parametrize("kind, message", [
@@ -1176,6 +1210,15 @@ def test_every_table_refuses_a_missing_field_an_unknown_key_and_a_non_object(
     # a JSONL record without source_iter raised KeyError, and one that is not an object
     # TypeError; an undeclared key in a spec or document was ignored
     assert _refusal(tmp_path, capsys, monkeypatch, source, path, value) == message
+
+
+@pytest.mark.parametrize("source", ["toy", "lasso"])
+def test_a_generator_seed_is_refused(tmp_path, capsys, monkeypatch, source):
+    # the lasso seed is generator.params.seed: a lasso generator.seed lost to it, and a toy
+    # one was ignored
+    assert _refusal(tmp_path, capsys, monkeypatch, source, "generator.seed", 2) == (
+        'generator has no field "seed"'
+    )
 
 
 @pytest.mark.parametrize("source, path, interval, value", _range_cases())
@@ -1434,9 +1477,13 @@ def cli_calls(draw):
 @example(lambda d: ["run", "--problem", _write_json(
     d / "p.json", toy_document(ToySpec(10, offset=1e-300, l1_weight=0.0))),
     "--iters", "20", "--out", str(d / "out"), "--plot"])
-@example(lambda d: ["run", "--problem", _write_json(  # auto eta1 = 1 on a run that stays put
+@example(lambda d: ["run", "--problem", _write_json(  # an auto eta1 of 5e199, refused
     d / "p.json", toy_document(ToySpec(2, offset=1.0, l1_weight=1.0))),
     "--variant", "ipiag", "--alpha", "1e200", "--workers", "1", "--iters", "1",
+    "--out", str(d / "out")])
+@example(lambda d: ["run", "--problem", _write_json(  # eta1 = 1 on a run that stays put
+    d / "p.json", toy_document(ToySpec(2, offset=1.0, l1_weight=1.0))),
+    "--variant", "ipiag", "--alpha", "1e200", "--eta1", "1", "--workers", "1", "--iters", "1",
     "--out", str(d / "out")])
 # argparse refused these itself, with its usage text and a second error line
 @example(lambda d: ["certify", "--L", "101", "--beta", "2", "--tau", "1.5"])
@@ -1451,7 +1498,7 @@ def test_every_call_keeps_the_exit_code_contract(make_argv):
         (d / "blocker").write_text("")
         argv = make_argv(d)
         err = io.StringIO()
-        os.chdir(tmp)  # a spec's relative out lands here
+        os.chdir(tmp)  # a spec's relative problem path is read from here
         try:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
                     warnings.catch_warnings(record=True) as caught:

@@ -473,6 +473,16 @@ class TestDocuments:
         with pytest.raises(ValueError, match='^generator.params has no field "num_workers"$'):
             problem_from_document(doc)
 
+    def test_the_lasso_seed_is_a_param(self):
+        spec = LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2, seed=5)
+        generator = lasso_document(spec)["generator"]
+        assert set(generator) == {"name", "params"} and generator["params"]["seed"] == 5
+        rebuilt = problem_from_document(json.loads(json.dumps(lasso_document(spec))))
+        lipschitz = rebuilt.component_lipschitz.tobytes()
+        assert lipschitz == make_lasso(spec).component_lipschitz.tobytes()
+        seed0 = LassoSpec(rows=8, cols=12, sparsity=0.25, l1_weight=0.2)
+        assert lipschitz != make_lasso(seed0).component_lipschitz.tobytes()
+
     @pytest.mark.parametrize(
         "beta, message",
         [(True, "beta must be a number or null, got true"),

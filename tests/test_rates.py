@@ -429,10 +429,11 @@ class TestLinearBound:
         assert np.array_equal(rep.dist_envelope, scale * (rep.constant * cert.rho ** k))
 
     def test_full_pre_prox_inertia_bounds_no_distance(self):
-        # ipiag's auto eta1 is min(C1 alpha beta, 1): at alpha = 1e200 it is 1, psi loses
-        # its distance term and 2 alpha / (1 - eta1) used to raise ZeroDivisionError
+        # at eta1 = 1 psi loses its distance term, and 2 alpha / (1 - eta1) used to raise
+        # ZeroDivisionError
         prob = make_toy(ToySpec(num_components=2, offset=1.0, l1_weight=1.0))  # x0 is optimal
-        cert = certificate_for("t1", RateInputs(prob.total_lipschitz, 2.0, 0, 0.25), alpha=1e200)
+        cert = certificate_for("t1", RateInputs(prob.total_lipschitz, 2.0, 0, 0.25), alpha=1e200,
+                               eta1=1.0)
         assert cert.eta1 == 1.0
         params = SolverParams(alpha=cert.alpha, eta1=cert.eta1, eta2=cert.eta2, max_iters=1)
         trace = run(prob, params, schedule_synchronous(1, 1), np.zeros(2))

@@ -95,6 +95,17 @@ def test_the_figure_scripts_refuse_a_count_below_one_before_writing(
     assert not (tmp_path / "out").exists()
 
 
+def test_make_problems_takes_no_flag_by_its_prefix(monkeypatch, tmp_path, capsys):
+    # --fu ran as --full
+    script = _load("make_problems")
+    monkeypatch.setattr(sys, "argv", ["make_problems.py", "--fu", "--out", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as exit_info:
+        script.main()
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --fu" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _digests(directory):
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(directory.glob("*.csv"))}
