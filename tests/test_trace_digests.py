@@ -3,8 +3,10 @@
 The bit tests elsewhere compare ``run()`` with a plain replay on small problems;
 this pins the traces themselves on the shapes the benchmark runs (toy100 with
 four workers, lasso 60x200 and 300x1000 with three), so a change that keeps
-every call but moves one bit of one record fails here.  Dot products and matrix products go
-through BLAS, so the digests are pinned per OpenBLAS kernel.
+every call but moves one bit of one record fails here.  It pins the output of two
+``reference_solution`` solves too: the benchmark's 300x1000 one and a 60x200 one that
+stops on its tolerance.  Dot products and matrix products go through BLAS, so the
+digests are pinned per OpenBLAS kernel.
 """
 
 import dataclasses
@@ -22,6 +24,7 @@ from ipiag import (
     lasso_arrays,
     make_lasso,
     make_toy,
+    reference_solution,
     run,
     schedule_uniform_single,
     spectral_norm_sq,
@@ -87,13 +90,26 @@ def lasso_cases():
                        run(prob, params, schedule, np.zeros(prob.dimension), x_ref=x_true))
 
 
+def reference_digests():
+    """SHA-256 of the bytes of (z_final, phi) of two reference solves at alpha = 1 / ||A||^2:
+    the benchmark's 300x1000 one (1000 steps, tol 0) and a 60x200 one that stops on tol."""
+    for rows, cols, iters, tol in ((60, 200, 5000, 5e-4), (300, 1000, 1000, 0.0)):
+        spec = LassoSpec(rows=rows, cols=cols, sparsity=0.1, l1_weight=0.2, seed=7)
+        a, _, _ = lasso_arrays(spec)
+        z, phi = reference_solution(make_lasso(spec), 1.0 / spectral_norm_sq(a), iters, tol)
+        digest = hashlib.sha256(z.tobytes() + np.float64(phi).tobytes()).hexdigest()
+        yield f"reference/lasso{rows}x{cols}", digest
+
+
 def digests():
-    return {name: trace_digest(trace) for cases in (toy_cases, lasso_cases)
-            for name, trace in cases()}
+    got = {name: trace_digest(trace) for cases in (toy_cases, lasso_cases)
+           for name, trace in cases()}
+    return {**got, **dict(reference_digests())}
 
 
 # SHA-256 per run, taken with numpy 2.4's OpenBLAS wheel, each kernel forced with
-# OPENBLAS_CORETYPE
+# OPENBLAS_CORETYPE, at 2 BLAS threads.  Under Haswell, spectral_norm_sq of the 300x1000
+# matrix takes another last bit at 1 thread than at 2 to 4, and so do the 300x1000 digests
 TRACE_DIGESTS = {
     "SkylakeX": {
         "toy100/plain/zero/seed0":
@@ -144,6 +160,10 @@ TRACE_DIGESTS = {
             "3f040e52da217d85085209a147971f95fca32387c5af0f683aa5e453bf948e15",
         "lasso300x1000/double/seed1":
             "17a4c64ffa9f02f698ea4bd5a0e55e1cea0b378d5dd2236499c9fb5a7b6d4958",
+        "reference/lasso60x200":
+            "31fabbf2b51d3c66b9acf731410af8287af0ecdaeb2505167840d5033265a85a",
+        "reference/lasso300x1000":
+            "98fdaf780131e1d106d7b3672b1fd719fb4d91b5e2569cbc5a8b0212be250488",
     },
     "Haswell": {
         "toy100/plain/zero/seed0":
@@ -194,6 +214,10 @@ TRACE_DIGESTS = {
             "074380d69330ce6ea36a7bfe01d9352e3bc17a619d28e70ce6be5e26a83a08d2",
         "lasso300x1000/double/seed1":
             "4c64cd288b30fe669cc8840da1f35bfc2cb6ab55f01c89cf910fd163c984a10f",
+        "reference/lasso60x200":
+            "4e54af54b6af51e85aeaa398c5eb9ab54d5dbbb2cd17187689e8344d7c1fd8bb",
+        "reference/lasso300x1000":
+            "1e14936614a84f4778aca0f5c0df6027df1eb99040839d818f20f0e220970f8a",
     },
 }
 
