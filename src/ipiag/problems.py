@@ -187,6 +187,16 @@ def _row_blocks(rows: int, cols: int) -> list:
     return list(zip(starts, starts[1:] + [rows]))
 
 
+def _keeps_row_sums(lo: int, hi: int, rows: int) -> bool:
+    """Whether ``a[lo:hi].dot(x)`` gives rows lo..hi-1 the bits ``_row_blocks``' GEMVs give them.
+
+    The rows must sit at the same offsets mod 4, and a lone row is numpy's dot product,
+    not a GEMV, unless the matrix itself has one row.  This holds while OpenBLAS runs each
+    GEMV on one thread, which it does below some 4.6e5 entries or at one BLAS thread.
+    """
+    return lo % 4 == 0 and ((hi - lo) % 4 == 0 or hi == rows) and (hi - lo > 1 or rows == 1)
+
+
 def make_lasso(spec: LassoSpec) -> CompositeProblem:
     """Least-squares components f_i = (a_i . x - b_i)^2 / 2, h = l1.
 
@@ -197,21 +207,37 @@ def make_lasso(spec: LassoSpec) -> CompositeProblem:
     prox_spec = spec.regularizer
     lipschitz = _row_norms_sq(a)
     res = np.empty(spec.rows)
+    point = np.empty(spec.cols)  # while fresh, res holds A point - b
     blocks = [(a[lo:hi], res[lo:hi]) for lo, hi in _row_blocks(spec.rows, spec.cols)]
+    passes = (blocks[::-1], blocks)  # bottom up, top down
+    turn = 0  # the pass smooth_value takes next
+    fresh = False
 
     def smooth_value(x: Array) -> float:
+        nonlocal fresh, turn
+        fresh = False  # until res is complete, so a call that raises leaves no stale pair
         # A x one cache-sized row block at a time, each pass in the opposite order to the
         # last, so it starts on the rows still in L2; ndarray.dot: the BLAS kernels of @,
         # with less call overhead
-        blocks.reverse()
-        for rows, out in blocks:
+        for rows, out in passes[turn]:
             rows.dot(x, out=out)
+        turn ^= 1
         np.subtract(res, b, res)
+        point[...] = x
+        fresh = True
         return 0.5 * float(res.dot(res))
 
     def block_gradient(indices: Array, x: Array) -> Array:
+        nonlocal turn
         lo, hi = block_range(indices, spec.rows)
         rows = a[lo:hi]
+        if hi - lo == spec.rows:
+            turn = 0  # its GEMVs read A top down, so the next objective starts at the bottom
+        # at the last objective's point, by value (dgemv_t's row sums ignore the sign of a
+        # zero entry of x), res already holds A_w x - b_w; one entry first, so a miss is cheap
+        if (fresh and _keeps_row_sums(lo, hi, spec.rows) and x.shape == point.shape
+                and x.item(0) == point.item(0) and (x == point).all()):
+            return rows.T.dot(res[lo:hi])
         return rows.T.dot(rows.dot(x) - b[lo:hi])
 
     return CompositeProblem(

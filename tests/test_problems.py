@@ -296,6 +296,98 @@ class TestLasso:
         for cut, same in ((150, False), (152, True)):
             assert (np.concatenate([a[:cut].dot(x), a[cut:].dot(x)]).tobytes() == full) is same
 
+    # after smooth_value(z), a block gradient at a point equal to z by value takes its rows of
+    # A x - b from the objective's residual when the block keeps the 4-row rule; each case
+    # names the shape, the worker count, blocks whose bits a reuse there would move (checked
+    # first, so that the case can fail) and the point of the block gradients
+    REUSE_CASES = {
+        # -0.0 for each 0.0: a byte key would miss, a value key reuses every block
+        "signed zeros": (300, 1000, 3, [], lambda z: np.where(z == 0.0, -z, z)),
+        # one ulp off in one entry is another point
+        "one ulp": (300, 1000, 3, [0, 1, 2],
+                    lambda z: np.where(np.arange(1000) == 7, np.nextafter(z, 9.0), z)),
+        # NaN equals nothing, itself included
+        "a NaN": (300, 1000, 3, [0, 1, 2],
+                  lambda z: np.where(np.arange(1000) == 7, math.nan, z)),
+        # blocks [0, 101), [101, 201), [201, 301) and [0, 23), [23, 45): rows 100 and 300 and
+        # rows 20 to 22 and 40 to 44 leave dgemv_t's groups of four rows or join them
+        "off the 4-row rule, 301 rows": (301, 999, 3, [0, 2], lambda z: z),
+        "off the 4-row rule, 45 rows": (45, 1500, 2, [0, 1], lambda z: z),
+        # [36, 45) ends the matrix on a lone row, as the objective's last block [40, 45) does
+        "a tail block": (45, 1500, 5, [], lambda z: z),
+        # a block of one row is numpy's dot product, not a GEMV, the tail [8, 9) included
+        "a lone tail row of 9": (9, 563, 9, [8], lambda z: z),
+        "a lone tail row of 5": (5, 1300, 5, [4], lambda z: z),
+    }
+
+    @staticmethod
+    def reuse_case(rows, cols, workers):
+        spec = LassoSpec(rows=rows, cols=cols, sparsity=0.1, l1_weight=0.2, seed=rows + cols)
+        z = np.random.default_rng(rows).normal(size=cols)
+        z[::3] = 0.0
+        return spec, z, contiguous_partition(rows, workers)
+
+    @staticmethod
+    def from_objective_residual(spec, z, blocks):
+        """The block gradients at z from the residual as smooth_value computes it."""
+        a, b, _ = lasso_arrays(spec)
+        row_blocks = ipiag.problems._row_blocks(*a.shape)
+        res = np.concatenate([a[lo:hi].dot(z) for lo, hi in row_blocks]) - b
+        return [a[p[0] : p[-1] + 1].T.dot(res[p[0] : p[-1] + 1]).tobytes() for p in blocks]
+
+    @pytest.mark.parametrize("case", REUSE_CASES)
+    def test_a_block_gradient_after_the_objective_keeps_a_fresh_calls_bits(self, case):
+        rows, cols, workers, moved, point = self.REUSE_CASES[case]
+        spec, z, blocks = self.reuse_case(rows, cols, workers)
+        prob, fresh = make_lasso(spec), make_lasso(spec)
+        prob.smooth_value(z)
+        x = point(z)
+        want = [fresh.block_gradient(p, x).tobytes() for p in blocks]
+        stale = self.from_objective_residual(spec, z, blocks)
+        assert all(stale[w] != want[w] for w in moved)
+        for _ in range(2):  # a reuse leaves the residual as it was
+            assert [prob.block_gradient(p, x).tobytes() for p in blocks] == want
+
+    def test_a_block_gradient_after_a_raising_objective_keeps_a_fresh_calls_bits(self):
+        spec, z, blocks = self.reuse_case(300, 1000, 3)
+        prob, fresh = make_lasso(spec), make_lasso(spec)
+        prob.smooth_value(z)
+        with pytest.raises(ValueError):
+            prob.smooth_value(np.array([1.5]))  # broadcasts to a d-vector, but no GEMV takes it
+        for x in (np.full(1000, 1.5), z):
+            want = [fresh.block_gradient(p, x).tobytes() for p in blocks]
+            assert [prob.block_gradient(p, x).tobytes() for p in blocks] == want
+
+    def test_a_point_written_after_the_objective_keeps_a_fresh_calls_bits(self):
+        # run() writes its iterates into buffers it reuses, so the problem keeps a copy
+        spec, z, blocks = self.reuse_case(300, 1000, 3)
+        prob, fresh = make_lasso(spec), make_lasso(spec)
+        prob.smooth_value(z)
+        z += 1.0
+        want = [fresh.block_gradient(p, z).tobytes() for p in blocks]
+        assert [prob.block_gradient(p, z).tobytes() for p in blocks] == want
+
+    def test_a_block_gradient_at_the_objectives_point_reads_its_residual(self, monkeypatch):
+        # shifting b after the objective moves only the gradients computed afresh
+        drawn = []
+
+        def recording(spec):
+            arrays = lasso_arrays(spec)
+            drawn.append(arrays[1])
+            return arrays
+
+        monkeypatch.setattr(ipiag.problems, "lasso_arrays", recording)
+        spec, z, blocks = self.reuse_case(45, 1500, 9)
+        prob = make_lasso(spec)
+        prob.smooth_value(z)
+        points = (z, np.where(z == 0.0, -z, z))  # the sign of a zero does not count
+        before = [[prob.block_gradient(p, x).tobytes() for p in blocks] for x in points]
+        drawn[0][:] += 1.0
+        after = [[prob.block_gradient(p, x).tobytes() for p in blocks] for x in points]
+        # blocks of 5 rows: [0, 5), [5, 10), ..., [40, 45); only [40, 45) keeps the rule
+        for got, want in zip(after, before):
+            assert [got[w] == want[w] for w in range(9)] == [False] * 8 + [True]
+
     def test_gradient_passes_finite_differences(self):
         prob = make_lasso(self.SPEC)
         rng = np.random.default_rng(2)

@@ -214,42 +214,65 @@ def test_aging_past_tau_is_rejected_before_the_first_block_gradient():
     assert calls == []
 
 
-def test_run_keeps_its_call_protocol():
+PROTOCOL_RUNS = {
+    # eta2 = 0 makes every x iterate equal, by value, to the z of the same record
+    "toy10": (lambda: make_toy(ToySpec(num_components=10)), SolverParams(alpha=1e-2, eta1=0.3)),
+    # a lasso block gradient at the last objective's point reuses that objective's residual:
+    # of the blocks [0, 8), [8, 16), [16, 23) and [23, 30) the first two keep the 4-row rule
+    "lasso/plain": (lambda: make_lasso(LassoSpec(rows=30, cols=40)), SolverParams(alpha=1e-3)),
+    "lasso/double": (lambda: make_lasso(LassoSpec(rows=30, cols=40)),
+                     SolverParams(alpha=1e-3, eta1=0.25, eta2=0.25)),
+}
+
+
+@pytest.mark.parametrize("case", PROTOCOL_RUNS)
+def test_run_keeps_its_call_protocol(case):
     # one block gradient per worker at x0, then one per scheduled refresh, each on exactly a
-    # contiguous_partition block; one prox per step; one regularizer and one smooth value per record
-    prob = make_toy(ToySpec(num_components=10))
-    W, K = 4, 60
+    # contiguous_partition block at the scheduled x iterate; one prox per step; one
+    # regularizer and one smooth value per record, each at that record's z
+    make, params = PROTOCOL_RUNS[case]
+    prob = make()
+    d, N, W, K = prob.dimension, prob.num_components, 4, 60
+    params = dataclasses.replace(params, max_iters=K)
     schedule = schedule_uniform_single(W, 3, K, seed=5)
-    x0 = np.full(10, 0.5)
-    grads, counts = [], {"prox": 0, "smooth_value": 0, "regularizer_value": 0}
+    x0 = np.full(d, 0.5)
+    grads, points = [], {"smooth_value": [], "regularizer_value": []}
+    prox_calls = []
 
     def block_gradient(indices, x, inner=prob.block_gradient):
         grads.append((np.array(indices), x.copy()))
         return inner(indices, x)
 
-    def counted(name):
+    def recorded(name):
         inner = getattr(prob, name)
 
-        def call(*args):
-            counts[name] += 1
-            return inner(*args)
+        def call(x):
+            points[name].append(x.copy())
+            return inner(x)
 
         return call
 
+    def prox(v, alpha, inner=prob.prox):
+        prox_calls.append(alpha)
+        return inner(v, alpha)
+
     traced, zs = recording_prox(dataclasses.replace(
-        prob, block_gradient=block_gradient, **{name: counted(name) for name in counts}
+        prob, block_gradient=block_gradient, prox=prox,
+        **{name: recorded(name) for name in points}
     ), x0)
-    # eta2 = 0 makes every x iterate equal to the z of the same record, which the prox returned
-    run(traced, SolverParams(alpha=1e-2, eta1=0.3, max_iters=K), schedule, x0)
-    partition = contiguous_partition(10, W)
+    run(traced, params, schedule, x0)
+    xs = [x0] + [z + (z - z_prev) * params.eta2 for z_prev, z in zip(zs, zs[1:])]
+    partition = contiguous_partition(N, W)
     n = schedule.offsets[K]
-    want = [(w, None) for w in range(W)]
+    want = [(w, 0) for w in range(W)]
     want += list(zip(schedule.workers[:n].tolist(), schedule.sources[:n].tolist()))
     assert len(grads) == len(want) == W + n
     for (indices, x), (w, source) in zip(grads, want):
         assert indices.dtype == partition[w].dtype and np.array_equal(indices, partition[w])
-        assert np.array_equal(x, x0 if source is None else zs[source])
-    assert counts == {"prox": K, "smooth_value": K + 1, "regularizer_value": K + 1}
+        assert np.array_equal(x, xs[source])
+    assert prox_calls == [params.alpha] * K
+    for name, got in points.items():
+        assert len(got) == K + 1 and all(map(np.array_equal, got, zs)), name
 
 
 def test_a_prox_that_returns_its_input_steers_the_run_as_a_copy_would():

@@ -108,8 +108,9 @@ def digests():
 
 
 # SHA-256 per run, taken with numpy 2.4's OpenBLAS wheel, each kernel forced with
-# OPENBLAS_CORETYPE, at 2 BLAS threads.  Under Haswell, spectral_norm_sq of the 300x1000
-# matrix takes another last bit at 1 thread than at 2 to 4, and so do the 300x1000 digests
+# OPENBLAS_CORETYPE, at 2 BLAS threads.  The last bit of spectral_norm_sq of the 300x1000
+# matrix moves with the thread count (SkylakeX: 3 and 4 threads; Haswell: 1 and 3), and
+# the 300x1000 digests move with it
 TRACE_DIGESTS = {
     "SkylakeX": {
         "toy100/plain/zero/seed0":
