@@ -57,7 +57,6 @@ from .problems import (
     make_lasso,
     make_toy,
     problem_from_document,
-    problem_to_document,
     reference_solution,
     spectral_norm_sq,
     toy_document,
@@ -99,7 +98,6 @@ __all__ = [
     "max_observed_staleness",
     "one_term_condition",
     "problem_from_document",
-    "problem_to_document",
     "reference_solution",
     "resolve_parameters",
     "run",

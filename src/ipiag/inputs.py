@@ -1,6 +1,7 @@
-"""Every input and dataclass field, declared once as a table, and ``read``, the one reader.
+"""Every input, dataclass field and scalar argument of a library function, declared once as
+a row, mostly of a table; ``read`` applies a table and ``check`` one row.
 
-README.md shows the tables and what ``read`` refuses; every message names
+README.md shows the tables and what the readers refuse; every message names
 ``<section>.<field>`` and the value.  Rules that join fields stay with the code
 that knows them; ``sized`` is the one rule for a size too large for its arrays.
 The module imports nothing from the package, so every module can import it.
@@ -159,6 +160,11 @@ def _show(value) -> str:
 ITERS = Field("iters", "integer", 1000, "[0, inf)")
 SEED = Field("seed", "integer", 0, "[0, 2**64)")
 REPETITIONS = Field("repetitions", "integer", 10, "[1, inf)")
+# the scalar arguments of library functions that no table holds: a ``SplitMix64`` draw count,
+# the bound of its ``below`` and the rate of ``rates.one_term_condition``
+COUNT = Field("count", "integer", REQUIRED, "[0, inf)")
+BOUND = Field("bound", "integer", REQUIRED, "[1, inf)")
+RATE = Field("a", "number", REQUIRED, "(0, 1)")
 
 SPEC = Table("the spec", (
     Field("problem", "path or object"),
@@ -254,4 +260,17 @@ COMPOSITE_PROBLEM = Table("CompositeProblem", (
     DOCUMENT.row("dimension")._replace(default=REQUIRED),
     DOCUMENT.row("num_components")._replace(default=REQUIRED),
     DOCUMENT.row("beta")._replace(name="growth_constant"),
+))
+DELAY_SCHEDULE = Table("DelaySchedule", (
+    SCHEDULE.row("workers")._replace(name="num_workers", default=REQUIRED),
+    SCHEDULE.row("tau")._replace(default=REQUIRED),
+))
+# the coefficients of the two-term Lyapunov recurrence of the rate argument
+TWO_TERM_RECURRENCE = Table("TwoTermRecurrence", (
+    Field("A", "number", REQUIRED, "[0, inf)"),
+    Field("B", "number", REQUIRED, "[0, inf)"),
+    Field("b1", "number", REQUIRED, "(0, inf)"),
+    Field("b2", "number", REQUIRED, "[0, inf)"),
+    Field("c", "number", REQUIRED, "[0, inf)"),
+    Field("k0", "integer", REQUIRED, "[0, inf)"),
 ))

@@ -289,16 +289,7 @@ def _generate(name: str, params: dict) -> tuple:
 
 def _document(name: str, spec, make) -> dict:
     """The document of the problem ``make(spec)``, whose generator is ``name`` and the spec."""
-    generator = {"name": name, "params": dict(vars(spec))}
-    return problem_to_document(make(spec), generator, spec.regularizer.to_json())
-
-
-def problem_to_document(
-    problem: CompositeProblem,
-    generator: dict,
-    prox_spec: dict,
-) -> dict:
-    """Serializable metadata document for a generated problem."""
+    problem = make(spec)
     opt = None
     if problem.known_optimum is not None:
         x_star, phi_star = problem.known_optimum
@@ -306,10 +297,10 @@ def problem_to_document(
     return {
         "dimension": problem.dimension,
         "num_components": problem.num_components,
-        "generator": generator,
+        "generator": {"name": name, "params": dict(vars(spec))},
         "L_n": [float(v) for v in problem.component_lipschitz],
         "beta": None if problem.growth_constant is None else float(problem.growth_constant),
-        "prox": dict(prox_spec),
+        "prox": spec.regularizer.to_json(),
         "known_optimum": opt,
     }
 

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import Array, CompositeProblem, evaluate_objective
-from .inputs import RATE_INPUTS, RUN_VARIANTS, VARIANTS, check, is_integer, read
+from .inputs import CERTIFY, RATE, RATE_INPUTS, RUN_VARIANTS, TWO_TERM_RECURRENCE, check, read
 from .solver import Trace
 
 # relative tolerances of the checks below: a recurrence's data residual and envelope, the
@@ -162,8 +162,10 @@ def certificate_for(
 
     ``cor2`` (post-prox inertia alone, eta1 = 0, a nonzero eta1 refused) has an open
     threshold: alpha must stay strictly below alpha_max so that the eta2 bracket keeps
-    room.  It is built at C1 = 0, and its certificate reports that C1.
+    room.  It is built at C1 = 0, and its certificate reports that C1.  ``variant`` is read
+    through the ``variant`` row of ``ipiag certify``.
     """
+    check(CERTIFY.row("variant"), variant, "variant")
     L = inputs.total_lipschitz
     beta = inputs.growth_constant
     tau = inputs.delay
@@ -195,16 +197,14 @@ def certificate_for(
         q = L / beta
         simplified = 1.0 - (1.0 - c1) / ((1.0 + q * (tau + 1)) * (tau + 1))
         return _certificate("cor1", inputs, alpha_max, alpha, eta1, 0.0, 0.0, simplified)
-    if variant == "cor2":
-        if eta1:
-            raise ValueError("cor2 has no pre-prox inertia; eta1 must be 0")
-        alpha_max = _threshold(L, beta, tau, 0.0, tau + 2)
-        if alpha is None:
-            alpha = alpha_max * 0.999
-        eta2_max = _eta2_max(alpha, beta, 0.0, L * (tau + 2) / (2.0 * beta), tau + 2)
-        inputs = replace(inputs, momentum_fraction=0.0)
-        return _certificate("cor2", inputs, alpha_max, alpha, 0.0, eta2_max, eta2)
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if eta1:
+        raise ValueError("cor2 has no pre-prox inertia; eta1 must be 0")
+    alpha_max = _threshold(L, beta, tau, 0.0, tau + 2)
+    if alpha is None:
+        alpha = alpha_max * 0.999
+    eta2_max = _eta2_max(alpha, beta, 0.0, L * (tau + 2) / (2.0 * beta), tau + 2)
+    inputs = replace(inputs, momentum_fraction=0.0)
+    return _certificate("cor2", inputs, alpha_max, alpha, 0.0, eta2_max, eta2)
 
 
 def resolve_parameters(problem: CompositeProblem, config: dict, tau: int):
@@ -324,16 +324,12 @@ class TwoTermRecurrence:
     k0: int
 
     def __post_init__(self):
-        # each comparison is written so that a NaN coefficient fails it
-        if not (self.A >= 0 and self.B >= 0):
-            raise ValueError("A and B must be nonnegative")
+        for field in TWO_TERM_RECURRENCE.fields:
+            check(field, getattr(self, field.name), field.name)
         if self.A == 0 and self.B == 0:
             raise ValueError("degenerate recurrence: A and B are both zero")
         if self.A + self.B >= 1:
             raise ValueError("no contraction: A + B must be below 1")
-        if not (self.b1 > 0 and self.b2 >= 0 and self.c >= 0):
-            raise ValueError("need b1 > 0, b2 >= 0, c >= 0")
-        _check_window(self.k0)
 
     @property
     def root(self) -> float:
@@ -350,12 +346,6 @@ class TwoTermRecurrence:
         return _window_condition(a, self.c, self.k0, self.b1 - self.b2 / a)
 
 
-def _check_window(k0) -> None:
-    """The one window rule of both recurrences: k0 is an integer >= 0."""
-    if not (is_integer(k0) and k0 >= 0):
-        raise ValueError(f"window length k0 must be an integer >= 0, got {k0!r}")
-
-
 def _window_condition(a: float, c: float, k0: int, rhs: float) -> tuple:
     """(lhs, rhs, ok) of c * sum_{j <= k0} a^{-j} <= rhs; the sum is a^{-k0} (1 - a^{k0+1}) /
     (1 - a), expm1 keeping its digits for a near 1, inf past the float range (lhs 0 at c = 0)."""
@@ -368,10 +358,10 @@ def _window_condition(a: float, c: float, k0: int, rhs: float) -> tuple:
 
 
 def one_term_condition(a: float, b: float, c: float, k0: int) -> tuple:
-    """(lhs, rhs, ok) for V_{k+1} <= a V_k - b w_k + c S_k."""
-    if not 0 < a < 1:
-        raise ValueError("rate a must lie in (0, 1)")
-    _check_window(k0)
+    """(lhs, rhs, ok) for V_{k+1} <= a V_k - b w_k + c S_k; ``a`` is read through the
+    ``inputs.RATE`` row and ``k0`` through the window row of ``TwoTermRecurrence``."""
+    check(RATE, a, "a")
+    check(TWO_TERM_RECURRENCE.row("k0"), k0, "k0")
     return _window_condition(a, c, k0, b)
 
 

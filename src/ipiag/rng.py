@@ -2,10 +2,11 @@
 
 The generator is counter based so that scalar and bulk draws interleave
 consistently and so that another implementation (in any language) can
-reproduce a stream from the seed alone.  A seed is an integer in
-[0, 2**64): a Python or numpy integer, not a bool.  Any other value, such
-as -1, 2**64 or 1.7, raises ``ValueError`` naming it; it is never wrapped
-or truncated onto another seed's stream.  Draw number j (1-indexed) is
+reproduce a stream from the seed alone.  A seed is read through the
+``inputs.SEED`` row: an integer in [0, 2**64), a Python or numpy integer,
+not a bool.  Any other value, such as -1, 2**64 or 1.7, raises
+``ValueError`` naming it; it is never wrapped or truncated onto another
+seed's stream.  Draw number j (1-indexed) is
 
     out_j = mix((seed + j * 0x9E3779B97F4A7C15) mod 2**64)
 
@@ -32,15 +33,17 @@ a draw of one block or less holds at most twice its output, as before.  Every
 value is the one the whole-array formula gives.
 The array ``normals`` returns starts on a 64-byte (cache-line) boundary,
 so a matrix reshaped from it is aligned with no copy, and so is every row
-whose byte length is a multiple of 64.  A draw count, bound or shuffle size that is
-not an integer in range raises ``ValueError`` and leaves the stream where it was.
+whose byte length is a multiple of 64.  A draw count or shuffle size is read
+through the ``inputs.COUNT`` row and the bound of ``below`` through
+``inputs.BOUND``; a value that is not an integer in range raises
+``ValueError`` naming it and leaves the stream where it was.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .inputs import is_integer
+from .inputs import BOUND, COUNT, SEED, check
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -54,13 +57,6 @@ def _mix(z: int) -> int:
     z = (z ^ (z >> 30)) * _MIX1 & _MASK
     z = (z ^ (z >> 27)) * _MIX2 & _MASK
     return z ^ (z >> 31)
-
-
-def _count(n) -> int:
-    """A draw count: an integer, at least 0."""
-    if not (is_integer(n) and n >= 0):
-        raise ValueError(f"draw count must be a nonnegative integer, got {n!r}")
-    return int(n)
 
 
 def _aligned_doubles(n: int) -> np.ndarray:
@@ -77,9 +73,7 @@ class SplitMix64:
     __slots__ = ("seed", "counter")
 
     def __init__(self, seed: int):
-        if not (is_integer(seed) and 0 <= seed <= _MASK):
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-        self.seed = int(seed)
+        self.seed = int(check(SEED, seed, "seed"))
         self.counter = 0
 
     def next_u64(self) -> int:
@@ -88,9 +82,7 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Integer in [0, n)."""
-        if not (is_integer(n) and n > 0):
-            raise ValueError(f"n must be a positive integer, got {n!r}")
-        return self.next_u64() % n
+        return self.next_u64() % int(check(BOUND, n, "n"))
 
     def _fill(self, first: int, out: np.ndarray) -> np.ndarray:
         """Write draws first + 1 .. first + len(out) into the uint64 array out.
@@ -124,7 +116,7 @@ class SplitMix64:
 
     def _bulk(self, n, dtype, fill) -> np.ndarray:
         """The next n draws, written by ``fill`` one block at a time."""
-        out = np.empty(_count(n), dtype=dtype)
+        out = np.empty(int(check(COUNT, n, "n")), dtype=dtype)
         for lo in range(0, len(out), BLOCK):
             fill(self.counter + lo, out[lo : lo + BLOCK])
         self.counter += len(out)
@@ -140,7 +132,7 @@ class SplitMix64:
 
     def normals(self, n: int) -> np.ndarray:
         """Standard normal draws via Box-Muller on uniform blocks, 64-byte aligned."""
-        m = (_count(n) + 1) // 2
+        m = (int(check(COUNT, n, "n")) + 1) // 2
         z = _aligned_doubles(2 * m)
         for lo in range(0, m, BLOCK):
             hi = min(lo + BLOCK, m)
@@ -162,8 +154,10 @@ class SplitMix64:
 
     def shuffle_prefix(self, n: int, k: int) -> np.ndarray:
         """First k entries of a Fisher-Yates shuffle of range(n), sorted."""
-        if not (is_integer(n) and is_integer(k) and 0 <= k <= n):
-            raise ValueError(f"need integers 0 <= k <= n, got n={n!r}, k={k!r}")
+        n = int(check(COUNT, n, "n"))
+        check(COUNT, k, "k")
+        if k > n:
+            raise ValueError(f"k must not exceed n, got k={k} and n={n}")
         idx = list(range(n))
         for i, u in enumerate(self.u64_array(k).tolist()):  # the draws of k calls below(n - i)
             j = i + u % (n - i)

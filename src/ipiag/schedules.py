@@ -28,12 +28,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .inputs import RECORD, is_integer, read
+from .inputs import DELAY_SCHEDULE, ITERS, RECORD, check, read
 from .rng import SplitMix64
+
+_NUM_WORKERS, _TAU = DELAY_SCHEDULE.fields
 
 
 class ScheduleError(ValueError):
-    """Malformed schedule or violated staleness bound."""
+    """A schedule's content refused: its arrays, an entry out of range, a worker refreshed
+    twice in one step, a staleness above ``tau``, or JSONL records out of order or with
+    lists that do not align.  A bad size is a plain ValueError from its ``inputs`` row."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,11 +46,13 @@ class DelaySchedule:
 
     The schedule is three int64 arrays: the refreshes of iteration k are
     entries ``offsets[k]:offsets[k + 1]`` of ``workers`` (the worker ids) and
-    ``sources`` (the iterate each refresh reads).  Construction checks them
-    once, refusing the first entry out of range, then the first iteration
-    that refreshes a worker twice, then a staleness above ``tau``, and keeps
-    read-only copies; the schedule is frozen.  The generators and
-    ``from_jsonl`` build the arrays and call this, the only constructor.
+    ``sources`` (the iterate each refresh reads).  Construction reads
+    ``num_workers`` and ``tau`` through the ``inputs.DELAY_SCHEDULE`` rows,
+    then checks the arrays once, refusing the first entry out of range,
+    then the first iteration that refreshes a worker twice, then a
+    staleness above ``tau``, and keeps read-only copies; the schedule is
+    frozen.  The generators and ``from_jsonl`` build the arrays and call
+    this, the only constructor.
     ``staleness`` is the int64 table in ``Trace`` layout: row k + 1 holds k
     minus each entry's source (0 until its first refresh) after step k.
     """
@@ -59,7 +65,8 @@ class DelaySchedule:
     staleness: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_sizes(self.num_workers, self.tau)
+        check(_NUM_WORKERS, self.num_workers, "num_workers")
+        check(_TAU, self.tau, "tau")
         offsets, workers, sources = map(_int64_copy, (self.offsets, self.workers, self.sources))
         if not (
             offsets.ndim == workers.ndim == sources.ndim == 1
@@ -164,18 +171,6 @@ class DelaySchedule:
         return cls(num_workers, tau, offsets, workers, sources)
 
 
-def _check_sizes(num_workers: int, tau: int, iters: int = 0) -> None:
-    for name, value in (("iters", iters), ("num_workers", num_workers), ("tau", tau)):
-        if not is_integer(value):
-            raise ScheduleError(f"{name} must be an integer, got {value!r}")
-    if iters < 0:
-        raise ScheduleError("iters must be nonnegative")
-    if num_workers < 1:
-        raise ScheduleError("need at least one worker")
-    if tau < 0:
-        raise ScheduleError("tau must be nonnegative")
-
-
 def _int64_copy(values) -> np.ndarray:
     """Read-only int64 copy of an integer array; a later edit to ``values`` is not seen."""
     array = np.asarray(values)
@@ -194,7 +189,8 @@ def _per_step(offsets: np.ndarray, flat: np.ndarray) -> tuple:
 
 def schedule_synchronous(num_workers: int, iters: int) -> DelaySchedule:
     """Every worker refreshes at every iteration; staleness is always 0."""
-    _check_sizes(num_workers, 0, iters)
+    check(_NUM_WORKERS, num_workers, "num_workers")
+    check(ITERS, iters, "iters")
     return DelaySchedule(
         num_workers,
         0,
@@ -219,7 +215,9 @@ def schedule_uniform_single(
     groups of the last tau + 1 steps are kept.  With a single worker this
     degenerates to the synchronous schedule.
     """
-    _check_sizes(num_workers, tau, iters)
+    check(_NUM_WORKERS, num_workers, "num_workers")
+    check(_TAU, tau, "tau")
+    check(ITERS, iters, "iters")
     rng = SplitMix64(seed)
     picks = (rng.u64_array(iters) % np.uint64(num_workers)).astype(int).tolist() if iters else []
     workers, crowded = picks, []  # crowded: (k, n) for the steps that refresh n > 1 blocks

@@ -29,7 +29,7 @@ from .core import (
     evaluate_objective,
     record_objective,
 )
-from .inputs import SOLVER_PARAMS, is_integer, read
+from .inputs import DELAY_SCHEDULE, DOCUMENT, SOLVER_PARAMS, check, read
 from .schedules import DelaySchedule
 
 DIVERGENCE_FACTOR = 1e12
@@ -53,10 +53,8 @@ class SolverParams:
 
 def contiguous_partition(num_components: int, num_workers: int) -> list:
     """Split component indices into contiguous near-equal blocks."""
-    if not is_integer(num_workers):
-        raise ValueError(f"num_workers must be an integer, got {num_workers!r}")
-    if num_workers < 1:
-        raise ValueError("need at least one worker")
+    check(DOCUMENT.row("num_components"), num_components, "num_components")
+    check(DELAY_SCHEDULE.row("num_workers"), num_workers, "num_workers")
     if num_workers > num_components:
         raise ValueError("more workers than components")
     return [np.asarray(b) for b in np.array_split(np.arange(num_components), num_workers)]

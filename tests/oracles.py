@@ -272,19 +272,20 @@ def max_staleness(schedule):
 def validate_schedule_lists(num_workers, tau, refreshed, source_iter):
     """Check hand-built schedule lists one rule at a time, in the constructor's order.
 
-    Raises the ScheduleError that ``DelaySchedule.from_jsonl`` must raise for
-    a file whose record k holds ``refreshed[k]`` and ``source_iter[k]``;
-    returns None for well-formed lists.  The records ahead of the first one
-    whose two lists differ in length are checked first, as a schedule: the
-    first entry out of range, then the first iteration that refreshes a
-    worker twice (naming the worker whose second refresh comes first), then
-    the largest staleness against ``tau``.  The outer lists have the same
-    length, as a file's records hold both lists.
+    Raises the error that ``DelaySchedule.from_jsonl`` must raise for a file
+    whose record k holds ``refreshed[k]`` and ``source_iter[k]``; returns
+    None for well-formed lists.  A size out of its row's range is a plain
+    ValueError, and every later rule a ScheduleError.  The records ahead of
+    the first one whose two lists differ in length are checked first, as a
+    schedule: the first entry out of range, then the first iteration that
+    refreshes a worker twice (naming the worker whose second refresh comes
+    first), then the largest staleness against ``tau``.  The outer lists
+    have the same length, as a file's records hold both lists.
     """
     if num_workers < 1:
-        raise ScheduleError("need at least one worker")
+        raise ValueError(f"num_workers must lie in [1, inf), got {num_workers}")
     if tau < 0:
-        raise ScheduleError("tau must be nonnegative")
+        raise ValueError(f"tau must lie in [0, 2**63), got {tau}")
     pairs = [list(zip(ws, ss)) for ws, ss in zip(refreshed, source_iter)]
     aligned = [len(ws) == len(ss) for ws, ss in zip(refreshed, source_iter)]
     prefix = pairs[: aligned.index(False)] if False in aligned else pairs

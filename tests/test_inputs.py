@@ -14,14 +14,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ipiag import LassoSpec, ProxSpec, RateInputs, SolverParams, ToySpec, inputs
+from ipiag import (
+    LassoSpec,
+    ProxSpec,
+    RateInputs,
+    SolverParams,
+    ToySpec,
+    TwoTermRecurrence,
+    inputs,
+)
 
 TABLES = [
     inputs.SPEC, inputs.SCHEDULE, inputs.CONFIG, inputs.REFERENCE,
     inputs.DOCUMENT, inputs.OPTIMUM, inputs.GENERATOR, inputs.TOY_PARAMS, inputs.LASSO_PARAMS,
     inputs.RECORD, inputs.CERTIFY,
     inputs.SOLVER_PARAMS, inputs.RATE_INPUTS, inputs.PROX_SPEC, inputs.COMPOSITE_PROBLEM,
+    inputs.DELAY_SCHEDULE, inputs.TWO_TERM_RECURRENCE,
 ]
+# the rows of library function arguments that no table holds
+ROWS = [inputs.COUNT, inputs.BOUND, inputs.RATE]
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 INPUTS = pathlib.Path(inputs.__file__)
 
@@ -52,7 +63,7 @@ def test_readme_shows_every_table_as_declared(table):
 @pytest.mark.parametrize("spec, table", [
     (ToySpec, inputs.TOY_PARAMS), (LassoSpec, inputs.LASSO_PARAMS),
     (SolverParams, inputs.SOLVER_PARAMS), (RateInputs, inputs.RATE_INPUTS),
-    (ProxSpec, inputs.PROX_SPEC),
+    (ProxSpec, inputs.PROX_SPEC), (TwoTermRecurrence, inputs.TWO_TERM_RECURRENCE),
 ])
 def test_the_spec_dataclasses_take_the_declared_params_and_defaults(spec, table):
     fields = {
@@ -74,8 +85,9 @@ def _ends(field):
 
 
 @pytest.mark.parametrize("field", [
-    pytest.param(field, id=f"{table.title}.{field.name}")
-    for table in TABLES for field in table.fields if isinstance(field.allowed, str)
+    *(pytest.param(field, id=f"{table.title}.{field.name}")
+      for table in TABLES for field in table.fields if isinstance(field.allowed, str)),
+    *(pytest.param(field, id=field.name) for field in ROWS),
 ])
 def test_a_closed_end_is_taken_and_an_open_one_refused(field):
     for value, taken in _ends(field):

@@ -171,8 +171,10 @@ class TestAdmissibility:
         assert not cert.admissible
 
     def test_dispatch_rejects_unknown_tag(self):
-        with pytest.raises(ValueError):
+        # the variant row of ``ipiag certify``, so the library and the flag word it alike
+        with pytest.raises(ValueError) as got:
             certificate_for("sgd", UNIT)
+        assert str(got.value) == 'variant must be one of "t1", "t1tight", "cor1", "cor2", got "sgd"'
 
     @pytest.mark.parametrize("variant", ["t1", "t1tight", "cor1"])
     def test_explicit_eta1_is_recorded_as_given(self, variant):
@@ -242,21 +244,33 @@ class TestRecurrenceAlgebra:
         assert ok
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, message",
         [
-            dict(A=0.0, B=0.0, b1=1.0, b2=0.0, c=0.0, k0=0),
-            dict(A=0.6, B=0.4, b1=1.0, b2=0.0, c=0.0, k0=0),
-            dict(A=-0.1, B=0.2, b1=1.0, b2=0.0, c=0.0, k0=0),
-            dict(A=0.2, B=0.2, b1=0.0, b2=0.0, c=0.0, k0=0),
-            dict(A=0.2, B=0.2, b1=1.0, b2=0.0, c=0.0, k0=-1),
+            (dict(A=0.0, B=0.0, b1=1.0, b2=0.0, c=0.0, k0=0),
+             "degenerate recurrence: A and B are both zero"),
+            (dict(A=0.6, B=0.4, b1=1.0, b2=0.0, c=0.0, k0=0),
+             "no contraction: A + B must be below 1"),
+            (dict(A=-0.1, B=0.2, b1=1.0, b2=0.0, c=0.0, k0=0), "A must lie in [0, inf), got -0.1"),
+            (dict(A=0.2, B=0.2, b1=0.0, b2=0.0, c=0.0, k0=0), "b1 must lie in (0, inf), got 0.0"),
+            (dict(A=0.2, B=0.2, b1=1.0, b2=0.0, c=0.0, k0=-1), "k0 must lie in [0, inf), got -1"),
             # a NaN coefficient was built, and its condition read (nan, nan, False)
-            dict(A=math.nan, B=0.1, b1=1.0, b2=0.0, c=0.1, k0=1),
-            dict(A=0.2, B=0.2, b1=1.0, b2=0.0, c=0.0, k0=1.5),
+            (dict(A=math.nan, B=0.1, b1=1.0, b2=0.0, c=0.1, k0=1),
+             "A must lie in [0, inf), got NaN"),
+            (dict(A=0.2, B=0.2, b1=1.0, b2=0.0, c=0.0, k0=1.5), "k0 must be an integer, got 1.5"),
+            (dict(A=True, B=0.2, b1=1.0, b2=0.0, c=0.0, k0=1), "A must be a number, got true"),
+            # infinite b1 and c were built, and the condition read (inf, inf, True)
+            (dict(A=0.2, B=0.2, b1=math.inf, b2=0, c=math.inf, k0=1),
+             "b1 must lie in (0, inf), got Infinity"),
+            (dict(A=0.2, B=0.2, b1=1.0, b2=0, c=math.inf, k0=1),
+             "c must lie in [0, inf), got Infinity"),
         ],
+        ids=["degenerate", "no-contraction", "A-negative", "b1-zero", "k0-negative", "A-nan",
+             "k0-float", "A-bool", "b1-c-inf", "c-inf"],
     )
-    def test_rejects_bad_coefficients(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_rejects_bad_coefficients(self, kwargs, message):
+        with pytest.raises(ValueError) as got:
             TwoTermRecurrence(**kwargs)
+        assert str(got.value) == message
 
     def test_one_term_condition_values(self):
         lhs, rhs, ok = one_term_condition(a=0.5, b=0.8, c=0.1, k0=1)
@@ -278,14 +292,22 @@ class TestRecurrenceAlgebra:
                 assert lhs == pytest.approx(want, rel=1e-14), (a, k0)
 
     def test_one_term_condition_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            one_term_condition(a=1.0, b=1.0, c=0.0, k0=0)
-        # the window rule of TwoTermRecurrence: k0 = -1 reported ok, and 1.5 a bare TypeError
-        for k0 in (-1, 1.5):
-            with pytest.raises(ValueError, match="k0 must be an integer >= 0"):
+        for a, message in ((1.0, "a must lie in (0, 1), got 1.0"),
+                           (0, "a must lie in (0, 1), got 0"),
+                           (math.nan, "a must lie in (0, 1), got NaN"),
+                           (True, "a must be a number, got true")):
+            with pytest.raises(ValueError) as got:
+                one_term_condition(a=a, b=1.0, c=0.0, k0=0)
+            assert str(got.value) == message
+        # the window row of TwoTermRecurrence: k0 = -1 was reported ok, and 1.5 a bare TypeError
+        for k0, message in ((-1, "k0 must lie in [0, inf), got -1"),
+                            (1.5, "k0 must be an integer, got 1.5")):
+            with pytest.raises(ValueError) as got:
                 one_term_condition(a=0.5, b=1.0, c=0.0, k0=k0)
-            with pytest.raises(ValueError, match="k0 must be an integer >= 0"):
+            assert str(got.value) == message
+            with pytest.raises(ValueError) as got:
                 verify_one_term(0.5 ** np.arange(5), np.zeros(4), a=0.5, b=1.0, c=0.0, k0=k0)
+            assert str(got.value) == message
 
 
 class TestVerifiers:

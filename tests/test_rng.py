@@ -42,26 +42,37 @@ def test_below_stays_in_range(seed, n):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: SplitMix64(1).below(0), "n must be a positive integer, got 0"),
+    (lambda: SplitMix64(1).below(0), "n must lie in [1, inf), got 0"),
     # a seed is refused, not wrapped or truncated onto another seed's stream
-    (lambda: SplitMix64(-1), "seed must be an integer in [0, 2**64), got -1"),
-    (lambda: SplitMix64(np.int64(-1)),
-     f"seed must be an integer in [0, 2**64), got {np.int64(-1)!r}"),
-    (lambda: SplitMix64(2**64), "seed must be an integer in [0, 2**64), got 18446744073709551616"),
-    (lambda: SplitMix64(1.7), "seed must be an integer in [0, 2**64), got 1.7"),
-    (lambda: SplitMix64(1.0), "seed must be an integer in [0, 2**64), got 1.0"),
-    (lambda: SplitMix64(True), "seed must be an integer in [0, 2**64), got True"),
-    (lambda: SplitMix64("3"), "seed must be an integer in [0, 2**64), got '3'"),
+    (lambda: SplitMix64(-1), "seed must lie in [0, 2**64), got -1"),
+    (lambda: SplitMix64(np.int64(-1)), "seed must lie in [0, 2**64), got -1"),
+    (lambda: SplitMix64(2**64), "seed must lie in [0, 2**64), got 18446744073709551616"),
+    (lambda: SplitMix64(1.7), "seed must be an integer, got 1.7"),
+    (lambda: SplitMix64(1.0), "seed must be an integer, got 1.0"),
+    (lambda: SplitMix64(True), "seed must be an integer, got true"),
+    (lambda: SplitMix64("3"), 'seed must be an integer, got "3"'),
     # a bound or count follows the seed's integer rule: 2.5 drew a float, True one value
-    (lambda: SplitMix64(1).below(2.5), "n must be a positive integer, got 2.5"),
-    (lambda: SplitMix64(1).u64_array(True), "draw count must be a nonnegative integer, got True"),
-    (lambda: SplitMix64(1).shuffle_prefix(5, True), "need integers 0 <= k <= n, got n=5, k=True"),
+    (lambda: SplitMix64(1).below(2.5), "n must be an integer, got 2.5"),
+    (lambda: SplitMix64(1).u64_array(True), "n must be an integer, got true"),
+    (lambda: SplitMix64(1).normals(-1), "n must lie in [0, inf), got -1"),
+    (lambda: SplitMix64(1).shuffle_prefix(5, True), "k must be an integer, got true"),
+    (lambda: SplitMix64(1).shuffle_prefix(5, 6), "k must not exceed n, got k=6 and n=5"),
 ], ids=["below-0", "seed-neg", "seed-np-neg", "seed-2**64", "seed-1.7", "seed-1.0", "seed-bool",
-        "seed-str", "below-2.5", "u64-bool", "shuffle-bool"])
+        "seed-str", "below-2.5", "u64-bool", "normals-neg", "shuffle-bool", "shuffle-k>n"])
 def test_a_bad_bound_or_seed_is_refused(make, message):
     with pytest.raises(ValueError) as got:
         make()
     assert str(got.value) == message
+
+
+def test_numpy_integers_are_read_as_the_integers_they_hold():
+    # the largest seed as a uint64 starts the stream of the same Python integer
+    assert SplitMix64(np.uint64(2**64 - 1)).next_u64() == 16490336266968443936
+    # a numpy bound took the remainder of a draw at or above 2**63 in int64, an OverflowError
+    a, b = SplitMix64(0), SplitMix64(0)
+    assert [a.below(np.int64(5)) for _ in range(20)] == [b.below(5) for _ in range(20)]
+    a, b = SplitMix64(0), SplitMix64(0)
+    assert a.shuffle_prefix(np.int64(9), np.int64(4)).tolist() == b.shuffle_prefix(9, 4).tolist()
 
 
 def test_uniforms_lie_in_unit_interval():

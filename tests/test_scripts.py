@@ -118,12 +118,23 @@ def blas_kernel():
     string of ``numpy.show_config`` does not name it; the scipy-openblas library that numpy
     wheels bundle in ``numpy.libs`` reports it.
     """
+    return _openblas_call("scipy_openblas_get_corename64_", ctypes.c_char_p, bytes.decode)
+
+
+def blas_threads():
+    """The number of threads numpy's OpenBLAS runs on, from the library ``blas_kernel`` reads,
+    or None."""
+    return _openblas_call("scipy_openblas_get_num_threads64_", ctypes.c_int, int)
+
+
+def _openblas_call(name, restype, convert):
+    """``convert`` of the result of the scipy-openblas function ``name``, or None without it."""
     libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")):
-        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            return corename().decode()
+        function = getattr(ctypes.CDLL(str(path)), name, None)
+        if function is not None:
+            function.argtypes, function.restype = [], restype
+            return convert(function())
     return None
 
 

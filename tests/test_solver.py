@@ -77,15 +77,22 @@ def test_contiguous_partition_covers_everything_in_order():
     assert [len(p) for p in parts] == [4, 3, 3]
 
 
-def test_partition_worker_count_bounds():
-    with pytest.raises(ValueError):
-        contiguous_partition(3, 0)
-    with pytest.raises(ValueError):
-        contiguous_partition(3, 4)
-    # 2.5 made 2 blocks and True one
-    for workers in (2.5, True):
-        with pytest.raises(ValueError, match="num_workers must be an integer"):
-            contiguous_partition(5, workers)
+@pytest.mark.parametrize("components, workers, message", [
+    (3, 0, "num_workers must lie in [1, inf), got 0"),
+    (3, 4, "more workers than components"),
+    # 2.5 workers made 2 blocks and True one
+    (5, 2.5, "num_workers must be an integer, got 2.5"),
+    (5, True, "num_workers must be an integer, got true"),
+    # 5.0 components made float index blocks, and True one block
+    (5.0, 2, "num_components must be an integer, got 5.0"),
+    (True, 1, "num_components must be an integer, got true"),
+    (0, 1, "num_components must lie in [1, inf), got 0"),
+], ids=["workers-0", "workers-4", "workers-2.5", "workers-bool", "components-5.0",
+        "components-bool", "components-0"])
+def test_partition_sizes_are_read_through_their_rows(components, workers, message):
+    with pytest.raises(ValueError) as got:
+        contiguous_partition(components, workers)
+    assert str(got.value) == message
 
 
 REPLAY_PROBLEMS = {
