@@ -197,9 +197,10 @@ def cmd_run(args) -> int:
         _error(divergence)
 
     checks = ",".join(f"{k}={v}" for k, v in verdicts.items())
+    admits = "none" if cert is None else "admissible" if cert.admissible else "inadmissible"
     print(
         f"{variant}: status={status} iters={summary['iters_executed']} "
-        f"final_phi={summary['final_phi']} checks[{checks}] -> {args.out}"
+        f"final_phi={summary['final_phi']} checks[{checks}] cert={admits} -> {args.out}"
     )
     return exit_code
 

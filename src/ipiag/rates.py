@@ -109,39 +109,6 @@ def _eta2_max(alpha: float, beta: float, eta1: float, weight: float, power: int)
     return max(0.0, min(bracket, ab / 2.0))  # bracket first: a NaN bracket gives 0
 
 
-def _certificate(variant, inputs, alpha_max, alpha, eta1, eta2_max, eta2, simplified_factor=None):
-    """Contraction factor and the one admissibility rule every variant shares.
-
-    Admissible means 0 < alpha <= alpha_max (alpha < alpha_max for cor2,
-    whose threshold is open) with alpha finite (alpha_max overflows to inf
-    for subnormal L and beta), 0 <= eta2 <= eta2_max, eta1 + eta2 < alpha beta
-    and rho < 1.  The closed upper bounds allow a relative 1e-15 for
-    rounding.  eta2 defaults to eta2_max.
-    """
-    if eta2 is None:
-        eta2 = eta2_max
-    ab = alpha * inputs.growth_constant
-    rho = (1.0 + eta2) / (1.0 + ab - eta1)
-    if variant == "cor2":
-        admissible = 0.0 < alpha < alpha_max
-    else:
-        admissible = 0.0 < alpha <= alpha_max * (1.0 + 1e-15)
-    admissible = admissible and alpha < math.inf and 0.0 <= eta2 <= eta2_max * (1.0 + 1e-15)
-    admissible = bool(admissible and eta1 + eta2 < ab and rho < 1.0)
-    return RateCertificate(
-        variant=variant,
-        inputs=inputs,
-        alpha_max=alpha_max,
-        alpha=alpha,
-        eta1=eta1,
-        eta2_max=eta2_max,
-        eta2=eta2,
-        rho=rho,
-        admissible=admissible,
-        simplified_factor=simplified_factor,
-    )
-
-
 def certificate_for(
     variant: str,
     inputs: RateInputs,
@@ -164,111 +131,126 @@ def certificate_for(
     threshold: alpha must stay strictly below alpha_max so that the eta2 bracket keeps
     room.  It is built at C1 = 0, and its certificate reports that C1.  ``variant`` is read
     through the ``variant`` row of ``ipiag certify``.
+
+    One admissibility rule covers every variant: 0 < alpha <= alpha_max (alpha < alpha_max
+    for cor2) with alpha finite (alpha_max overflows to inf for subnormal L and beta),
+    0 <= eta2 <= eta2_max, eta1 + eta2 < alpha beta and rho < 1.  The closed upper bounds
+    allow a relative 1e-15 for rounding.
     """
     check(CERTIFY.row("variant"), variant, "variant")
     L = inputs.total_lipschitz
     beta = inputs.growth_constant
     tau = inputs.delay
     c1 = inputs.momentum_fraction
+    bracket = simplified = None  # bracket: the (weight, power) of eta2_max, none for cor1
     if variant in ("t1", "t1tight"):
         if not c1 < 0.5:
             raise ValueError(f"momentum_fraction (c1) must be below 0.5 for {variant}, got {c1!r}")
         exponent = tau + 2 if variant == "t1tight" and tau >= 1 else tau + 3
         alpha_max = _threshold(L, beta, tau, c1, exponent)
-        if alpha is None:
-            alpha = alpha_max
-        if eta1 is None:
-            eta1 = c1 * alpha * beta
         if tau >= 1:
-            weight = (L * (tau + 2) + 8.0 * c1 * beta) / (2.0 * beta)
-            eta2_max = _eta2_max(alpha, beta, eta1, weight, tau + 2)
+            bracket = (L * (tau + 2) + 8.0 * c1 * beta) / (2.0 * beta), tau + 2
         else:  # not 2 L (tau + 2) / (2 beta): 2 L overflows for L >= 2**1023
-            eta2_max = _eta2_max(alpha, beta, eta1, (L + 4.0 * c1 * beta) / beta, 3)
-        return _certificate(variant, inputs, alpha_max, alpha, eta1, eta2_max, eta2)
-    if variant == "cor1":
+            bracket = (L + 4.0 * c1 * beta) / beta, 3
+    elif variant == "cor1":
         if eta2:
             raise ValueError("cor1 has no post-prox inertia; eta2 must be 0")
         base = 1.0 + (1.0 - c1) * beta / (L * (tau + 1) + c1 * beta)
         alpha_max = (base ** (1.0 / (tau + 1)) - 1.0) / ((1.0 - c1) * beta)
-        if alpha is None:
-            alpha = alpha_max
-        if eta1 is None:
-            eta1 = c1 * alpha * beta
-        q = L / beta
-        simplified = 1.0 - (1.0 - c1) / ((1.0 + q * (tau + 1)) * (tau + 1))
-        return _certificate("cor1", inputs, alpha_max, alpha, eta1, 0.0, 0.0, simplified)
-    if eta1:
-        raise ValueError("cor2 has no pre-prox inertia; eta1 must be 0")
-    alpha_max = _threshold(L, beta, tau, 0.0, tau + 2)
+        simplified = 1.0 - (1.0 - c1) / ((1.0 + L / beta * (tau + 1)) * (tau + 1))
+        eta2 = 0.0
+    else:
+        if eta1:
+            raise ValueError("cor2 has no pre-prox inertia; eta1 must be 0")
+        alpha_max = _threshold(L, beta, tau, 0.0, tau + 2)
+        bracket = L * (tau + 2) / (2.0 * beta), tau + 2
+        inputs = replace(inputs, momentum_fraction=0.0)
+        eta1 = 0.0
+
     if alpha is None:
-        alpha = alpha_max * 0.999
-    eta2_max = _eta2_max(alpha, beta, 0.0, L * (tau + 2) / (2.0 * beta), tau + 2)
-    inputs = replace(inputs, momentum_fraction=0.0)
-    return _certificate("cor2", inputs, alpha_max, alpha, 0.0, eta2_max, eta2)
+        alpha = alpha_max * 0.999 if variant == "cor2" else alpha_max
+    if eta1 is None:
+        eta1 = c1 * alpha * beta
+    eta2_max = 0.0 if bracket is None else _eta2_max(alpha, beta, eta1, *bracket)
+    if eta2 is None:
+        eta2 = eta2_max
+    ab = alpha * beta
+    rho = (1.0 + eta2) / (1.0 + ab - eta1)
+    if variant == "cor2":
+        admissible = 0.0 < alpha < alpha_max
+    else:
+        admissible = 0.0 < alpha <= alpha_max * (1.0 + 1e-15)
+    admissible = admissible and alpha < math.inf and 0.0 <= eta2 <= eta2_max * (1.0 + 1e-15)
+    admissible = bool(admissible and eta1 + eta2 < ab and rho < 1.0)
+    return RateCertificate(variant, inputs, alpha_max, alpha, eta1, eta2_max, eta2, rho,
+                           admissible, simplified)
 
 
 def resolve_parameters(problem: CompositeProblem, config: dict, tau: int):
     """Turn a config, as ``ipiag.inputs.read`` gives it for ``ipiag.inputs.CONFIG``, into
     concrete (alpha, eta1, eta2, certificate, error).
 
-    The certificate is built at the resolved values so its contraction
-    factor describes the run that will actually execute.  It is None when
-    the problem has no growth modulus (then bound checks are skipped, and
-    error is None) or when no certificate covers the resolved values (then
-    error says why, and the run is uncertified).
+    One certificate is built, at the C1 the run uses: 0 for a variant without pre-prox
+    inertia, ``c1`` when eta1 is automatic (the only time ``c1`` is read), else
+    eta1/(alpha beta), which needs an explicit alpha.  Automatic values are its defaults, so
+    it describes the run that will execute, and an automatic value it does not cover is
+    refused.  It is None when the problem has no growth modulus (bound checks are skipped,
+    error is None) or when no certificate covers the fully explicit values (error says why,
+    and the run is uncertified).
     """
     variant = config["variant"]
-    alpha_arg, eta1_arg, eta2_arg = config["alpha"], config["eta1"], config["eta2"]
+    alpha, eta1, eta2 = config["alpha"], config["eta1"], config["eta2"]
     cert_variant, uses_eta1, uses_eta2 = RUN_VARIANTS[variant]
+    if not uses_eta1:
+        if eta1 not in ("auto", 0.0):
+            raise ValueError(f"variant {variant} has no pre-prox inertia; leave eta1 at 0")
+        eta1 = 0.0
+    if not uses_eta2:
+        if eta2 not in ("auto", 0.0):
+            raise ValueError(f"variant {variant} has no post-prox inertia; leave eta2 at 0")
+        eta2 = 0.0
     beta = problem.growth_constant
-    L = problem.total_lipschitz
-    needs_auto = alpha_arg == "auto" or (uses_eta1 and eta1_arg == "auto") or (
-        uses_eta2 and eta2_arg == "auto"
-    )
-    auto_cert = None
-    if needs_auto:
-        if beta is None:
+    auto = "auto" in (alpha, eta1, eta2)
+    if beta is None:
+        if auto:
             raise ValueError(
                 "auto parameters need the growth modulus; the problem metadata has none"
             )
-        # eta defaults are computed at the alpha that will run
-        given = None if alpha_arg == "auto" else alpha_arg
-        inputs = RateInputs(L, beta, tau, config["c1"] if uses_eta1 else 0.0)
-        auto_cert = certificate_for(cert_variant, inputs, alpha=given)
+        return alpha, eta1, eta2, None, None
 
-    alpha = auto_cert.alpha if alpha_arg == "auto" else alpha_arg
-
-    if uses_eta1:
-        eta1 = auto_cert.eta1 if eta1_arg == "auto" else eta1_arg
+    if not uses_eta1:
+        c1 = 0.0
+    elif eta1 == "auto":
+        c1 = config["c1"]
+    elif alpha == "auto":
+        raise ValueError(
+            f"eta1 = {eta1!r} needs an explicit --alpha, as C1 = eta1/(alpha beta); "
+            "or leave eta1 automatic and set --c1"
+        )
     else:
-        if eta1_arg not in ("auto", 0.0):
-            raise ValueError(f"variant {variant} has no pre-prox inertia; leave eta1 at 0")
-        eta1 = 0.0
-    if uses_eta2:
-        eta2 = auto_cert.eta2 if eta2_arg == "auto" else eta2_arg
-    else:
-        if eta2_arg not in ("auto", 0.0):
-            raise ValueError(f"variant {variant} has no post-prox inertia; leave eta2 at 0")
-        eta2 = 0.0
+        c1 = eta1 / (alpha * beta) if alpha * beta > 0 else 0.0
+    try:
+        cert = certificate_for(
+            cert_variant, RateInputs(problem.total_lipschitz, beta, tau, c1),
+            *(None if value == "auto" else value for value in (alpha, eta1, eta2)),
+        )
+    except ValueError as exc:
+        if eta1 == "auto":
+            raise  # C1 is the config's c1, and the certificate's message names it
+        error = (
+            f"no {cert_variant} certificate covers alpha={alpha!r}, eta1={eta1!r}, "
+            f"eta2={eta2!r} (C1 = eta1/(alpha beta) = {c1!r}): {exc}"
+        )
+        if auto:
+            raise ValueError(error) from None
+        return alpha, eta1, eta2, None, error
     # the rows check a given weight, and an auto eta2 is at most 0.25 (the bracket's
     # numerator), so only an auto eta1 can leave [0, 1]
-    if uses_eta1 and eta1_arg == "auto" and not 0.0 <= eta1 <= 1.0:
+    if eta1 == "auto" and not 0.0 <= cert.eta1 <= 1.0:
         raise ValueError(
-            f"auto eta1 = C1*alpha*beta = {eta1!r} leaves [0, 1]; lower --c1 or --alpha"
+            f"auto eta1 = C1*alpha*beta = {cert.eta1!r} leaves [0, 1]; lower --c1 or --alpha"
         )
-
-    cert = error = None
-    if beta is not None:
-        implied_c1 = eta1 / (alpha * beta) if uses_eta1 and alpha * beta > 0 else 0.0
-        try:
-            inputs = RateInputs(L, beta, tau, implied_c1)
-            cert = certificate_for(cert_variant, inputs, alpha=alpha, eta1=eta1, eta2=eta2)
-        except ValueError as exc:
-            error = (
-                f"no {cert_variant} certificate covers alpha={alpha!r}, eta1={eta1!r}, "
-                f"eta2={eta2!r} (C1 = eta1/(alpha beta) = {implied_c1!r}): {exc}"
-            )
-    return alpha, eta1, eta2, cert, error
+    return cert.alpha, cert.eta1, cert.eta2, cert, None
 
 
 # ---------------------------------------------------------------------------

@@ -523,10 +523,11 @@ class TestRun:
         "variant, eta1", [("piag-m", "0.5"), ("ipiag", "0.9"), ("ipiag", "0.0012")]
     )
     def test_uncovered_parameters_run_uncertified(self, toy_file, tmp_path, capsys, variant, eta1):
+        # every value explicit: an automatic eta2 that no certificate covers is refused
         out = tmp_path / "o"
         rc = main(
             ["run", "--problem", toy_file, "--variant", variant, "--alpha", "0.001",
-             "--eta1", eta1, "--tau", "2", "--iters", "100", "--out", str(out)]
+             "--eta1", eta1, "--eta2", "0", "--tau", "2", "--iters", "100", "--out", str(out)]
         )
         assert rc == EXIT_OK
         assert capsys.readouterr().err.startswith("warning: uncertified run:")
@@ -534,6 +535,46 @@ class TestRun:
         assert summary["certificate"] is None
         assert "momentum_fraction" in summary["certificate_error"]
         assert set(summary["bound_checks"].values()) == {"uncertified"}
+
+    def test_explicit_eta1_with_automatic_alpha_is_refused(self, tmp_path, capsys):
+        # the step came from the t1 threshold at C1 = c1 = 0 and the certificate from the one
+        # at C1 = eta1/(alpha beta): admissible: false beside three passing checks, exit 0
+        path = tmp_path / "toy100.json"
+        path.write_text(json.dumps(toy_document(ToySpec(num_components=100))))
+        out = tmp_path / "o"
+        rc = main(["run", "--problem", str(path), "--variant", "ipiag", "--eta1", "1e-5",
+                   "--c1", "0", "--tau", "4", "--iters", "3000", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "--alpha" in line
+        assert not out.exists()
+
+    def test_automatic_eta2_no_certificate_covers_is_refused(self, toy_file, tmp_path, capsys):
+        # C1 = eta1/(alpha beta) is past 0.5; eta2 was taken from the certificate at c1
+        rc = main(["run", "--problem", toy_file, "--variant", "ipiag", "--alpha", "0.001",
+                   "--eta1", "0.9", "--tau", "2", "--iters", "100", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: no t1 certificate covers alpha=0.001, eta1=0.9, eta2='auto'")
+
+    @pytest.mark.parametrize("problem, flags, code, admits", [
+        ("toy_file", ["--alpha", "1.0", "--tau", "0", "--schedule", "sync", "--workers", "2",
+                      "--iters", "500"], EXIT_BOUND, "inadmissible"),
+        ("toy_file", [], EXIT_OK, "admissible"),
+        ("lasso_file", ["--alpha", "0.001", "--iters", "20"], EXIT_OK, "none"),
+    ], ids=["past-the-threshold", "default", "no-growth-modulus"])
+    def test_run_line_tells_whether_the_certificate_admits_the_run(
+        self, request, tmp_path, capsys, problem, flags, code, admits
+    ):
+        out = tmp_path / "o"
+        argv = ["run", "--problem", request.getfixturevalue(problem), *flags, "--out", str(out)]
+        assert main(argv) == code
+        assert capsys.readouterr().out.endswith(f"] cert={admits} -> {out}\n")
+        cert = json.loads((out / "summary.json").read_text())["certificate"]
+        verdict = "none" if cert is None else "admissible" if cert["admissible"] else "inadmissible"
+        assert verdict == admits
 
     def test_problem_without_growth_modulus_skips_the_checks(self, lasso_file, tmp_path, capsys):
         out = tmp_path / "o"

@@ -12,9 +12,11 @@ from ipiag import (
     ToySpec,
     TwoTermRecurrence,
     certificate_for,
+    inputs,
     lyapunov_value,
     make_toy,
     one_term_condition,
+    resolve_parameters,
     run,
     schedule_synchronous,
     schedule_uniform_single,
@@ -210,6 +212,55 @@ class TestAdmissibility:
             assert 0.0 < cert.rho < 1.0
             assert cert.eta1 + cert.eta2 < cert.alpha * inputs.growth_constant
             assert cert.eta2 <= cert.eta2_max * (1.0 + 1e-15)
+
+
+TOYS = {n: make_toy(ToySpec(num_components=n)) for n in (10, 100)}
+
+
+@given(
+    n=st.sampled_from(sorted(TOYS)),
+    variant=st.sampled_from(sorted(inputs.RUN_VARIANTS)),
+    tau=st.integers(0, 12),
+    c1=st.floats(0.0, 1.0, exclude_max=True),
+    alpha=st.one_of(st.just("auto"), st.floats(1e-6, 0.2)),
+    eta1=st.one_of(st.just("auto"), st.just(0.0), st.floats(0.0, 1.0)),
+    eta2=st.one_of(st.just("auto"), st.floats(0.0, 1e-4), st.floats(0.0, 1.0)),
+)
+# the step came from the t1 threshold at C1 = c1 = 0, the certificate from the one at
+# C1 = eta1/(alpha beta) = 0.0424, which the step breaks
+@example(n=100, variant="ipiag", tau=4, c1=0.0, alpha="auto", eta1=1e-5, eta2="auto")
+# the certificate was rebuilt at C1 = eta1/(alpha beta) = 0.37999999999999995, and its alpha0
+# was 2 ulps below the step that ran
+@example(n=10, variant="piag-m", tau=0, c1=0.38, alpha="auto", eta1="auto", eta2="auto")
+# eta2 came from the certificate at c1, and no certificate covered the run
+@example(n=10, variant="ipiag", tau=2, c1=0.25, alpha=0.001, eta1=0.9, eta2="auto")
+def test_a_run_gets_one_certificate_at_the_c1_it_uses(n, variant, tau, c1, alpha, eta1, eta2):
+    config = inputs.read(
+        {"variant": variant, "c1": c1, "alpha": alpha, "eta1": eta1, "eta2": eta2},
+        inputs.CONFIG,
+    )
+    _, uses_eta1, uses_eta2 = inputs.RUN_VARIANTS[variant]
+    try:
+        run_alpha, run_eta1, run_eta2, cert, error = resolve_parameters(TOYS[n], config, tau)
+    except ValueError:
+        return
+    if cert is None:  # uncertified: every value the variant uses is explicit
+        assert error is not None
+        assert "auto" not in (alpha, *(w for w, used in ((eta1, uses_eta1), (eta2, uses_eta2))
+                                         if used))
+        return
+    assert (cert.alpha, cert.eta1, cert.eta2) == (run_alpha, run_eta1, run_eta2)
+    if alpha == "auto":
+        factor = 0.999 if cert.variant == "cor2" else 1.0
+        assert run_alpha == factor * cert.alpha_max
+        # an explicit eta2 past the certificate's bracket is the one value that can break it
+        assert cert.admissible or cert.eta2 > cert.eta2_max
+    if not uses_eta1:
+        assert cert.inputs.momentum_fraction == 0.0
+    elif eta1 == "auto":
+        assert cert.inputs.momentum_fraction == c1
+    else:
+        assert cert.inputs.momentum_fraction == eta1 / (alpha * TOYS[n].growth_constant)
 
 
 def test_json_document_fields():
